@@ -10,6 +10,7 @@ violated constraint.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -61,8 +62,10 @@ DEEP_ENV_VAR = "FANO_DELTA_DEEP"
 
 
 class CliParseError(Exception):
-    """Raised instead of argparse's SystemExit so parse failures map to
-    exit code 2 with a single-line diagnostic."""
+    """Malformed input: an unparseable flag (raised instead of argparse's
+    SystemExit), an unreadable or malformed file, or an output path that
+    cannot be written. main maps it to exit code 2 with a single-line
+    diagnostic."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -425,13 +428,22 @@ def _write_profile_csv(profile, path: str, samples: int) -> None:
             f"{format_rational(tau)},{format_rational(phi)},"
             f"{float(tau):.9f},{float(phi):.9f}"
         )
-    with open(path, "w", encoding="utf-8") as handle:
+    with _open_output(path) as handle:
         handle.write("\n".join(rows) + "\n")
+
+
+def _open_output(path: str):
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise CliParseError(f"cannot write output file: {exc}") from None
 
 
 def _load_grid_file(path: str) -> list[GridEntry]:
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
+    if not isinstance(data, dict):
+        raise ValueError("the top level must be a JSON object")
     entries: list[GridEntry] = []
     for row in data.get("bundle", ()):
         n, r, a, b, delta = row
@@ -465,17 +477,20 @@ def _handle_verify(args: argparse.Namespace) -> int:
     if args.grid != "default":
         try:
             grid = _load_grid_file(args.grid)
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"error: cannot load grid file {args.grid}: {exc}", file=sys.stderr)
-            return EXIT_PARSE
-    run = run_verification(deep=deep, grid=grid)
-    if args.json_path:
-        payload = _payload(
-            "verify",
-            {"deep": deep, "grid": args.grid},
-            run.to_json_dict(),
-        )
-        with open(args.json_path, "w", encoding="utf-8") as handle:
+        except (OSError, ValueError, TypeError) as exc:
+            raise CliParseError(f"cannot load grid file {args.grid}: {exc}") from None
+    # The report file is opened first, so an unwritable path is refused
+    # before the suite runs.
+    with (
+        _open_output(args.json_path) if args.json_path else contextlib.nullcontext()
+    ) as handle:
+        run = run_verification(deep=deep, grid=grid)
+        if handle is not None:
+            payload = _payload(
+                "verify",
+                {"deep": deep, "grid": args.grid},
+                run.to_json_dict(),
+            )
             handle.write(render_json(payload))
     print("\n".join(run.summary_lines()))
     return EXIT_OK if run.passed else EXIT_INTERNAL
@@ -483,20 +498,32 @@ def _handle_verify(args: argparse.Namespace) -> int:
 
 def run_check(path: str) -> int:
     """Recompute a previously emitted JSON payload from its own embedded
-    inputs and require byte-for-byte identical serialization."""
+    inputs and require byte-for-byte identical serialization.
+
+    Raises CliParseError for an unreadable or malformed payload and
+    DomainError for embedded inputs outside the command's domain."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw = handle.read()
         payload = json.loads(raw)
-        command = payload["command"]
-        inputs = payload["inputs"]
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"error: cannot read check file {path}: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    if command not in RESULT_FUNCTIONS:
-        print(f"error: cannot re-check command {command!r}", file=sys.stderr)
-        return EXIT_PARSE
-    regenerated = render_json(_payload(command, inputs, RESULT_FUNCTIONS[command](inputs)))
+    except (OSError, ValueError) as exc:
+        raise CliParseError(f"cannot read check file {path}: {exc}") from None
+    if not isinstance(payload, dict) or "command" not in payload or "inputs" not in payload:
+        raise CliParseError(
+            f"check file {path} is not a JSON object with command and inputs"
+        )
+    command, inputs = payload["command"], payload["inputs"]
+    if not isinstance(command, str) or command not in RESULT_FUNCTIONS:
+        raise CliParseError(f"cannot re-check command {command!r}")
+    try:
+        result = RESULT_FUNCTIONS[command](inputs)
+    except DomainError:
+        raise
+    except KeyError as exc:
+        raise CliParseError(f"check file {path}: inputs lack the key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise CliParseError(f"check file {path}: malformed inputs: {exc}") from None
+    regenerated = render_json(_payload(command, inputs, result))
     if regenerated != raw:
         print(
             f"check mismatch: recomputing {command} from the embedded inputs "
@@ -614,16 +641,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.check:
+            return run_check(args.check)
+        if getattr(args, "command", None) is None:
+            raise CliParseError("a subcommand is required (or --check PATH)")
+        return args.handler(args)
     except CliParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    if args.check:
-        return run_check(args.check)
-    if getattr(args, "command", None) is None:
-        print("error: a subcommand is required (or --check PATH)", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        return args.handler(args)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -8,6 +8,12 @@ recursion for iterated cones. Accumulation is exact rational arithmetic
 throughout, so "error" always means discretization distance to the limit,
 never rounding, and each report carries a provable bound for it.
 
+Every finite-level sum is still the exact discrete sum over all m sample
+points, but it is evaluated in closed form: a sum of k-th powers of an
+arithmetic progression expands binomially into power sums
+S_p(N) = sum_{j=0}^{N} j^p, each an exact integer from a recurrence. So a
+kernel costs O(k^2) big-integer operations whatever m is.
+
 Reports are generated in a fixed grid order, so output is reproducible.
 """
 
@@ -98,6 +104,29 @@ class OracleReport:
         }
 
 
+def _power_sums(p_max: int, N: int) -> list[int]:
+    """[S_0(N), ..., S_p_max(N)] with S_p(N) = sum_{j=0}^{N} j^p and 0^0 = 1.
+
+    Summing (j+1)^(p+1) - j^(p+1) over j = 0..N telescopes to
+    (N+1)^(p+1) = sum_{i<=p} C(p+1, i) S_i(N), which fixes each S_p from the
+    lower ones; the division by C(p+1, p) = p+1 is exact.
+    """
+    sums: list[int] = []
+    for p in range(p_max + 1):
+        lower = sum(math.comb(p + 1, i) * s for i, s in enumerate(sums))
+        sums.append(((N + 1) ** (p + 1) - lower) // (p + 1))
+    return sums
+
+
+def _affine_power_sum(c0: int, c1: int, k: int, N: int, s: int = 0) -> int:
+    """Exact sum_{j=0}^{N} j^s (c0 + c1*j)^k, with 0^0 = 1, by binomial
+    expansion of (c0 + c1*j)^k over the power sums S_s..S_{s+k}."""
+    sums = _power_sums(k + s, N)
+    return sum(
+        math.comb(k, i) * c0 ** (k - i) * c1**i * sums[i + s] for i in range(k + 1)
+    )
+
+
 def riemann_s_limit(n: int, A: RationalLike, B: RationalLike, m: int) -> Rational:
     """Finite Riemann-sum proxy for the zero-section threshold limit.
 
@@ -107,8 +136,9 @@ def riemann_s_limit(n: int, A: RationalLike, B: RationalLike, m: int) -> Rationa
 
         sum_j (j/m) a_j^n / sum_j a_j^n,
 
-    which converges to centroid_phi(A, B, n) - A as m grows. The
-    accumulation is pure integer arithmetic.
+    which converges to centroid_phi(A, B, n) - A as m grows. Both sums are
+    exact integers over the common denominator, evaluated by power sums in
+    O(n^2) operations whatever m is.
     """
     a, b = rational(A), rational(B)
     if not isinstance(n, int) or n < 0:
@@ -128,14 +158,9 @@ def riemann_s_limit(n: int, A: RationalLike, B: RationalLike, m: int) -> Rationa
     # Sample numerators over the common denominator q*m: a_j = e_j / (q*m).
     q = math.lcm(a.denominator, b.denominator)
     e0 = a.numerator * (q // a.denominator) * m
-    step = q
     count = int(span)
-    weighted = 0
-    total = 0
-    for j in range(count + 1):
-        w = (e0 + j * step) ** n
-        total += w
-        weighted += j * w
+    total = _affine_power_sum(e0, q, n, count)
+    weighted = _affine_power_sum(e0, q, n, count, s=1)
     return Fraction(weighted, m * total)
 
 
@@ -148,15 +173,16 @@ def riemann_error_bound(n: int, A: RationalLike, B: RationalLike, m: int) -> Rat
 
         (2*B^n / m) * ((B-A) + (centroid-A)) / v,
 
-    where v is the exact finite weight sum sum_j a_j^n / m. Every factor is
-    an exact rational, so the bound itself is exact.
+    where v is the exact finite weight sum sum_j a_j^n / m, evaluated by
+    power sums. Every factor is an exact rational, so the bound itself is
+    exact.
     """
     a, b = rational(A), rational(B)
     phi_offset = centroid_phi(a, b, n) - a
     q = math.lcm(a.denominator, b.denominator)
     e0 = a.numerator * (q // a.denominator) * m
     count = int((b - a) * m)
-    total = sum((e0 + j * q) ** n for j in range(count + 1))
+    total = _affine_power_sum(e0, q, n, count)
     v = Fraction(total, m * (q * m) ** n)
     return (2 * b**n / m) * ((b - a) + phi_offset) / v
 
@@ -167,8 +193,9 @@ def midpoint_centroid_offset(n: int, A: RationalLike, B: RationalLike, steps: in
         integral_0^{B-A} (B^(n+1) - (A+t)^(n+1)) dt / (B^(n+1) - A^(n+1)),
 
     whose exact value is centroid_phi(A, B, n) - A. Works on any raw
-    interval with 0 <= A < B, including the cone case A = 0. Integer
-    accumulation over a common midpoint denominator.
+    interval with 0 <= A < B, including the cone case A = 0. The midpoint
+    sum is an exact integer over a common denominator, evaluated by power
+    sums in O(n^2) operations whatever steps is.
     """
     a, b = rational(A), rational(B)
     if not isinstance(n, int) or n < 0:
@@ -181,11 +208,10 @@ def midpoint_centroid_offset(n: int, A: RationalLike, B: RationalLike, steps: in
     ia = a.numerator * (q // a.denominator)
     ib = b.numerator * (q // b.denominator)
     # Midpoints of [0, B-A]: shifted samples A + t_k = e_k / (2*steps*q).
+    # e_k = 2*steps*ia + (2k+1)*(ib-ia) for k = 0..steps-1.
     big = (2 * steps * ib) ** (n + 1)
-    acc = 0
-    for k in range(steps):
-        e_k = 2 * steps * ia + (2 * k + 1) * (ib - ia)
-        acc += big - e_k ** (n + 1)
+    e0 = 2 * steps * ia + (ib - ia)
+    acc = steps * big - _affine_power_sum(e0, 2 * (ib - ia), n + 1, steps - 1)
     integral = Fraction((ib - ia) * acc, q * steps * (2 * steps * q) ** (n + 1))
     return integral / Fraction(ib ** (n + 1) - ia ** (n + 1), q ** (n + 1))
 
@@ -330,8 +356,9 @@ def futaki_quadrature(
     [r-1, r+1], with the same admissibility validation as the exact route.
 
     The interval has length 2, so every midpoint shares the denominator
-    D = q*steps with q the denominator of r, and the whole sum accumulates
-    as a single integer after clearing the coefficient denominators.
+    D = q*steps with q the denominator of r, and the whole sum is a single
+    integer after clearing the coefficient denominators. It is evaluated
+    by power sums in O(deg^3) operations whatever steps is.
     """
     rr = rational(r)
     numerator = profile.numerator if isinstance(profile, AdmissibleProfile) else profile
@@ -347,19 +374,17 @@ def futaki_quadrature(
     big_d = q * steps
     deg = integrand.degree
     coeff_lcm = math.lcm(*(c.denominator for c in integrand.coefficients))
-    # weights[j] = (coeff_j * coeff_lcm) * D^(deg-j), so the Horner pass over
-    # the integer midpoint numerators e_k returns f(e_k / D) * coeff_lcm * D^deg.
+    # weights[j] = (coeff_j * coeff_lcm) * D^(deg-j), so over the integer
+    # midpoint numerators e_k = (r_num - q)*steps + (2k+1)*q,
+    # sum_j weights[j] * e_k^j = f(e_k / D) * coeff_lcm * D^deg.
     weights = [
         int(c * coeff_lcm) * big_d ** (deg - j)
         for j, c in enumerate(integrand.coefficients)
     ]
-    total = 0
-    for k in range(steps):
-        e_k = (rr.numerator - q) * steps + (2 * k + 1) * q
-        acc = weights[deg]
-        for j in range(deg - 1, -1, -1):
-            acc = acc * e_k + weights[j]
-        total += acc
+    e0 = (rr.numerator - q) * steps + q
+    total = sum(
+        w * _affine_power_sum(e0, 2 * q, j, steps - 1) for j, w in enumerate(weights)
+    )
     return Fraction(2 * total, steps * coeff_lcm * big_d**deg)
 
 

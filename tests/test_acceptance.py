@@ -1,4 +1,4 @@
-"""Acceptance suite: twelve numbered criteria, one test each.
+"""Acceptance suite: thirteen numbered criteria, one test each.
 
 Each test prints a single summary line; `pytest -v` shows one pass/fail
 line per criterion. Runtime budgets are measured on in-process command
@@ -27,6 +27,7 @@ from fanodelta import (
     iterated_hypersurface_delta,
     ode_residual,
     perturbed_admissible_profile,
+    riemann_error_bound,
     riemann_s_limit,
     run_verification,
     solve_profile,
@@ -233,4 +234,26 @@ def test_criterion_12_iterated_cone_recursion_matches_composition_and_is_reporte
     print(
         f"criterion 12 PASS: {checked} tuples reconciled exactly; closed-form "
         f"finding recorded in the verification report"
+    )
+
+
+def test_criterion_13_deep_verification_passes_all_475_reports_under_half_a_second():
+    start = time.perf_counter()
+    run = run_verification(deep=True)
+    elapsed = time.perf_counter() - start
+    assert run.mode == "deep"
+    assert len(run.reports) == 475
+    assert [r.target for r in run.reports if r.status != "pass"] == []
+    assert elapsed < 0.5, f"deep verification took {elapsed:.3f} s"
+
+    start = time.perf_counter()
+    value = riemann_s_limit(1, 1, 3, 10**9)
+    bound = riemann_error_bound(1, 1, 3, 10**9)
+    elapsed_billion = time.perf_counter() - start
+    assert abs(value - Fraction(7, 6)) <= bound
+    assert elapsed_billion < 0.5, f"m=10^9 Riemann oracle took {elapsed_billion:.3f} s"
+    print(
+        f"criterion 13 PASS: {len(run.reports)} deep reports in {elapsed:.3f} s; "
+        f"m=10^9 Riemann |err| = {float(abs(value - Fraction(7, 6))):.2e} "
+        f"<= {float(bound):.2e} in {elapsed_billion:.4f} s"
     )

@@ -174,6 +174,15 @@ class TestCalabiCommand:
         assert lines[1].startswith("1,0,")
         assert lines[-1].startswith("3,0,")
 
+    def test_unwritable_csv_path_is_a_parse_error(self, capsys, tmp_path):
+        target = tmp_path / "nodir" / "profile.csv"
+        code, out, err = run_cli(
+            ["calabi", "--n", "1", "--r", "2", "--csv", str(target)], capsys
+        )
+        assert code == EXIT_PARSE
+        assert len(err.splitlines()) == 1
+        assert out == ""
+
 
 class TestExitCodes:
     def test_malformed_rational_is_a_parse_error(self, capsys):
@@ -256,6 +265,51 @@ class TestCheckRoundTrip:
         code, out, err = run_cli(["--check", str(bad)], capsys)
         assert code == EXIT_PARSE
 
+    def _tampered(self, capsys, tmp_path, edit):
+        code, out, err = run_cli(
+            ["bundle", "--n", "1", "--r", "2", "--delta-v", "1", "--json"], capsys
+        )
+        target = tmp_path / "payload.json"
+        target.write_text(json.dumps(edit(json.loads(out)), indent=2) + "\n")
+        return run_cli(["--check", str(target)], capsys)
+
+    def test_out_of_domain_embedded_inputs_are_a_domain_error(self, capsys, tmp_path):
+        def negative_slope(payload):
+            payload["inputs"]["r"] = "-2"
+            return payload
+
+        code, out, err = self._tampered(capsys, tmp_path, negative_slope)
+        assert code == EXIT_DOMAIN
+        assert len(err.splitlines()) == 1
+        assert "r > 0" in err
+
+    def test_missing_input_key_is_a_parse_error(self, capsys, tmp_path):
+        def drop_a(payload):
+            del payload["inputs"]["a"]
+            return payload
+
+        code, out, err = self._tampered(capsys, tmp_path, drop_a)
+        assert code == EXIT_PARSE
+        assert len(err.splitlines()) == 1
+        assert "'a'" in err
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda payload: [payload],
+            lambda payload: "bundle",
+            lambda payload: {"command": "bundle"},
+            lambda payload: dict(payload, inputs=[1]),
+            lambda payload: dict(payload, inputs=dict(payload["inputs"], n="one")),
+            lambda payload: dict(payload, command=["bundle"]),
+        ],
+        ids=["array", "string", "no-inputs", "inputs-array", "bad-integer", "bad-command"],
+    )
+    def test_malformed_payload_is_a_parse_error(self, capsys, tmp_path, edit):
+        code, out, err = self._tampered(capsys, tmp_path, edit)
+        assert code == EXIT_PARSE
+        assert len(err.splitlines()) == 1
+
 
 class TestVerifyCommand:
     def test_default_run(self, capsys):
@@ -289,6 +343,37 @@ class TestVerifyCommand:
             ["verify", "--grid", str(tmp_path / "missing.json")], capsys
         )
         assert code == EXIT_PARSE
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            [[1, "2", "0", "0", "1"]],
+            {"bundle": [5]},
+            {"bundle": [[1, "2", "0"]]},
+            {"bundle": [[[1], "2", "0", "0", "1"]]},
+            {"cone": None},
+        ],
+        ids=["array", "scalar-row", "short-row", "list-dimension", "null-rows"],
+    )
+    def test_malformed_grid_file_is_a_parse_error(self, capsys, tmp_path, grid):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(grid))
+        code, out, err = run_cli(["verify", "--grid", str(path)], capsys)
+        assert code == EXIT_PARSE
+        assert len(err.splitlines()) == 1
+
+    def test_unwritable_report_path_is_refused_before_the_suite_runs(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        def must_not_run(**kwargs):
+            raise AssertionError("the suite ran before the path was refused")
+
+        monkeypatch.setattr("fanodelta.cli.run_verification", must_not_run)
+        target = tmp_path / "nodir" / "report.json"
+        code, out, err = run_cli(["verify", "--json", str(target)], capsys)
+        assert code == EXIT_PARSE
+        assert len(err.splitlines()) == 1
+        assert out == ""
 
     def test_deep_environment_switch(self, capsys, monkeypatch):
         monkeypatch.setenv("FANO_DELTA_DEEP", "1")

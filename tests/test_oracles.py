@@ -1,10 +1,14 @@
 """Independent numerical oracles: convergence to the closed forms with
-provable error bounds, brute-force branch comparison, and the full
-verification run."""
+provable error bounds, brute-force branch comparison, the full
+verification run, and exact equality of the power-sum kernels with their
+term-by-term reference loops."""
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fanodelta import (
     DeltaKnowledge,
@@ -19,6 +23,7 @@ from fanodelta import (
     hermite_admissible_profile,
     midpoint_centroid_bound,
     midpoint_centroid_offset,
+    perturbed_admissible_profile,
     quadrature_s_v0,
     riemann_error_bound,
     riemann_s_limit,
@@ -26,6 +31,9 @@ from fanodelta import (
     solve_profile,
     telescoping_iterated_cone,
 )
+from fanodelta.calabi import futaki_integrand
+from fanodelta.exactarith import Polynomial
+from fanodelta.oracles import _power_sums
 
 
 class TestRiemannOracle:
@@ -222,3 +230,122 @@ class TestVerificationRun:
         ]
         run = run_verification(grid=grid)
         assert run.passed
+
+
+# Term-by-term reference loops: the O(m) evaluations the power-sum kernels
+# replace, kept as an independent route to the same exact integers.
+
+
+def _loop_riemann_sums(n, A, B, m):
+    q = math.lcm(A.denominator, B.denominator)
+    e0 = A.numerator * (q // A.denominator) * m
+    count = int((B - A) * m)
+    weighted = 0
+    total = 0
+    for j in range(count + 1):
+        w = (e0 + j * q) ** n
+        total += w
+        weighted += j * w
+    return weighted, total
+
+
+def _loop_riemann_s_limit(n, A, B, m):
+    weighted, total = _loop_riemann_sums(n, A, B, m)
+    return Fraction(weighted, m * total)
+
+
+def _loop_riemann_error_bound(n, A, B, m):
+    _, total = _loop_riemann_sums(n, A, B, m)
+    q = math.lcm(A.denominator, B.denominator)
+    v = Fraction(total, m * (q * m) ** n)
+    return (2 * B**n / m) * ((B - A) + centroid_phi(A, B, n) - A) / v
+
+
+def _loop_midpoint_centroid_offset(n, A, B, steps):
+    q = math.lcm(A.denominator, B.denominator)
+    ia = A.numerator * (q // A.denominator)
+    ib = B.numerator * (q // B.denominator)
+    big = (2 * steps * ib) ** (n + 1)
+    acc = 0
+    for k in range(steps):
+        e_k = 2 * steps * ia + (2 * k + 1) * (ib - ia)
+        acc += big - e_k ** (n + 1)
+    integral = Fraction((ib - ia) * acc, q * steps * (2 * steps * q) ** (n + 1))
+    return integral / Fraction(ib ** (n + 1) - ia ** (n + 1), q ** (n + 1))
+
+
+def _loop_futaki_quadrature(n, r, profile, steps):
+    integrand = futaki_integrand(n, r, profile.numerator)
+    if integrand.is_zero:
+        return Fraction(0)
+    q = r.denominator
+    big_d = q * steps
+    deg = integrand.degree
+    coeff_lcm = math.lcm(*(c.denominator for c in integrand.coefficients))
+    weights = [
+        int(c * coeff_lcm) * big_d ** (deg - j)
+        for j, c in enumerate(integrand.coefficients)
+    ]
+    total = 0
+    for k in range(steps):
+        e_k = (r.numerator - q) * steps + (2 * k + 1) * q
+        acc = weights[deg]
+        for j in range(deg - 1, -1, -1):
+            acc = acc * e_k + weights[j]
+        total += acc
+    return Fraction(2 * total, steps * coeff_lcm * big_d**deg)
+
+
+small_dims = st.integers(min_value=0, max_value=6)
+endpoints = st.fractions(min_value=0, max_value=4, max_denominator=8)
+widths = st.fractions(min_value=Fraction(1, 8), max_value=3, max_denominator=8)
+
+
+class TestPowerSumKernels:
+    def test_power_sums_match_brute_force(self):
+        for N in (0, 1, 2, 7, 50):
+            expected = [sum(j**p for j in range(N + 1)) for p in range(13)]
+            assert _power_sums(12, N) == expected, N
+
+    def test_zeroth_power_counts_the_origin(self):
+        assert _power_sums(0, 0) == [1]
+        assert _power_sums(3, 0) == [1, 0, 0, 0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_dims, endpoints, widths, st.integers(min_value=1, max_value=200))
+    @example(0, Fraction(0), Fraction(1), 1)
+    @example(3, Fraction(0), Fraction(2), 1)
+    def test_riemann_kernels_equal_the_loops(self, n, A, width, m):
+        B = A + width
+        # m*(B-A) must be an integer: round m down to a multiple of the width's
+        # denominator, which is at most 8.
+        m = max(width.denominator, m - m % width.denominator)
+        assert riemann_s_limit(n, A, B, m) == _loop_riemann_s_limit(n, A, B, m)
+        assert riemann_error_bound(n, A, B, m) == _loop_riemann_error_bound(n, A, B, m)
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_dims, endpoints, widths, st.integers(min_value=1, max_value=200))
+    @example(0, Fraction(0), Fraction(1), 1)
+    @example(4, Fraction(0), Fraction(3, 2), 1)
+    def test_midpoint_kernel_equals_the_loop(self, n, A, width, steps):
+        B = A + width
+        assert midpoint_centroid_offset(n, A, B, steps) == _loop_midpoint_centroid_offset(
+            n, A, B, steps
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=6),
+        st.fractions(min_value=Fraction(7, 6), max_value=4, max_denominator=6),
+        st.fractions(min_value=-2, max_value=2, max_denominator=10),
+        st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=5), max_size=3),
+        st.integers(min_value=1, max_value=200),
+    )
+    @example(1, Fraction(2), Fraction(0), [], 1)
+    def test_futaki_kernel_equals_the_loop(self, n, r, scale, weight, steps):
+        profile = hermite_admissible_profile(n, r)
+        if weight:
+            profile = perturbed_admissible_profile(profile, scale, Polynomial(weight))
+        assert futaki_quadrature(n, r, profile, steps) == _loop_futaki_quadrature(
+            n, r, profile, steps
+        )
