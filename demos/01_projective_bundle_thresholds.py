@@ -44,7 +44,7 @@ for n in (1, 2, 3, 5, 8):
 # Knowing only delta(V) >= 1 is still enough for an exact answer, because
 # one of the two section branches always sits below the base branch.
 bound_only = bundle_delta(FanoBase(1, 2, DeltaKnowledge.at_least_one()))
-print("with delta(V) >= 1 only:", bound_only.value, "exact =", not bound_only.lower_bound_only)
+print("with delta(V) >= 1 only:", bound_only.value, "from", bound_only.minimizers)
 
 # A boundary divisor with coefficients a on the zero section and b at
 # infinity tilts the momentum interval to [r-(1-a), r+(1-b)] and shifts

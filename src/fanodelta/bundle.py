@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .errors import DomainError
+from .errors import DomainError, InternalCheckError
 from .exactarith import Rational, RationalLike, format_rational, parse_rational, rational
 
 MINIMIZER_BASE = "BaseDivisor"
@@ -173,13 +173,13 @@ def s_vinf(base: FanoBase, bdry: BundleBoundary) -> Rational:
 @dataclass(frozen=True)
 class DeltaBreakdown:
     """The three branch values of a delta formula, their minimum, and the
-    divisor tags attaining it.
+    divisor tags attaining it. The value is always exact.
 
     base_branch is None when only delta(V) >= 1 is known (the branch value
-    is then not a single rational). In that situation the result is still
-    exact whenever min(v0, vinf) <= the base branch evaluated at delta = 1,
-    since the actual base branch can only be larger; otherwise value holds
-    the delta = 1 lower bound and lower_bound_only is True.
+    is then not a single rational). The value is still exact, because a
+    section branch always undercuts the base branch's lower bound (see
+    assemble_breakdown). The JSON form keeps a "lower_bound_only" key, always
+    false, so that schema-1 payloads stay byte-stable.
 
     The optional metadata fields are populated by the cone operations:
     r_effective echoes the slope the formula actually used (derived, for
@@ -193,9 +193,7 @@ class DeltaBreakdown:
     v0_branch: Rational
     vinf_branch: Rational
     value: Rational
-    lower_bound_only: bool
     minimizers: tuple[str, ...]
-    note: Optional[str] = None
     r_effective: Optional[Rational] = None
     proof_coverage: Optional[str] = None
     side_conditions: Optional[tuple[str, ...]] = None
@@ -208,7 +206,7 @@ class DeltaBreakdown:
                 "vinf": format_rational(self.vinf_branch),
             },
             "value": format_rational(self.value),
-            "lower_bound_only": self.lower_bound_only,
+            "lower_bound_only": False,
             "minimizers": list(self.minimizers),
         }
         if self.r_effective is not None:
@@ -235,6 +233,14 @@ def assemble_breakdown(
     is the exact value and the base divisor is excluded from the minimizer
     set (its branch can only be larger or equal, and equality would require
     the unknown delta(V) to be exactly 1).
+
+    That condition always holds. For a bundle, base_coefficient = r/Phi,
+    and on the boundary domain A = r-1+a > 0, so 1-a = r-A and 1-b = B-r.
+    Hence v0 = (r-A)/(Phi-A) <= r/Phi exactly when Phi >= r, and
+    vinf = (B-r)/(B-Phi) <= r/Phi exactly when Phi <= r: one of the two
+    always holds. For a cone, base_coefficient is v0 itself. So a
+    coefficient below both section branches means a caller bug, and raises
+    InternalCheckError.
     """
     if delta.is_exact:
         base_branch = base_coefficient * delta.value
@@ -248,29 +254,20 @@ def assemble_breakdown(
             )
             if branch == value
         )
-        return DeltaBreakdown(base_branch, v0_branch, vinf_branch, value, False, tags)
+        return DeltaBreakdown(base_branch, v0_branch, vinf_branch, value, tags)
 
     section_min = min(v0_branch, vinf_branch)
-    if section_min <= base_coefficient:
-        tags = tuple(
-            tag
-            for tag, branch in ((MINIMIZER_V0, v0_branch), (MINIMIZER_VINF, vinf_branch))
-            if branch == section_min
+    if section_min > base_coefficient:
+        raise InternalCheckError(
+            f"base coefficient {base_coefficient} undercuts both section branches "
+            f"({v0_branch}, {vinf_branch}); impossible on the valid domain"
         )
-        return DeltaBreakdown(None, v0_branch, vinf_branch, section_min, False, tags)
-
-    # Reachable only if the base branch at delta = 1 undercuts both section
-    # branches, which cannot happen on the valid boundary domain; kept so the
-    # contract is total.
-    return DeltaBreakdown(
-        None,
-        v0_branch,
-        vinf_branch,
-        base_coefficient,
-        True,
-        (MINIMIZER_BASE,),
-        note="indeterminate without an exact delta(V)",
+    tags = tuple(
+        tag
+        for tag, branch in ((MINIMIZER_V0, v0_branch), (MINIMIZER_VINF, vinf_branch))
+        if branch == section_min
     )
+    return DeltaBreakdown(None, v0_branch, vinf_branch, section_min, tags)
 
 
 def bundle_delta(base: FanoBase, bdry: BundleBoundary = BundleBoundary()) -> DeltaBreakdown:

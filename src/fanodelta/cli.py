@@ -5,6 +5,10 @@ Exit codes: 0 success, 2 parse error, 3 domain error, 4 internal
 disagreement (a failed verification run, a --check mismatch, or two exact
 routes diverging). Diagnostics are single lines on stderr naming the
 violated constraint.
+
+Each computing subcommand is one entry of COMMANDS: its input flags, one
+result function and one text renderer over that result. Text output, --json
+and --check all run the same computation once.
 """
 
 from __future__ import annotations
@@ -15,17 +19,12 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .angle import DivisorPairSpec, optimal_angle_interval, semistable_range_lambda_ge_1
-from .bundle import (
-    BundleBoundary,
-    DeltaBreakdown,
-    DeltaKnowledge,
-    FanoBase,
-    bundle_delta,
-)
+from .bundle import BundleBoundary, DeltaKnowledge, FanoBase, beta_zero, bundle_delta
 from .calabi import (
+    CalabiProfile,
     edge_angles,
     futaki_closed_form,
     futaki_invariant,
@@ -36,7 +35,6 @@ from .calabi import (
     solve_profile,
     verify_positive_interior,
 )
-from .bundle import beta_zero
 from .cone import (
     BranchedConeSpec,
     ConeBoundary,
@@ -45,10 +43,9 @@ from .cone import (
     branched_cone_delta,
     cone_delta,
     iterated_hypersurface_chain,
-    iterated_hypersurface_delta,
 )
 from .errors import DomainError, InternalCheckError
-from .exactarith import Rational, format_rational, parse_rational
+from .exactarith import Polynomial, format_rational, parse_rational
 from .oracles import GridEntry, run_verification, telescoping_iterated_cone
 
 EXIT_OK = 0
@@ -59,6 +56,8 @@ EXIT_INTERNAL = 4
 SCHEMA_VERSION = "1"
 
 DEEP_ENV_VAR = "FANO_DELTA_DEEP"
+
+GE1 = "ge1"
 
 
 class CliParseError(Exception):
@@ -73,32 +72,98 @@ class _Parser(argparse.ArgumentParser):
         raise CliParseError(message)
 
 
-def _rational_flag(text: str) -> Fraction:
-    return parse_rational(text)
+# Input converters: each takes a flag's text or a --check payload's input
+# value and raises ValueError or TypeError when it is malformed (exit 2).
+# Range checks are left to the computation, so a well-formed but
+# out-of-domain value exits 3.
 
 
-def _delta_flag(text: str) -> str:
-    # Syntax check only; range validation happens in the handler so that a
-    # well-formed but out-of-domain value exits 3, not 2.
-    if text.strip().lower() != "ge1":
-        parse_rational(text)
-    return text.strip()
+def _integer(value: object) -> int:
+    if isinstance(value, str):
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise TypeError(f"not an integer: {value!r}")
 
 
-def _positive_int_flag(text: str) -> int:
-    return int(text)
+def _rational(value: object) -> Fraction:
+    if not isinstance(value, str):
+        raise TypeError(f"not a rational string: {value!r}")
+    return parse_rational(value)
+
+
+def _delta(value: object) -> str:
+    """Canonical text of a delta input: "ge1" or an exact rational."""
+    if isinstance(value, str) and value.strip().lower() == GE1:
+        return GE1
+    return format_rational(_rational(value))
 
 
 # argparse embeds the converter's __name__ in its diagnostics; keep those
 # readable.
-_rational_flag.__name__ = "rational"
-_delta_flag.__name__ = "delta"
-_positive_int_flag.__name__ = "integer"
+_integer.__name__ = "integer"
+_rational.__name__ = "rational"
+_delta.__name__ = "delta"
+
+_REQUIRED = object()
 
 
-def show(value: Rational) -> str:
+class _Flag(NamedTuple):
+    """One input of a command, keyed as in the payload's inputs. convert
+    parses it; canonical renders the parsed value for the payload. default
+    is _REQUIRED, a constant (text is converted, as argparse does), or a
+    function of the inputs before it."""
+
+    key: str
+    convert: Callable[[object], object]
+    canonical: Callable[[object], object]
+    default: object = _REQUIRED
+    help: Optional[str] = None
+
+    def read(self, value: object) -> object:
+        """Parse a payload's input value; null stands for a None default."""
+        if value is None and self.default is None:
+            return None
+        return self.convert(value)
+
+
+class _Kind(NamedTuple):
+    """A converter and the canonical payload form of its values; calling a
+    kind declares an input of that kind."""
+
+    convert: Callable[[object], object]
+    canonical: Callable[[object], object]
+    help: Optional[str] = None
+
+    def __call__(
+        self, key: str, default: object = _REQUIRED, help: Optional[str] = None
+    ) -> _Flag:
+        return _Flag(key, self.convert, self.canonical, default, help or self.help)
+
+
+INTEGER = _Kind(_integer, int)
+RATIONAL = _Kind(_rational, format_rational)
+# _delta already returns the canonical text, and a None default stays None.
+DELTA = _Kind(_delta, lambda text: text, 'exact rational or "ge1"')
+
+
+class _Command(NamedTuple):
+    """A computing subcommand: result maps the parsed inputs to the JSON
+    result, and text renders the canonical inputs and that result as lines.
+    options are argparse flags that are not inputs; emit acts on them before
+    output and returns extra text lines."""
+
+    help: str
+    flags: tuple[_Flag, ...]
+    result: Callable[[dict], dict]
+    text: Callable[[dict, dict], list[str]]
+    options: tuple[tuple[tuple, dict], ...] = ()
+    emit: Optional[Callable[[argparse.Namespace, dict, dict], list[str]]] = None
+
+
+def _show(text: str) -> str:
     """Exact value with a 6-place decimal approximation for human output."""
-    return f"{format_rational(value)} ({float(value):.6f})"
+    return f"{text} ({float(parse_rational(text)):.6f})"
 
 
 def render_json(payload: dict) -> str:
@@ -114,86 +179,73 @@ def _payload(command: str, inputs: dict, result: dict) -> dict:
     }
 
 
-def _verdict(breakdown: DeltaBreakdown) -> str:
-    if breakdown.lower_bound_only:
-        if breakdown.value >= 1:
-            return "K-semistable (the lower bound is already >= 1)"
-        return "indeterminate (only a lower bound, below 1)"
-    if breakdown.proof_coverage == PROOF_UPPER_BOUND:
-        if breakdown.value < 1:
-            return "K-unstable (upper bound below 1)"
-        return "indeterminate (closed form is only an upper bound for r > n+1)"
-    if breakdown.value >= 1:
+def _verdict(result: dict) -> str:
+    # An upper-bound-only value (a cone with r > n+1) is always below 1:
+    # there vinf = (n+2)(1-c)/(r+1-c) < 1.
+    if parse_rational(result["value"]) >= 1:
         return "K-semistable (delta >= 1)"
+    if result.get("proof_coverage") == PROOF_UPPER_BOUND:
+        return "K-unstable (upper bound below 1)"
     return "K-unstable (delta < 1)"
 
 
-def _breakdown_lines(title: str, breakdown: DeltaBreakdown) -> list[str]:
-    base = (
-        "unknown (delta(V) >= 1)"
-        if breakdown.base_branch is None
-        else show(breakdown.base_branch)
-    )
-    lines = [
-        title,
-        f"  base branch : {base}",
-        f"  V0 branch   : {show(breakdown.v0_branch)}",
-        f"  Vinf branch : {show(breakdown.vinf_branch)}",
-        f"  value       : {show(breakdown.value)}"
-        + ("  [lower bound only]" if breakdown.lower_bound_only else ""),
-        f"  minimizers  : {', '.join(breakdown.minimizers)}",
-        f"  verdict     : {_verdict(breakdown)}",
-    ]
-    if breakdown.r_effective is not None:
-        lines.append(f"  slope r     : {format_rational(breakdown.r_effective)}")
-    if breakdown.proof_coverage is not None:
-        lines.append(f"  proof       : {breakdown.proof_coverage}")
-    if breakdown.side_conditions:
-        lines.append("  side conditions:")
-        lines.extend(f"    - {condition}" for condition in breakdown.side_conditions)
-    if breakdown.note:
-        lines.append(f"  note        : {breakdown.note}")
-    return lines
+def _breakdown_text(title: str) -> Callable[[dict, dict], list[str]]:
+    """Text renderer of a DeltaBreakdown result. title is a format string
+    over the inputs (a "ge1" delta shows as ">=1") and r_effective."""
+
+    def text(inputs: dict, result: dict) -> list[str]:
+        shown = {key: ">=1" if value == GE1 else value for key, value in inputs.items()}
+        branches = result["branches"]
+        base = branches["base"]
+        lines = [
+            title.format(r_effective=result.get("r_effective"), **shown),
+            f"  base branch : {'unknown (delta(V) >= 1)' if base is None else _show(base)}",
+            f"  V0 branch   : {_show(branches['v0'])}",
+            f"  Vinf branch : {_show(branches['vinf'])}",
+            f"  value       : {_show(result['value'])}",
+            f"  minimizers  : {', '.join(result['minimizers'])}",
+            f"  verdict     : {_verdict(result)}",
+        ]
+        if "r_effective" in result:
+            lines.append(f"  slope r     : {result['r_effective']}")
+        if "proof_coverage" in result:
+            lines.append(f"  proof       : {result['proof_coverage']}")
+        if result.get("side_conditions"):
+            lines.append("  side conditions:")
+            lines.extend(f"    - {condition}" for condition in result["side_conditions"])
+        return lines
+
+    return text
 
 
-# Result computation from canonical inputs; shared by the normal path and
-# by --check re-dispatch.
+def _bundle_result(values: dict) -> dict:
+    base = FanoBase(values["n"], values["r"], DeltaKnowledge.parse(values["delta_v"]))
+    return bundle_delta(base, BundleBoundary(values["a"], values["b"])).to_json_dict()
 
 
-def _bundle_result(inputs: dict) -> dict:
-    base = FanoBase(
-        int(inputs["n"]),
-        parse_rational(inputs["r"]),
-        DeltaKnowledge.parse(inputs["delta_v"]),
-    )
-    bdry = BundleBoundary(parse_rational(inputs["a"]), parse_rational(inputs["b"]))
-    return bundle_delta(base, bdry).to_json_dict()
+def _cone_result(values: dict) -> dict:
+    base = FanoBase(values["n"], values["r"], DeltaKnowledge.parse(values["delta_v"]))
+    return cone_delta(base, ConeBoundary(values["c"])).to_json_dict()
 
 
-def _cone_result(inputs: dict) -> dict:
-    base = FanoBase(
-        int(inputs["n"]),
-        parse_rational(inputs["r"]),
-        DeltaKnowledge.parse(inputs["delta_v"]),
-    )
-    return cone_delta(base, ConeBoundary(parse_rational(inputs["c"]))).to_json_dict()
+def _branched_result(values: dict) -> dict:
+    pair = None if values["delta_pair"] is None else DeltaKnowledge.parse(values["delta_pair"])
+    spec = BranchedConeSpec(values["n"], values["k"], values["d"], values["l"])
+    return branched_cone_delta(spec, pair).to_json_dict()
 
 
-def _cone_iterate_result(inputs: dict) -> dict:
+def _cone_iterate_result(values: dict) -> dict:
     spec = HypersurfaceConeSpec(
-        int(inputs["n"]),
-        int(inputs["d"]),
-        int(inputs["i"]),
-        DeltaKnowledge.parse(inputs["delta0"]),
+        values["n"], values["d"], values["i"], DeltaKnowledge.parse(values["delta0"])
     )
-    value = iterated_hypersurface_delta(spec)
+    chain = iterated_hypersurface_chain(spec)
+    value = chain[-1].value
     telescoped = telescoping_iterated_cone(spec.n, spec.d, spec.i, spec.delta_v0)
     if telescoped != value:
         raise InternalCheckError(
             f"telescoping oracle disagrees with the iterated value: "
             f"{telescoped} vs {value}"
         )
-    chain = iterated_hypersurface_chain(spec)
     return {
         "value": format_rational(value),
         "telescoped_value": format_rational(telescoped),
@@ -201,32 +253,41 @@ def _cone_iterate_result(inputs: dict) -> dict:
     }
 
 
-def _branched_result(inputs: dict) -> dict:
-    spec = BranchedConeSpec(
-        int(inputs["n"]), int(inputs["k"]), int(inputs["d"]), int(inputs["l"])
-    )
-    delta_pair = (
-        None if inputs["delta_pair"] is None else DeltaKnowledge.parse(inputs["delta_pair"])
-    )
-    return branched_cone_delta(spec, delta_pair).to_json_dict()
+def _cone_iterate_text(inputs: dict, result: dict) -> list[str]:
+    lines = [
+        f"iterated cone over a degree-{inputs['d']} hypersurface of dimension "
+        f"{inputs['n']}, {inputs['i']} iteration(s)"
+    ]
+    for index, step in enumerate(result["steps"], start=1):
+        lines.append(f"  after step {index}: delta = {step['value']}")
+    lines.append(f"  value       : {_show(result['value'])}")
+    lines.append("  cross-check : telescoped recursion and step composition agree exactly")
+    return lines
 
 
-def _angle_result(inputs: dict) -> dict:
-    n = int(inputs["n"])
-    lam = parse_rational(inputs["lambda"])
+def _angle_result(values: dict) -> dict:
+    n, lam = values["n"], values["lambda"]
     if lam < 1:
-        interval = optimal_angle_interval(DivisorPairSpec(n=n, lam=lam))
-    else:
-        interval = semistable_range_lambda_ge_1(n, lam)
-    return interval.to_json_dict()
+        return optimal_angle_interval(DivisorPairSpec(n=n, lam=lam)).to_json_dict()
+    return semistable_range_lambda_ge_1(n, lam).to_json_dict()
 
 
-def _calabi_result(inputs: dict) -> dict:
-    n = int(inputs["n"])
-    r = parse_rational(inputs["r"])
-    beta = parse_rational(inputs["beta"])
-    mu = parse_rational(inputs["mu"])
-    profile = solve_profile(n, r, beta)
+def _angle_text(inputs: dict, result: dict) -> list[str]:
+    endpoint = result["endpoint"]
+    lines = [
+        f"K-semistability angle range for (V, a*S) with n={inputs['n']}, "
+        f"lambda={inputs['lambda']}",
+        f"  endpoint    : {_show(endpoint)}",
+        f"  interval    : [0, {endpoint}{']' if result['semistable_closed'] else ')'}",
+        "  hypotheses  :",
+    ]
+    lines.extend(f"    - {hypothesis}" for hypothesis in result["hypotheses"])
+    return lines
+
+
+def _calabi_result(values: dict) -> dict:
+    n, r, mu = values["n"], values["r"], values["mu"]
+    profile = solve_profile(n, r, values["beta"])
     beta1, beta2 = edge_angles(profile)
     margin = ricci_bound_margin(profile, mu)
     hermite = hermite_admissible_profile(n, r)
@@ -250,186 +311,134 @@ def _calabi_result(inputs: dict) -> dict:
     }
 
 
-RESULT_FUNCTIONS: dict[str, Callable[[dict], dict]] = {
-    "bundle": _bundle_result,
-    "cone": _cone_result,
-    "cone-iterate": _cone_iterate_result,
-    "branched-cone": _branched_result,
-    "angle": _angle_result,
-    "calabi": _calabi_result,
-}
-
-
-# Subcommand handlers.
-
-
-def _emit(args: argparse.Namespace, command: str, inputs: dict, human: list[str]) -> int:
-    if args.json:
-        result = RESULT_FUNCTIONS[command](inputs)
-        sys.stdout.write(render_json(_payload(command, inputs, result)))
-    else:
-        print("\n".join(human))
-    return EXIT_OK
-
-
-def _handle_bundle(args: argparse.Namespace) -> int:
-    inputs = {
-        "n": args.n,
-        "r": format_rational(args.r),
-        "delta_v": DeltaKnowledge.parse(args.delta_v).serialize(),
-        "a": format_rational(args.a),
-        "b": format_rational(args.b),
-    }
-    base = FanoBase(args.n, args.r, DeltaKnowledge.parse(args.delta_v))
-    breakdown = bundle_delta(base, BundleBoundary(args.a, args.b))
-    title = (
-        f"delta invariant of the projectivized bundle over a base with "
-        f"n={args.n}, r={format_rational(args.r)}, delta(V) {base.delta_v}, "
-        f"boundary a={format_rational(args.a)}, b={format_rational(args.b)}"
-    )
-    return _emit(args, "bundle", inputs, _breakdown_lines(title, breakdown))
-
-
-def _handle_cone(args: argparse.Namespace) -> int:
-    inputs = {
-        "n": args.n,
-        "r": format_rational(args.r),
-        "delta_v": DeltaKnowledge.parse(args.delta_v).serialize(),
-        "c": format_rational(args.c),
-    }
-    base = FanoBase(args.n, args.r, DeltaKnowledge.parse(args.delta_v))
-    breakdown = cone_delta(base, ConeBoundary(args.c))
-    title = (
-        f"delta invariant of the projective cone over a base with n={args.n}, "
-        f"r={format_rational(args.r)}, delta(V) {base.delta_v}, "
-        f"boundary c={format_rational(args.c)}"
-    )
-    return _emit(args, "cone", inputs, _breakdown_lines(title, breakdown))
-
-
-def _handle_cone_iterate(args: argparse.Namespace) -> int:
-    inputs = {
-        "n": args.n,
-        "d": args.d,
-        "i": args.i,
-        "delta0": DeltaKnowledge.parse(args.delta0).serialize(),
-    }
-    result = _cone_iterate_result(inputs)
-    if args.json:
-        sys.stdout.write(render_json(_payload("cone-iterate", inputs, result)))
-        return EXIT_OK
-    lines = [
-        f"iterated cone over a degree-{args.d} hypersurface of dimension "
-        f"{args.n}, {args.i} iteration(s)"
-    ]
-    for index, step in enumerate(result["steps"], start=1):
-        lines.append(f"  after step {index}: delta = {step['value']}")
-    value = parse_rational(result["value"])
-    lines.append(f"  value       : {show(value)}")
-    lines.append("  cross-check : telescoped recursion and step composition agree exactly")
-    print("\n".join(lines))
-    return EXIT_OK
-
-
-def _handle_branched(args: argparse.Namespace) -> int:
-    inputs = {
-        "n": args.n,
-        "k": args.k,
-        "d": args.d,
-        "l": args.l,
-        "delta_pair": (
-            None
-            if args.delta_pair is None
-            else DeltaKnowledge.parse(args.delta_pair).serialize()
-        ),
-    }
-    spec = BranchedConeSpec(args.n, args.k, args.d, args.l)
-    delta_pair = (
-        None if args.delta_pair is None else DeltaKnowledge.parse(args.delta_pair)
-    )
-    breakdown = branched_cone_delta(spec, delta_pair)
-    title = (
-        f"delta invariant of the branched-cover cone with n={args.n}, "
-        f"k={args.k}, d={args.d}, l={args.l} (derived slope r={spec.r})"
-    )
-    return _emit(args, "branched-cone", inputs, _breakdown_lines(title, breakdown))
-
-
-def _handle_angle(args: argparse.Namespace) -> int:
-    inputs = {"n": args.n, "lambda": format_rational(args.lam)}
-    result = _angle_result(inputs)
-    if args.json:
-        sys.stdout.write(render_json(_payload("angle", inputs, result)))
-        return EXIT_OK
-    endpoint = parse_rational(result["endpoint"])
-    closed = result["semistable_closed"]
-    lines = [
-        f"K-semistability angle range for (V, a*S) with n={args.n}, "
-        f"lambda={format_rational(args.lam)}",
-        f"  endpoint    : {show(endpoint)}",
-        f"  interval    : [0, {format_rational(endpoint)}{']' if closed else ')'}",
-        "  hypotheses  :",
-    ]
-    lines.extend(f"    - {hypothesis}" for hypothesis in result["hypotheses"])
-    print("\n".join(lines))
-    return EXIT_OK
-
-
-def _handle_calabi(args: argparse.Namespace) -> int:
-    beta = args.beta if args.beta is not None else beta_zero(args.n, args.r)
-    inputs = {
-        "n": args.n,
-        "r": format_rational(args.r),
-        "beta": format_rational(beta),
-        "mu": format_rational(args.mu),
-    }
-    result = _calabi_result(inputs)
-    profile = solve_profile(args.n, args.r, beta)
-    if args.csv:
-        _write_profile_csv(profile, args.csv, args.samples)
-    if args.json:
-        sys.stdout.write(render_json(_payload("calabi", inputs, result)))
-        return EXIT_OK
-    lines = [
-        f"momentum profile for n={args.n}, r={format_rational(args.r)}, "
-        f"beta={format_rational(beta)} (normalized units)",
+def _calabi_text(inputs: dict, result: dict) -> list[str]:
+    return [
+        f"momentum profile for n={inputs['n']}, r={inputs['r']}, "
+        f"beta={inputs['beta']} (normalized units)",
         f"  beta0        : {result['beta0']}",
         f"  c1           : {result['c1']}",
         f"  c2           : {result['c2']}",
-        f"  numerator    : {profile.numerator}",
-        f"  edge angle beta1 : {show(parse_rational(result['beta1']))}",
-        f"  edge angle beta2 : {show(parse_rational(result['beta2']))}",
-        f"  ricci margin at mu={format_rational(args.mu)} : "
-        f"{show(parse_rational(result['ricci_margin']))}"
+        f"  numerator    : {Polynomial(result['numerator_coefficients'])}",
+        f"  edge angle beta1 : {_show(result['beta1'])}",
+        f"  edge angle beta2 : {_show(result['beta2'])}",
+        f"  ricci margin at mu={inputs['mu']} : {_show(result['ricci_margin'])}"
         + ("  [bound holds]" if result["ricci_bound_holds"] else "  [bound fails]"),
         f"  ODE residual identically zero    : {result['ode_residual_zero']}",
         f"  pointwise Ricci gap is constant  : {result['ricci_pointwise_constant']}",
         f"  phi positive on the open interval: {result['phi_positive_on_interior']}",
-        f"  Futaki invariant (admissible profile) : "
-        f"{show(parse_rational(result['futaki_invariant']))}",
-        f"  Futaki closed form                     : "
-        f"{show(parse_rational(result['futaki_closed_form']))}",
+        f"  Futaki invariant (admissible profile) : {_show(result['futaki_invariant'])}",
+        f"  Futaki closed form                     : {_show(result['futaki_closed_form'])}",
     ]
-    if args.csv:
-        lines.append(f"  wrote {args.samples} profile samples to {args.csv}")
-    print("\n".join(lines))
-    return EXIT_OK
 
 
-def _write_profile_csv(profile, path: str, samples: int) -> None:
-    if samples < 2:
-        raise DomainError(f"samples must be >= 2, got {samples}")
+def _calabi_csv(args: argparse.Namespace, values: dict, result: dict) -> list[str]:
+    """Write --csv samples of the profile, rebuilt from the result's exact
+    coefficients rather than solved again."""
+    if not args.csv:
+        return []
+    if args.samples < 2:
+        raise DomainError(f"samples must be >= 2, got {args.samples}")
+    numerator = Polynomial(result["numerator_coefficients"])
+    profile = CalabiProfile(
+        values["n"], values["r"], values["beta"], result["c1"], result["c2"], numerator
+    )
     lo, hi = profile.r - 1, profile.r + 1
     rows = ["tau,phi,tau_decimal,phi_decimal"]
-    for k in range(samples):
-        tau = lo + (hi - lo) * Fraction(k, samples - 1)
+    for k in range(args.samples):
+        tau = lo + (hi - lo) * Fraction(k, args.samples - 1)
         phi = profile.phi(tau) if tau > 0 else Fraction(0)
         rows.append(
             f"{format_rational(tau)},{format_rational(phi)},"
             f"{float(tau):.9f},{float(phi):.9f}"
         )
-    with _open_output(path) as handle:
+    with _open_output(args.csv) as handle:
         handle.write("\n".join(rows) + "\n")
+    return [f"  wrote {args.samples} profile samples to {args.csv}"]
+
+
+COMMANDS: dict[str, _Command] = {
+    "bundle": _Command(
+        "projectivized-bundle delta invariant",
+        (INTEGER("n"), RATIONAL("r"), DELTA("delta_v"), RATIONAL("a", "0"), RATIONAL("b", "0")),
+        _bundle_result,
+        _breakdown_text(
+            "delta invariant of the projectivized bundle over a base with n={n}, "
+            "r={r}, delta(V) {delta_v}, boundary a={a}, b={b}"
+        ),
+    ),
+    "cone": _Command(
+        "projective-cone delta invariant",
+        (INTEGER("n"), RATIONAL("r"), DELTA("delta_v"), RATIONAL("c", "0")),
+        _cone_result,
+        _breakdown_text(
+            "delta invariant of the projective cone over a base with n={n}, "
+            "r={r}, delta(V) {delta_v}, boundary c={c}"
+        ),
+    ),
+    "cone-iterate": _Command(
+        "iterated cones over a smooth hypersurface",
+        (INTEGER("n"), INTEGER("d"), INTEGER("i"), DELTA("delta0", GE1)),
+        _cone_iterate_result,
+        _cone_iterate_text,
+    ),
+    "branched-cone": _Command(
+        "cone attached to a branched hypersurface",
+        (
+            INTEGER("n"), INTEGER("k"), INTEGER("d"), INTEGER("l"),
+            DELTA("delta_pair", None, 'delta of the underlying pair: exact rational or "ge1" '
+                  "(defaults to the large-degree guarantee when applicable)"),
+        ),
+        _branched_result,
+        _breakdown_text(
+            "delta invariant of the branched-cover cone with n={n}, k={k}, d={d}, "
+            "l={l} (derived slope r={r_effective})"
+        ),
+    ),
+    "angle": _Command(
+        "K-semistability angle range for (V, a*S)",
+        (INTEGER("n"), RATIONAL("lambda")),
+        _angle_result,
+        _angle_text,
+    ),
+    "calabi": _Command(
+        "momentum profile and its invariants",
+        (
+            INTEGER("n"), RATIONAL("r"),
+            RATIONAL("beta", lambda v: beta_zero(v["n"], v["r"]), "twist (default: beta0)"),
+            RATIONAL("mu", "1"),
+        ),
+        _calabi_result,
+        _calabi_text,
+        options=(
+            (("--csv",), {"metavar": "PATH", "help": "write (tau, phi) samples"}),
+            (("--samples",), {"type": _integer, "default": 33}),
+        ),
+        emit=_calabi_csv,
+    ),
+}
+
+
+def _compute(command: _Command, values: dict) -> tuple[dict, dict]:
+    """The one computation behind text output, --json and --check: fill the
+    computed defaults, compute the result, and render the canonical inputs."""
+    for flag in command.flags:
+        if values[flag.key] is None and callable(flag.default):
+            values[flag.key] = flag.default(values)
+    result = command.result(values)
+    inputs = {flag.key: flag.canonical(values[flag.key]) for flag in command.flags}
+    return inputs, result
+
+
+def _handle_command(args: argparse.Namespace) -> int:
+    command = COMMANDS[args.command]
+    values = {flag.key: getattr(args, flag.key) for flag in command.flags}
+    inputs, result = _compute(command, values)
+    extra = command.emit(args, values, result) if command.emit else []
+    if args.json:
+        sys.stdout.write(render_json(_payload(args.command, inputs, result)))
+    else:
+        print("\n".join(command.text(inputs, result) + extra))
+    return EXIT_OK
 
 
 def _open_output(path: str):
@@ -445,29 +454,13 @@ def _load_grid_file(path: str) -> list[GridEntry]:
     if not isinstance(data, dict):
         raise ValueError("the top level must be a JSON object")
     entries: list[GridEntry] = []
-    for row in data.get("bundle", ()):
-        n, r, a, b, delta = row
-        entries.append(
-            (
-                "bundle",
-                int(n),
-                parse_rational(str(r)),
-                parse_rational(str(a)),
-                parse_rational(str(b)),
-                DeltaKnowledge.parse(str(delta)),
-            )
-        )
-    for row in data.get("cone", ()):
-        n, r, c, delta = row
-        entries.append(
-            (
-                "cone",
-                int(n),
-                parse_rational(str(r)),
-                parse_rational(str(c)),
-                DeltaKnowledge.parse(str(delta)),
-            )
-        )
+    for kind, width in (("bundle", 5), ("cone", 4)):
+        for row in data.get(kind, ()):
+            n, *rationals, delta = row
+            if len(row) != width:
+                raise ValueError(f"a {kind} row has {width} entries, got {row!r}")
+            rationals = (parse_rational(str(x)) for x in rationals)
+            entries.append((kind, _integer(n), *rationals, DeltaKnowledge.parse(str(delta))))
     return entries
 
 
@@ -513,16 +506,16 @@ def run_check(path: str) -> int:
             f"check file {path} is not a JSON object with command and inputs"
         )
     command, inputs = payload["command"], payload["inputs"]
-    if not isinstance(command, str) or command not in RESULT_FUNCTIONS:
+    spec = COMMANDS.get(command) if isinstance(command, str) else None
+    if spec is None:
         raise CliParseError(f"cannot re-check command {command!r}")
     try:
-        result = RESULT_FUNCTIONS[command](inputs)
-    except DomainError:
-        raise
+        values = {flag.key: flag.read(inputs[flag.key]) for flag in spec.flags}
     except KeyError as exc:
         raise CliParseError(f"check file {path}: inputs lack the key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise CliParseError(f"check file {path}: malformed inputs: {exc}") from None
+    inputs, result = _compute(spec, values)
     regenerated = render_json(_payload(command, inputs, result))
     if regenerated != raw:
         print(
@@ -551,76 +544,22 @@ def build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command")
 
-    def add_json_flag(p: _Parser) -> None:
-        p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-
-    p_bundle = sub.add_parser("bundle", help="projectivized-bundle delta invariant")
-    p_bundle.add_argument("--n", type=_positive_int_flag, required=True)
-    p_bundle.add_argument("--r", type=_rational_flag, required=True)
-    p_bundle.add_argument(
-        "--delta-v", type=_delta_flag, required=True, help='exact rational or "ge1"'
-    )
-    p_bundle.add_argument("--a", type=_rational_flag, default=Fraction(0))
-    p_bundle.add_argument("--b", type=_rational_flag, default=Fraction(0))
-    add_json_flag(p_bundle)
-    p_bundle.set_defaults(handler=_handle_bundle)
-
-    p_cone = sub.add_parser("cone", help="projective-cone delta invariant")
-    p_cone.add_argument("--n", type=_positive_int_flag, required=True)
-    p_cone.add_argument("--r", type=_rational_flag, required=True)
-    p_cone.add_argument(
-        "--delta-v", type=_delta_flag, required=True, help='exact rational or "ge1"'
-    )
-    p_cone.add_argument("--c", type=_rational_flag, default=Fraction(0))
-    add_json_flag(p_cone)
-    p_cone.set_defaults(handler=_handle_cone)
-
-    p_iter = sub.add_parser(
-        "cone-iterate", help="iterated cones over a smooth hypersurface"
-    )
-    p_iter.add_argument("--n", type=_positive_int_flag, required=True)
-    p_iter.add_argument("--d", type=_positive_int_flag, required=True)
-    p_iter.add_argument("--i", type=_positive_int_flag, required=True)
-    p_iter.add_argument(
-        "--delta0", type=_delta_flag, default="ge1", help='exact rational or "ge1"'
-    )
-    add_json_flag(p_iter)
-    p_iter.set_defaults(handler=_handle_cone_iterate)
-
-    p_branched = sub.add_parser(
-        "branched-cone", help="cone attached to a branched hypersurface"
-    )
-    p_branched.add_argument("--n", type=_positive_int_flag, required=True)
-    p_branched.add_argument("--k", type=_positive_int_flag, required=True)
-    p_branched.add_argument("--d", type=_positive_int_flag, required=True)
-    p_branched.add_argument("--l", type=_positive_int_flag, required=True)
-    p_branched.add_argument(
-        "--delta-pair",
-        type=_delta_flag,
-        default=None,
-        help='delta of the underlying pair: exact rational or "ge1" '
-        "(defaults to the large-degree guarantee when applicable)",
-    )
-    add_json_flag(p_branched)
-    p_branched.set_defaults(handler=_handle_branched)
-
-    p_angle = sub.add_parser("angle", help="K-semistability angle range for (V, a*S)")
-    p_angle.add_argument("--n", type=_positive_int_flag, required=True)
-    p_angle.add_argument("--lambda", dest="lam", type=_rational_flag, required=True)
-    add_json_flag(p_angle)
-    p_angle.set_defaults(handler=_handle_angle)
-
-    p_calabi = sub.add_parser("calabi", help="momentum profile and its invariants")
-    p_calabi.add_argument("--n", type=_positive_int_flag, required=True)
-    p_calabi.add_argument("--r", type=_rational_flag, required=True)
-    p_calabi.add_argument(
-        "--beta", type=_rational_flag, default=None, help="twist (default: beta0)"
-    )
-    p_calabi.add_argument("--mu", type=_rational_flag, default=Fraction(1))
-    p_calabi.add_argument("--csv", metavar="PATH", help="write (tau, phi) samples")
-    p_calabi.add_argument("--samples", type=_positive_int_flag, default=33)
-    add_json_flag(p_calabi)
-    p_calabi.set_defaults(handler=_handle_calabi)
+    for name, command in COMMANDS.items():
+        p_command = sub.add_parser(name, help=command.help)
+        for flag in command.flags:
+            p_command.add_argument(
+                "--" + flag.key.replace("_", "-"),
+                dest=flag.key,
+                type=flag.convert,
+                required=flag.default is _REQUIRED,
+                default=None if flag.default is _REQUIRED or callable(flag.default)
+                else flag.default,
+                help=flag.help,
+            )
+        for option_args, option_kwargs in command.options:
+            p_command.add_argument(*option_args, **option_kwargs)
+        p_command.add_argument("--json", action="store_true", help="emit JSON instead of text")
+        p_command.set_defaults(handler=_handle_command)
 
     p_verify = sub.add_parser("verify", help="run the oracle verification suite")
     p_verify.add_argument("--deep", action="store_true", help="high-resolution run")

@@ -160,14 +160,24 @@ class HypersurfaceConeSpec:
         return self.n + 2 - self.d
 
 
+def iterated_hypersurface_closed_form(spec: HypersurfaceConeSpec) -> Rational:
+    """Telescoped closed form of the i-fold iterated cone,
+    (n + 2 - d)(n + 1 + i) / ((n + 1)(n + 2 + i - d)) * min(delta0, 1),
+    with delta0 = 1 when only delta >= 1 is known."""
+    n, d, i = spec.n, spec.d, spec.i
+    capped = min(spec.delta_v0.value, 1) if spec.delta_v0.is_exact else 1
+    return Fraction((n + 2 - d) * (n + 1 + i), (n + 1) * (n + 2 + i - d)) * capped
+
+
 def iterated_hypersurface_chain(spec: HypersurfaceConeSpec) -> list[DeltaBreakdown]:
     """Step-wise composition: cone once per iteration, feeding each exact
     delta value into the next step's base.
 
     Step s goes from dimension n + s - 1 with slope r0 + s - 1 to dimension
-    n + s with slope r0 + s. Every step yields an exact value (the section
-    branches always undercut the base branch's lower bound), so knowledge
-    never degrades along the chain.
+    n + s with slope r0 + s. Every step's value is exact (see
+    assemble_breakdown), so knowledge never degrades along the chain. The
+    last value is checked against iterated_hypersurface_closed_form; a
+    mismatch raises InternalCheckError rather than trusting either route.
     """
     if spec.i < 1:
         raise DomainError(f"iteration count must satisfy i >= 1, got {spec.i}")
@@ -177,43 +187,24 @@ def iterated_hypersurface_chain(spec: HypersurfaceConeSpec) -> list[DeltaBreakdo
         dim = spec.n + step
         slope = rational(spec.r0 + step)
         breakdown = cone_delta(FanoBase(dim, slope, knowledge))
-        if breakdown.lower_bound_only:
-            raise InternalCheckError(
-                "cone step unexpectedly produced only a lower bound"
-            )
         chain.append(breakdown)
         knowledge = DeltaKnowledge.exact(breakdown.value)
+    closed_form = iterated_hypersurface_closed_form(spec)
+    if closed_form != chain[-1].value:
+        raise InternalCheckError(
+            f"iterated cone routes disagree: closed form {closed_form}, "
+            f"composition {chain[-1].value}"
+        )
     return chain
 
 
 def iterated_hypersurface_delta(spec: HypersurfaceConeSpec) -> Rational:
     """Delta invariant of the i-fold iterated cone over a degree-d
-    hypersurface, computed by two independent routes that must agree.
-
-    Route one telescopes the per-step factors into the closed form
-    (n + 2 - d)(n + 1 + i) / ((n + 1)(n + 2 + i - d)) * min(delta0, 1).
-    Route two composes cone_delta step by step. A mismatch raises
-    InternalCheckError rather than trusting either route. The result is
-    always < 1: coning strictly destabilizes.
+    hypersurface: the last value of iterated_hypersurface_chain, which has
+    already been checked against the closed form. The result is always
+    < 1: coning strictly destabilizes.
     """
-    if spec.i < 1:
-        raise DomainError(f"iteration count must satisfy i >= 1, got {spec.i}")
-    if spec.delta_v0.is_exact:
-        capped = min(spec.delta_v0.value, Fraction(1))
-    else:
-        capped = Fraction(1)
-    closed_form = (
-        Fraction((spec.n + 2 - spec.d) * (spec.n + 1 + spec.i))
-        / Fraction((spec.n + 1) * (spec.n + 2 + spec.i - spec.d))
-        * capped
-    )
-    composed = iterated_hypersurface_chain(spec)[-1].value
-    if closed_form != composed:
-        raise InternalCheckError(
-            f"iterated cone routes disagree: closed form {closed_form}, "
-            f"composition {composed}"
-        )
-    return composed
+    return iterated_hypersurface_chain(spec)[-1].value
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ the denominator is 1), which is exactly the serialization this library uses.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
@@ -47,8 +48,16 @@ def parse_rational(text: str) -> Rational:
 
 
 def format_rational(value: Rational) -> str:
-    """Render a Rational as "p/q", or "p" when the denominator is 1."""
-    return str(Fraction(value))
+    """Render a Rational as "p/q", or "p" when the denominator is 1. Digits
+    beyond the interpreter's int-to-str limit raise DomainError."""
+    value = Fraction(value)
+    try:
+        return str(value)
+    except ValueError:
+        raise DomainError(
+            f"exact value has more than {sys.get_int_max_str_digits()} digits, "
+            "the interpreter's int-to-str conversion limit"
+        ) from None
 
 
 def binomial(n: int, k: int) -> Rational:

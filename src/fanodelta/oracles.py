@@ -26,7 +26,6 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .bundle import (
     BundleBoundary,
-    DeltaBreakdown,
     DeltaKnowledge,
     FanoBase,
     MINIMIZER_BASE,
@@ -45,7 +44,14 @@ from .calabi import (
     hermite_admissible_profile,
     perturbed_admissible_profile,
 )
-from .cone import ConeBoundary, cone_bundle_consistency, cone_delta
+from .cone import (
+    ConeBoundary,
+    HypersurfaceConeSpec,
+    cone_bundle_consistency,
+    cone_delta,
+    iterated_hypersurface_chain,
+    iterated_hypersurface_closed_form,
+)
 from .errors import DomainError
 from .exactarith import Polynomial, Rational, RationalLike, format_rational, rational
 
@@ -265,6 +271,9 @@ def _naive_expected(
     vinf: Rational,
     delta: DeltaKnowledge,
 ) -> tuple[Rational, frozenset[str], bool]:
+    """From-scratch min/argmin, and whether the minimum is exact: with only
+    delta >= 1 known it is exact only when a section branch is at most the
+    base coefficient."""
     if delta.is_exact:
         branches = {
             MINIMIZER_BASE: coefficient * delta.value,
@@ -272,14 +281,12 @@ def _naive_expected(
             MINIMIZER_VINF: vinf,
         }
         value = min(branches.values())
-        return value, frozenset(t for t, x in branches.items() if x == value), False
+        return value, frozenset(t for t, x in branches.items() if x == value), True
     section_min = min(v0, vinf)
-    if section_min <= coefficient:
-        tags = frozenset(
-            t for t, x in ((MINIMIZER_V0, v0), (MINIMIZER_VINF, vinf)) if x == section_min
-        )
-        return section_min, tags, False
-    return coefficient, frozenset((MINIMIZER_BASE,)), True
+    tags = frozenset(
+        t for t, x in ((MINIMIZER_V0, v0), (MINIMIZER_VINF, vinf)) if x == section_min
+    )
+    return section_min, tags, section_min <= coefficient
 
 
 GridEntry = tuple  # ("bundle", n, r, a, b, delta) or ("cone", n, r, c, delta)
@@ -312,8 +319,8 @@ def default_branch_grid() -> list[GridEntry]:
 
 def branch_min_bruteforce(grid: Iterable[GridEntry]) -> list[OracleReport]:
     """Independently evaluate the three branch formulas on each grid entry
-    and check value, minimizer set, and exactness flag of the module
-    breakdown against a from-scratch min/argmin."""
+    and check the value and minimizer set of the module breakdown against a
+    from-scratch min/argmin, which must also be exact."""
     reports: list[OracleReport] = []
     for entry in grid:
         kind = entry[0]
@@ -331,11 +338,8 @@ def branch_min_bruteforce(grid: Iterable[GridEntry]) -> list[OracleReport]:
             target = f"cone_delta(n={n}, r={r}, c={c}, delta={delta})"
         else:
             raise DomainError(f"unknown grid entry kind: {kind!r}")
-        value, tags, lower_only = _naive_expected(coeff, v0, vinf, delta)
-        agrees = (
-            tags == frozenset(breakdown.minimizers)
-            and lower_only == breakdown.lower_bound_only
-        )
+        value, tags, exact = _naive_expected(coeff, v0, vinf, delta)
+        agrees = exact and tags == frozenset(breakdown.minimizers)
         reports.append(
             OracleReport.build(
                 target=target,
@@ -597,12 +601,12 @@ def run_verification(
 
     closed_form_matches = True
     for n, d, i in _iter_telescoping_grid():
-        telescoped = telescoping_iterated_cone(n, d, i, DeltaKnowledge.at_least_one())
-        chain_value = _compose_cone_chain(n, d, i)
-        closed = (
-            Fraction((n + 2 - d) * (n + 1 + i)) / Fraction((n + 1) * (n + 2 + i - d))
+        spec = HypersurfaceConeSpec(n, d, i, DeltaKnowledge.at_least_one())
+        telescoped = telescoping_iterated_cone(n, d, i, spec.delta_v0)
+        chain_value = iterated_hypersurface_chain(spec)[-1].value
+        closed_form_matches = (
+            closed_form_matches and iterated_hypersurface_closed_form(spec) == telescoped
         )
-        closed_form_matches = closed_form_matches and closed == telescoped
         reports.append(
             OracleReport.build(
                 target=f"telescoping vs composition (n={n}, d={d}, i={i})",
@@ -643,15 +647,3 @@ def run_verification(
         reports=tuple(reports),
         notes=tuple(notes),
     )
-
-
-def _compose_cone_chain(n: int, d: int, i: int) -> Rational:
-    """Step-wise cone_delta composition used by the verification run; the
-    K-semistable start mirrors the telescoping oracle's capped start."""
-    knowledge = DeltaKnowledge.at_least_one()
-    value = Fraction(1)
-    for step in range(i):
-        breakdown = cone_delta(FanoBase(n + step, rational(n + 2 - d + step), knowledge))
-        value = breakdown.value
-        knowledge = DeltaKnowledge.exact(value)
-    return value

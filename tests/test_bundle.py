@@ -12,6 +12,7 @@ from fanodelta import (
     DeltaKnowledge,
     DomainError,
     FanoBase,
+    InternalCheckError,
     beta_zero,
     boundary_interval,
     bundle_delta,
@@ -20,6 +21,7 @@ from fanodelta import (
     s_vinf,
     smooth_threshold_relation,
 )
+from fanodelta.bundle import assemble_breakdown
 
 # Strategy pieces reused across property tests. Slopes and boundary
 # coefficients are kept small so the exact arithmetic stays readable in
@@ -166,7 +168,7 @@ class TestFrozenBundleValues:
         assert b.base_branch == Fraction(12, 13)
         assert b.v0_branch == Fraction(6, 7)
         assert b.vinf_branch == Fraction(6, 5)
-        assert not b.lower_bound_only
+        assert b.to_json_dict()["lower_bound_only"] is False
 
     def test_boundary_shifts_every_branch(self):
         base = FanoBase(2, 3, DeltaKnowledge.exact(1))
@@ -183,7 +185,7 @@ class TestFrozenBundleValues:
         # dominate, so the result is exact and BaseDivisor is excluded.
         b = bundle_delta(FanoBase(1, 2, DeltaKnowledge.at_least_one()))
         assert b.value == Fraction(6, 7)
-        assert not b.lower_bound_only
+        assert b.to_json_dict()["lower_bound_only"] is False
         assert b.base_branch is None
         assert "BaseDivisor" not in b.minimizers
 
@@ -236,7 +238,7 @@ class TestBranchStructure:
             breakdown.vinf_branch,
         ]
         assert breakdown.value == min(branches)
-        assert not breakdown.lower_bound_only
+        assert breakdown.to_json_dict()["lower_bound_only"] is False
 
     @settings(max_examples=200)
     @given(dims, slopes, unit_coeffs, unit_coeffs)
@@ -254,8 +256,16 @@ class TestBranchStructure:
             FanoBase(n, r, DeltaKnowledge.at_least_one()), BundleBoundary(a, b)
         )
         assert bound_only.value == min(exact.v0_branch, exact.vinf_branch)
-        assert not bound_only.lower_bound_only
+        assert bound_only.to_json_dict()["lower_bound_only"] is False
         assert "BaseDivisor" not in bound_only.minimizers
+
+    def test_coefficient_below_both_section_branches_is_an_internal_error(self):
+        # No valid bundle or cone reaches this (see assemble_breakdown's
+        # docstring), so only a caller bug can.
+        with pytest.raises(InternalCheckError):
+            assemble_breakdown(
+                Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), DeltaKnowledge.at_least_one()
+            )
 
     @settings(max_examples=120)
     @given(dims, slopes, unit_coeffs, unit_coeffs, delta_values, delta_values)

@@ -225,6 +225,22 @@ class TestExitCodes:
         code, out, err = run_cli(["angle", "--n", "2", "--lambda", "1/5"], capsys)
         assert code == EXIT_DOMAIN
 
+    HUGE = ["bundle", "--n", "20000", "--r", "7/3", "--delta-v", "1", "--a", "1/3"]
+
+    def test_value_over_the_digit_limit_is_a_domain_error(self, capsys):
+        code, out, err = run_cli(self.HUGE, capsys)
+        assert code == EXIT_DOMAIN
+        assert len(err.splitlines()) == 1
+        assert "digits" in err
+        assert out == ""
+
+    def test_json_value_over_the_digit_limit_is_a_domain_error(self, capsys):
+        code, out, err = run_cli(self.HUGE + ["--json"], capsys)
+        assert code == EXIT_DOMAIN
+        assert len(err.splitlines()) == 1
+        assert "digits" in err
+        assert out == ""
+
 
 class TestCheckRoundTrip:
     COMMANDS = [
@@ -302,8 +318,19 @@ class TestCheckRoundTrip:
             lambda payload: dict(payload, inputs=[1]),
             lambda payload: dict(payload, inputs=dict(payload["inputs"], n="one")),
             lambda payload: dict(payload, command=["bundle"]),
+            lambda payload: dict(payload, inputs=dict(payload["inputs"], r="abc")),
+            lambda payload: dict(payload, inputs=dict(payload["inputs"], delta_v="zz")),
         ],
-        ids=["array", "string", "no-inputs", "inputs-array", "bad-integer", "bad-command"],
+        ids=[
+            "array",
+            "string",
+            "no-inputs",
+            "inputs-array",
+            "bad-integer",
+            "bad-command",
+            "bad-rational",
+            "bad-delta",
+        ],
     )
     def test_malformed_payload_is_a_parse_error(self, capsys, tmp_path, edit):
         code, out, err = self._tampered(capsys, tmp_path, edit)
@@ -352,8 +379,9 @@ class TestVerifyCommand:
             {"bundle": [[1, "2", "0"]]},
             {"bundle": [[[1], "2", "0", "0", "1"]]},
             {"cone": None},
+            {"bundle": [[1.5, "2", "0", "0", "1"]]},
         ],
-        ids=["array", "scalar-row", "short-row", "list-dimension", "null-rows"],
+        ids=["array", "scalar-row", "short-row", "list-dimension", "null-rows", "float-dimension"],
     )
     def test_malformed_grid_file_is_a_parse_error(self, capsys, tmp_path, grid):
         path = tmp_path / "grid.json"

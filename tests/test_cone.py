@@ -44,7 +44,7 @@ class TestFrozenConeValues:
         b = cone_delta(FanoBase(2, 1, DeltaKnowledge.at_least_one()))
         assert b.value == Fraction(2, 3)
         assert b.minimizers == ("V0",)
-        assert not b.lower_bound_only
+        assert b.to_json_dict()["lower_bound_only"] is False
 
     def test_vertex_weight_shifts_branches(self):
         # n=1, r=1/2, c=3/4: B = r+1-c = 3/4, K = 3*(1/2)/(2*(3/4)) = 1.
