@@ -3,10 +3,12 @@
 Closed-form K-stability thresholds with exact rational arithmetic end to
 end, cross-checked by independent finite-scale oracles, plus the momentum-
 profile calculus for the associated twisted metrics.
+
+The package exports the entry points listed in ``__all__``; every other
+name is internal to its module and imported from there.
 """
 
 from .angle import (
-    AngleInterval,
     DivisorPairSpec,
     cone_over_divisor_delta,
     optimal_angle_interval,
@@ -14,27 +16,16 @@ from .angle import (
 )
 from .bundle import (
     BundleBoundary,
-    DeltaBreakdown,
     DeltaKnowledge,
     FanoBase,
-    MINIMIZER_BASE,
-    MINIMIZER_V0,
-    MINIMIZER_VINF,
     beta_zero,
-    boundary_interval,
     bundle_delta,
     centroid_phi,
-    s_v0,
-    s_vinf,
     smooth_threshold_relation,
 )
 from .calabi import (
-    AdmissibleProfile,
-    CalabiProfile,
-    admissibility_failures,
     edge_angles,
     futaki_closed_form,
-    futaki_integrand,
     futaki_invariant,
     hermite_admissible_profile,
     ode_residual,
@@ -47,39 +38,18 @@ from .calabi import (
 from .cone import (
     BranchedConeSpec,
     ConeBoundary,
-    ConsistencyReport,
     HypersurfaceConeSpec,
-    PROOF_FULL,
-    PROOF_UPPER_BOUND,
     branched_cone_delta,
-    branched_side_condition_failures,
-    branched_slope,
     cone_bundle_consistency,
     cone_delta,
     iterated_hypersurface_chain,
     iterated_hypersurface_delta,
 )
 from .errors import DomainError, InternalCheckError
-from .exactarith import (
-    Polynomial,
-    Rational,
-    binomial,
-    derivative,
-    format_rational,
-    integrate_definite,
-    parse_rational,
-    rational,
-)
 from .oracles import (
-    OracleReport,
-    VerificationRun,
-    branch_min_bruteforce,
-    default_branch_grid,
     futaki_quadrature,
-    futaki_quadrature_bound,
     midpoint_centroid_bound,
     midpoint_centroid_offset,
-    quadrature_s_v0,
     riemann_error_bound,
     riemann_s_limit,
     run_verification,
@@ -89,70 +59,39 @@ from .oracles import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmissibleProfile",
-    "AngleInterval",
     "BranchedConeSpec",
     "BundleBoundary",
-    "CalabiProfile",
     "ConeBoundary",
-    "ConsistencyReport",
-    "DeltaBreakdown",
     "DeltaKnowledge",
     "DivisorPairSpec",
     "DomainError",
     "FanoBase",
     "HypersurfaceConeSpec",
     "InternalCheckError",
-    "MINIMIZER_BASE",
-    "MINIMIZER_V0",
-    "MINIMIZER_VINF",
-    "OracleReport",
-    "PROOF_FULL",
-    "PROOF_UPPER_BOUND",
-    "Polynomial",
-    "Rational",
-    "VerificationRun",
-    "admissibility_failures",
     "beta_zero",
-    "binomial",
-    "boundary_interval",
-    "branch_min_bruteforce",
     "branched_cone_delta",
-    "branched_side_condition_failures",
-    "branched_slope",
     "bundle_delta",
     "centroid_phi",
     "cone_bundle_consistency",
     "cone_delta",
     "cone_over_divisor_delta",
-    "default_branch_grid",
-    "derivative",
     "edge_angles",
-    "format_rational",
     "futaki_closed_form",
-    "futaki_integrand",
     "futaki_invariant",
     "futaki_quadrature",
-    "futaki_quadrature_bound",
     "hermite_admissible_profile",
-    "integrate_definite",
     "iterated_hypersurface_chain",
     "iterated_hypersurface_delta",
     "midpoint_centroid_bound",
     "midpoint_centroid_offset",
     "ode_residual",
     "optimal_angle_interval",
-    "parse_rational",
     "perturbed_admissible_profile",
-    "quadrature_s_v0",
-    "rational",
     "ricci_bound_margin",
     "ricci_pointwise_residual",
     "riemann_error_bound",
     "riemann_s_limit",
     "run_verification",
-    "s_v0",
-    "s_vinf",
     "semistable_range_lambda_ge_1",
     "smooth_threshold_relation",
     "solve_profile",

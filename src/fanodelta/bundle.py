@@ -61,9 +61,6 @@ class DeltaKnowledge:
     def is_exact(self) -> bool:
         return self.value is not None
 
-    def serialize(self) -> str:
-        return "ge1" if self.value is None else format_rational(self.value)
-
     def __str__(self) -> str:
         return ">=1" if self.value is None else format_rational(self.value)
 
@@ -126,13 +123,9 @@ def boundary_interval(base: FanoBase, bdry: BundleBoundary) -> tuple[Rational, R
     return r - (1 - a), r + (1 - b)
 
 
-def centroid_phi(A: RationalLike, B: RationalLike, n: int) -> Rational:
-    """Centroid of t on [A, B] against the weight t^n.
-
-    Equals ((n+1)/(n+2)) * (B^(n+2) - A^(n+2)) / (B^(n+1) - A^(n+1)), i.e.
-    the ratio of the exact integrals of t^(n+1) and t^n over [A, B], and
-    always lies strictly between A and B.
-    """
+def check_interval(n: int, A: RationalLike, B: RationalLike) -> tuple[Rational, Rational]:
+    """The exact (A, B) of a weight-t^n interval, after checking that n is an
+    integer >= 0 and 0 <= A < B. The centroid and its oracles share it."""
     a, b = rational(A), rational(B)
     if not isinstance(n, int) or n < 0:
         raise DomainError(f"n must be an integer >= 0, got {n}")
@@ -140,6 +133,17 @@ def centroid_phi(A: RationalLike, B: RationalLike, n: int) -> Rational:
         raise DomainError(f"A must satisfy A >= 0, got {a}")
     if a >= b:
         raise DomainError(f"interval requires A < B, got A={a}, B={b}")
+    return a, b
+
+
+def centroid_phi(A: RationalLike, B: RationalLike, n: int) -> Rational:
+    """Centroid of t on [A, B] against the weight t^n.
+
+    Equals ((n+1)/(n+2)) * (B^(n+2) - A^(n+2)) / (B^(n+1) - A^(n+1)), i.e.
+    the ratio of the exact integrals of t^(n+1) and t^n over [A, B], and
+    always lies strictly between A and B.
+    """
+    a, b = check_interval(n, A, B)
     return Fraction(n + 1, n + 2) * (b ** (n + 2) - a ** (n + 2)) / (b ** (n + 1) - a ** (n + 1))
 
 
@@ -156,18 +160,6 @@ def beta_zero(n: int, r: RationalLike) -> Rational:
     if rr <= 1:
         raise DomainError(f"r must satisfy r > 1, got {rr}")
     return 1 / (centroid_phi(rr - 1, rr + 1, n) - (rr - 1))
-
-
-def s_v0(base: FanoBase, bdry: BundleBoundary) -> Rational:
-    """Expected vanishing order of the zero section: centroid - A. Always > 0."""
-    A, B = boundary_interval(base, bdry)
-    return centroid_phi(A, B, base.n) - A
-
-
-def s_vinf(base: FanoBase, bdry: BundleBoundary) -> Rational:
-    """Expected vanishing order of the infinity section: B - centroid. Always > 0."""
-    A, B = boundary_interval(base, bdry)
-    return B - centroid_phi(A, B, base.n)
 
 
 @dataclass(frozen=True)

@@ -224,9 +224,7 @@ class AdmissibleProfile:
         object.__setattr__(self, "r", rational(self.r))
         if self.r <= 1:
             raise DomainError(f"r must satisfy r > 1, got {self.r}")
-        failures = admissibility_failures(self.n, self.r, self.numerator)
-        if failures:
-            raise DomainError("; ".join(failures))
+        admissible_numerator(self.n, self.r, self.numerator)
 
 
 def admissibility_failures(n: int, r: RationalLike, numerator: Polynomial) -> list[str]:
@@ -246,6 +244,19 @@ def admissibility_failures(n: int, r: RationalLike, numerator: Polynomial) -> li
         for label, actual, expected in checks
         if actual != expected
     ]
+
+
+def admissible_numerator(
+    n: int, r: Rational, profile: Union[AdmissibleProfile, Polynomial]
+) -> Polynomial:
+    """The numerator of profile (an AdmissibleProfile or a bare numerator
+    polynomial), once it is checked admissible for (n, r); violations raise
+    one DomainError listing each failed condition."""
+    numerator = profile.numerator if isinstance(profile, AdmissibleProfile) else profile
+    failures = admissibility_failures(n, r, numerator)
+    if failures:
+        raise DomainError("; ".join(failures))
+    return numerator
 
 
 def hermite_admissible_profile(n: int, r: RationalLike) -> AdmissibleProfile:
@@ -311,10 +322,7 @@ def futaki_invariant(
     a tested property, not an assumption used here.
     """
     rr = rational(r)
-    numerator = profile.numerator if isinstance(profile, AdmissibleProfile) else profile
-    failures = admissibility_failures(n, rr, numerator)
-    if failures:
-        raise DomainError("; ".join(failures))
+    numerator = admissible_numerator(n, rr, profile)
     return futaki_integrand(n, rr, numerator).integrate(rr - 1, rr + 1)
 
 

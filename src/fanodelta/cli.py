@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import sys
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
@@ -54,8 +53,6 @@ EXIT_DOMAIN = 3
 EXIT_INTERNAL = 4
 
 SCHEMA_VERSION = "1"
-
-DEEP_ENV_VAR = "FANO_DELTA_DEEP"
 
 GE1 = "ge1"
 
@@ -465,7 +462,6 @@ def _load_grid_file(path: str) -> list[GridEntry]:
 
 
 def _handle_verify(args: argparse.Namespace) -> int:
-    deep = args.deep or os.environ.get(DEEP_ENV_VAR) == "1"
     grid = None
     if args.grid != "default":
         try:
@@ -477,11 +473,11 @@ def _handle_verify(args: argparse.Namespace) -> int:
     with (
         _open_output(args.json_path) if args.json_path else contextlib.nullcontext()
     ) as handle:
-        run = run_verification(deep=deep, grid=grid)
+        run = run_verification(deep=args.deep, grid=grid)
         if handle is not None:
             payload = _payload(
                 "verify",
-                {"deep": deep, "grid": args.grid},
+                {"deep": args.deep, "grid": args.grid},
                 run.to_json_dict(),
             )
             handle.write(render_json(payload))

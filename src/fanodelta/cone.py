@@ -30,7 +30,7 @@ from .bundle import (
     centroid_phi,
 )
 from .errors import DomainError, InternalCheckError
-from .exactarith import Rational, RationalLike, format_rational, rational
+from .exactarith import Rational, RationalLike, rational
 
 PROOF_FULL = "full"
 PROOF_UPPER_BOUND = "upper-bound-only"
@@ -91,13 +91,6 @@ class ConsistencyReport:
     @property
     def matches(self) -> bool:
         return self.bundle_route == self.cone_route
-
-    def to_json_dict(self) -> dict:
-        return {
-            "bundle_route": [format_rational(x) for x in self.bundle_route],
-            "cone_route": [format_rational(x) for x in self.cone_route],
-            "matches": self.matches,
-        }
 
 
 def cone_bundle_consistency(base: FanoBase, c: RationalLike = 0) -> ConsistencyReport:

@@ -12,10 +12,9 @@ the denominator is 1), which is exactly the serialization this library uses.
 
 from __future__ import annotations
 
-import math
 import sys
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
 
 from .errors import DomainError
 
@@ -60,17 +59,6 @@ def format_rational(value: Rational) -> str:
         ) from None
 
 
-def binomial(n: int, k: int) -> Rational:
-    """Exact binomial coefficient C(n, k) for 0 <= k <= n."""
-    if not isinstance(n, int) or not isinstance(k, int):
-        raise TypeError("binomial arguments must be integers")
-    if n < 0 or k < 0:
-        raise DomainError("binomial arguments must be nonnegative")
-    if k > n:
-        raise DomainError(f"binomial requires k <= n, got k={k} > n={n}")
-    return Fraction(math.comb(n, k))
-
-
 def _as_coeff_tuple(coefficients: Iterable[RationalLike]) -> tuple[Rational, ...]:
     coeffs = [rational(c) for c in coefficients]
     while coeffs and coeffs[-1] == 0:
@@ -110,16 +98,6 @@ class Polynomial:
             raise ValueError("monomial degree must be nonnegative")
         return cls((0,) * degree + (rational(coefficient),))
 
-    @classmethod
-    def shifted_power(cls, shift: RationalLike, exponent: int) -> "Polynomial":
-        """The polynomial (shift + t)**exponent, expanded binomially."""
-        if exponent < 0:
-            raise ValueError("exponent must be nonnegative")
-        s = rational(shift)
-        return cls(
-            binomial(exponent, j) * s ** (exponent - j) for j in range(exponent + 1)
-        )
-
     @property
     def coefficients(self) -> tuple[Rational, ...]:
         return self._coeffs
@@ -137,9 +115,6 @@ class Polynomial:
         if 0 <= degree < len(self._coeffs):
             return self._coeffs[degree]
         return Fraction(0)
-
-    def __iter__(self) -> Iterator[Rational]:
-        return iter(self._coeffs)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Polynomial):
@@ -216,8 +191,16 @@ class Polynomial:
         )
 
     def integrate(self, lo: RationalLike, hi: RationalLike) -> Rational:
-        """Exact definite integral over [lo, hi]; requires lo <= hi."""
-        return integrate_definite(self, lo, hi)
+        """Exact definite integral over [lo, hi]; requires lo <= hi.
+
+        Computed through the exact antiderivative, so additivity over adjacent
+        intervals holds as an identity of rationals, not up to rounding.
+        """
+        a, b = rational(lo), rational(hi)
+        if a > b:
+            raise DomainError(f"integration bounds must satisfy lo <= hi, got {a} > {b}")
+        anti = self.antiderivative()
+        return anti(b) - anti(a)
 
     def __repr__(self) -> str:
         return f"Polynomial({self!s})"
@@ -240,20 +223,3 @@ class Polynomial:
             parts.append(f"{sign} {body}" if parts else f"{sign}{body}")
         return " ".join(parts)
 
-
-def integrate_definite(p: Polynomial, lo: RationalLike, hi: RationalLike) -> Rational:
-    """Exact definite integral of p over [lo, hi].
-
-    Computed through the exact antiderivative, so additivity over adjacent
-    intervals holds as an identity of rationals, not up to rounding.
-    """
-    a, b = rational(lo), rational(hi)
-    if a > b:
-        raise DomainError(f"integration bounds must satisfy lo <= hi, got {a} > {b}")
-    anti = p.antiderivative()
-    return anti(b) - anti(a)
-
-
-def derivative(p: Polynomial) -> Polynomial:
-    """Exact formal derivative of p (function form of Polynomial.derivative)."""
-    return p.derivative()

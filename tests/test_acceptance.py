@@ -16,9 +16,7 @@ from fanodelta import (
     DeltaKnowledge,
     HypersurfaceConeSpec,
     beta_zero,
-    branch_min_bruteforce,
     cone_bundle_consistency,
-    default_branch_grid,
     edge_angles,
     futaki_closed_form,
     futaki_invariant,
@@ -37,6 +35,7 @@ from fanodelta.bundle import DeltaKnowledge as _DK  # noqa: F401  (import check)
 from fanodelta.bundle import FanoBase
 from fanodelta.cli import EXIT_OK, main
 from fanodelta.exactarith import Polynomial
+from fanodelta.oracles import branch_min_bruteforce, default_branch_grid
 
 
 def run_command(argv):

@@ -14,14 +14,11 @@ from fanodelta import (
     FanoBase,
     InternalCheckError,
     beta_zero,
-    boundary_interval,
     bundle_delta,
     centroid_phi,
-    s_v0,
-    s_vinf,
     smooth_threshold_relation,
 )
-from fanodelta.bundle import assemble_breakdown
+from fanodelta.bundle import assemble_breakdown, boundary_interval
 
 # Strategy pieces reused across property tests. Slopes and boundary
 # coefficients are kept small so the exact arithmetic stays readable in
@@ -50,9 +47,9 @@ class TestDeltaKnowledge:
         ge1 = DeltaKnowledge.at_least_one()
         assert not ge1.is_exact and ge1.value is None
 
-    def test_parse_round_trip(self):
-        assert DeltaKnowledge.parse("ge1").serialize() == "ge1"
-        assert DeltaKnowledge.parse("13/14").serialize() == "13/14"
+    def test_parse_matches_the_constructors(self):
+        assert DeltaKnowledge.parse(" GE1 ") == DeltaKnowledge.at_least_one()
+        assert DeltaKnowledge.parse("13/14") == DeltaKnowledge.exact(Fraction(13, 14))
         assert DeltaKnowledge.parse("1").value == 1
 
     def test_negative_delta_rejected(self):
@@ -207,11 +204,13 @@ class TestFrozenBundleValues:
 
 
 class TestSectionAreas:
+    """The expected vanishing orders of the sections, centroid - A for V0
+    and B - centroid for Vinf, over the fiber support interval."""
+
     def test_plain_values(self):
-        base = FanoBase(1, 2, DeltaKnowledge.exact(1))
-        bdry = BundleBoundary()
-        assert s_v0(base, bdry) == Fraction(7, 6)
-        assert s_vinf(base, bdry) == Fraction(5, 6)
+        A, B = boundary_interval(FanoBase(1, 2, DeltaKnowledge.exact(1)), BundleBoundary())
+        assert centroid_phi(A, B, 1) - A == Fraction(7, 6)
+        assert B - centroid_phi(A, B, 1) == Fraction(5, 6)
 
     @settings(max_examples=150)
     @given(dims, slopes, unit_coeffs, unit_coeffs)
@@ -219,8 +218,10 @@ class TestSectionAreas:
         if not valid_boundary(n, r, a, b):
             return
         base = FanoBase(n, r, DeltaKnowledge.at_least_one())
-        bdry = BundleBoundary(a, b)
-        assert s_v0(base, bdry) + s_vinf(base, bdry) == 2 - a - b
+        A, B = boundary_interval(base, BundleBoundary(a, b))
+        phi = centroid_phi(A, B, n)
+        assert (phi - A) > 0 and (B - phi) > 0
+        assert (phi - A) + (B - phi) == 2 - a - b
 
 
 class TestBranchStructure:

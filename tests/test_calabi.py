@@ -8,19 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fanodelta import (
-    AdmissibleProfile,
-    CalabiProfile,
     DomainError,
     InternalCheckError,
-    Polynomial,
-    admissibility_failures,
     beta_zero,
     edge_angles,
     futaki_closed_form,
-    futaki_integrand,
     futaki_invariant,
     hermite_admissible_profile,
-    integrate_definite,
     ode_residual,
     perturbed_admissible_profile,
     ricci_bound_margin,
@@ -28,6 +22,8 @@ from fanodelta import (
     solve_profile,
     verify_positive_interior,
 )
+from fanodelta.calabi import CalabiProfile, admissibility_failures, futaki_integrand
+from fanodelta.exactarith import Polynomial
 
 PROFILE_GRID = [
     (n, r, beta)
@@ -214,7 +210,7 @@ class TestFutakiInvariant:
         # profile (inadmissible on purpose) gives -80/21, not the invariant.
         p = solve_profile(1, 2, beta_zero(1, 2))
         integrand = futaki_integrand(1, 2, p.numerator)
-        assert integrate_definite(integrand, 1, 3) == Fraction(-80, 21)
+        assert integrand.integrate(1, 3) == Fraction(-80, 21)
 
     @settings(max_examples=40)
     @given(

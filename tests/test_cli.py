@@ -402,10 +402,3 @@ class TestVerifyCommand:
         assert code == EXIT_PARSE
         assert len(err.splitlines()) == 1
         assert out == ""
-
-    def test_deep_environment_switch(self, capsys, monkeypatch):
-        monkeypatch.setenv("FANO_DELTA_DEEP", "1")
-        grid_free = ["verify", "--grid", "default"]
-        code, out, err = run_cli(grid_free, capsys)
-        assert code == EXIT_OK
-        assert "deep mode" in out

@@ -4,12 +4,10 @@ branched-cover cones."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fanodelta import (
-    PROOF_FULL,
-    PROOF_UPPER_BOUND,
     BranchedConeSpec,
     ConeBoundary,
     DeltaKnowledge,
@@ -17,13 +15,17 @@ from fanodelta import (
     FanoBase,
     HypersurfaceConeSpec,
     branched_cone_delta,
-    branched_side_condition_failures,
-    branched_slope,
     centroid_phi,
     cone_bundle_consistency,
     cone_delta,
     iterated_hypersurface_chain,
     iterated_hypersurface_delta,
+)
+from fanodelta.cone import (
+    PROOF_FULL,
+    PROOF_UPPER_BOUND,
+    branched_side_condition_failures,
+    branched_slope,
 )
 
 dims = st.integers(min_value=1, max_value=6)
@@ -84,15 +86,17 @@ class TestFrozenConeValues:
 class TestConeStructure:
     @settings(max_examples=200)
     @given(dims, slopes, cone_coeffs, delta_values)
+    @example(n=3, r=Fraction(2), c=Fraction(1, 2), dv=Fraction(1))
     def test_value_at_most_one_for_semistable_base(self, n, r, c, dv):
-        # With delta(V) <= 1 and r <= n+1, the cone can never beat delta = 1;
-        # equality needs the extreme corner r = n+1, delta = 1, c = 0.
+        # With delta(V) <= 1 and r <= n+1, the cone can never beat delta = 1.
+        # Equality needs delta = 1 and r = (n+1)(1-c): the base-divisor
+        # branch reaches 1 only for r >= (n+1)(1-c), the infinity branch only
+        # for r <= (n+1)(1-c).
         if r > n + 1 or dv > 1:
             return
         b = cone_delta(FanoBase(n, r, DeltaKnowledge.exact(dv)), ConeBoundary(c))
         assert b.value <= 1
-        if r < n + 1 or dv < 1:
-            assert b.value < 1
+        assert (b.value == 1) == (dv == 1 and r == (n + 1) * (1 - c))
 
     @settings(max_examples=200)
     @given(dims, slopes, cone_coeffs)
@@ -126,19 +130,13 @@ class TestConeBundleConsistency:
                     report = cone_bundle_consistency(
                         FanoBase(n, r, DeltaKnowledge.exact(1)), c
                     )
-                    assert report.matches, (n, r, c, report.to_json_dict())
+                    assert report.matches, (n, r, c, report)
 
     @settings(max_examples=150)
     @given(dims, slopes, cone_coeffs, delta_values)
     def test_exact_match_generically(self, n, r, c, dv):
         report = cone_bundle_consistency(FanoBase(n, r, DeltaKnowledge.exact(dv)), c)
         assert report.matches
-
-    def test_report_shape(self):
-        report = cone_bundle_consistency(FanoBase(1, 1, DeltaKnowledge.exact(1)), 0)
-        d = report.to_json_dict()
-        assert d["matches"] is True
-        assert d["bundle_route"] == d["cone_route"] == ["3/4", "3/4", "3/2"]
 
 
 class TestIteratedHypersurfaceCones:

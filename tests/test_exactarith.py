@@ -7,16 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fanodelta import (
-    DomainError,
-    Polynomial,
-    binomial,
-    derivative,
-    format_rational,
-    integrate_definite,
-    parse_rational,
-    rational,
-)
+from fanodelta import DomainError
+from fanodelta.exactarith import Polynomial, format_rational, parse_rational, rational
 
 nonzero_fractions = st.fractions().filter(lambda q: q != 0)
 
@@ -57,30 +49,6 @@ class TestRationalHelpers:
         assert rational(Fraction(1, 2)) == Fraction(1, 2)
 
 
-class TestBinomial:
-    def test_small_table(self):
-        assert binomial(4, 2) == 6
-        assert binomial(10, 0) == 1
-        assert binomial(10, 5) == 252
-
-    def test_rejects_k_above_n(self):
-        with pytest.raises(DomainError):
-            binomial(3, 5)
-
-    def test_rejects_negative_arguments(self):
-        with pytest.raises(DomainError):
-            binomial(-1, 0)
-        with pytest.raises(DomainError):
-            binomial(3, -2)
-
-    @given(st.integers(min_value=0, max_value=40), st.integers(min_value=0, max_value=40))
-    def test_pascal_recurrence(self, n, k):
-        if k > n:
-            return
-        if 0 < k:
-            assert binomial(n + 1, k) == binomial(n, k) + binomial(n, k - 1)
-
-
 class TestPolynomialBasics:
     def test_trailing_zeros_are_stripped(self):
         p = Polynomial([1, 2, 0, 0])
@@ -97,13 +65,6 @@ class TestPolynomialBasics:
         assert Polynomial.monomial(3)(Fraction(2)) == 8
         assert Polynomial.monomial(2, Fraction(1, 2))(4) == 8
         assert Polynomial.constant(Fraction(7, 3)).degree == 0
-
-    def test_shifted_power_expansion(self):
-        # (1 + t)^2 = 1 + 2t + t^2
-        p = Polynomial.shifted_power(1, 2)
-        assert p.coefficients == (Fraction(1), Fraction(2), Fraction(1))
-        # (-2 + t)^3 evaluated at 5 is 27
-        assert Polynomial.shifted_power(-2, 3)(5) == 27
 
     def test_evaluation_uses_exact_arithmetic(self):
         p = Polynomial([Fraction(1, 3), Fraction(-1, 7), Fraction(2, 11)])
@@ -134,40 +95,40 @@ class TestPolynomialBasics:
 class TestCalculus:
     def test_derivative_of_cubic(self):
         p = Polynomial([Fraction(-9, 14), 0, Fraction(13, 14), Fraction(-2, 7)])
-        assert derivative(p).coefficients == (
+        assert p.derivative().coefficients == (
             Fraction(0),
             Fraction(13, 7),
             Fraction(-6, 7),
         )
 
     def test_derivative_drops_constants(self):
-        assert derivative(Polynomial.constant(5)).is_zero
+        assert Polynomial.constant(5).derivative().is_zero
 
     def test_square_integral(self):
         p = Polynomial.monomial(2)
-        assert integrate_definite(p, 1, 3) == Fraction(26, 3)
+        assert p.integrate(1, 3) == Fraction(26, 3)
 
     def test_empty_interval_integral_vanishes(self):
         p = Polynomial([1, 2, 3])
-        assert integrate_definite(p, Fraction(5, 7), Fraction(5, 7)) == 0
+        assert p.integrate(Fraction(5, 7), Fraction(5, 7)) == 0
 
     def test_integral_rejects_reversed_interval(self):
         with pytest.raises(DomainError):
-            integrate_definite(Polynomial.monomial(1), 3, 1)
+            Polynomial.monomial(1).integrate(3, 1)
 
     def test_shifted_volume_integral(self):
         # B^(n+1) - (A+t)^(n+1) with n=1, A=1, B=3 over [0, B-A]:
         # 9*2 - 26/3 = 28/3, and dividing by B^(n+1) - A^(n+1) = 8 gives the
         # normalized section area 7/6.
-        p = Polynomial.constant(9) - Polynomial.shifted_power(1, 2)
-        raw = integrate_definite(p, 0, 2)
+        p = Polynomial.constant(9) - Polynomial([1, 1]) ** 2
+        raw = p.integrate(0, 2)
         assert raw == Fraction(28, 3)
         assert raw / 8 == Fraction(7, 6)
 
     def test_shifted_cubic_constant_integral(self):
         # A constant 27 head with the same quadratic tail lands on 136/3.
-        p = Polynomial.constant(27) - Polynomial.shifted_power(1, 2)
-        assert integrate_definite(p, 0, 2) == Fraction(136, 3)
+        p = Polynomial.constant(27) - Polynomial([1, 1]) ** 2
+        assert p.integrate(0, 2) == Fraction(136, 3)
 
     @given(
         small_polys,
@@ -177,8 +138,8 @@ class TestCalculus:
     )
     def test_integral_is_additive_over_adjacent_intervals(self, p, a, b, c):
         lo, mid, hi = sorted([a, b, c])
-        whole = integrate_definite(p, lo, hi)
-        split = integrate_definite(p, lo, mid) + integrate_definite(p, mid, hi)
+        whole = p.integrate(lo, hi)
+        split = p.integrate(lo, mid) + p.integrate(mid, hi)
         assert whole == split
 
     @given(small_polys)

@@ -11,20 +11,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fanodelta import (
+    BundleBoundary,
     DeltaKnowledge,
     DomainError,
+    FanoBase,
     beta_zero,
-    branch_min_bruteforce,
     centroid_phi,
-    default_branch_grid,
     futaki_closed_form,
     futaki_quadrature,
-    futaki_quadrature_bound,
     hermite_admissible_profile,
     midpoint_centroid_bound,
     midpoint_centroid_offset,
     perturbed_admissible_profile,
-    quadrature_s_v0,
     riemann_error_bound,
     riemann_s_limit,
     run_verification,
@@ -33,7 +31,13 @@ from fanodelta import (
 )
 from fanodelta.calabi import futaki_integrand
 from fanodelta.exactarith import Polynomial
-from fanodelta.oracles import _power_sums
+from fanodelta.bundle import boundary_interval
+from fanodelta.oracles import (
+    _power_sums,
+    branch_min_bruteforce,
+    default_branch_grid,
+    futaki_quadrature_bound,
+)
 
 
 class TestRiemannOracle:
@@ -98,17 +102,25 @@ class TestMidpointOracle:
             assert abs(value - target) <= midpoint_centroid_bound(n, A, B, 500)
 
 
+def midpoint_section_area(n, a, b, r, steps):
+    """Midpoint route to the zero-section vanishing order over the bundle's
+    fiber support interval, as run_verification's quadrature reports take it."""
+    base = FanoBase(n, r, DeltaKnowledge.at_least_one())
+    lo, hi = boundary_interval(base, BundleBoundary(a, b))
+    return midpoint_centroid_offset(n, lo, hi, steps)
+
+
 class TestQuadratureSectionArea:
     def test_reference_bundle_case(self):
-        value = quadrature_s_v0(1, 0, 0, 2, 10_000)
+        value = midpoint_section_area(1, 0, 0, 2, 10_000)
         assert abs(value - Fraction(7, 6)) < Fraction(1, 10**6)
 
     def test_weighted_bundle_case(self):
-        # n=2, a=1/2, b=1/4, r=3: S(V0) = Phi - A = 975/304 - 5/2 = 215/304...
-        # the closed form says s_v0 = Phi - A.
+        # n=2, a=1/2, b=1/4, r=3: the interval is [5/2, 15/4] and the closed
+        # form of the zero-section vanishing order is Phi - A.
         A = Fraction(5, 2)
         target = centroid_phi(A, Fraction(15, 4), 2) - A
-        value = quadrature_s_v0(2, Fraction(1, 2), Fraction(1, 4), 3, 4000)
+        value = midpoint_section_area(2, Fraction(1, 2), Fraction(1, 4), 3, 4000)
         assert abs(value - target) < Fraction(1, 10**5)
 
     def test_cone_interval_case(self):
@@ -174,6 +186,24 @@ class TestFutakiQuadrature:
         p = solve_profile(1, 2, beta_zero(1, 2))
         with pytest.raises(DomainError):
             futaki_quadrature(1, 2, p.numerator, 100)
+
+
+@pytest.mark.parametrize(
+    "bound, args",
+    [
+        # m*(B-A) = 3/2 is not an integer, which riemann_s_limit refuses too.
+        (riemann_error_bound, (1, 1, Fraction(5, 2), 1)),
+        (riemann_error_bound, (1, 1, 3, 0)),
+        (midpoint_centroid_bound, (1, 1, 3, 0)),
+        (futaki_quadrature_bound, (1, 2, hermite_admissible_profile(1, 2), 0)),
+        # A constant numerator is not admissible, which futaki_quadrature refuses too.
+        (futaki_quadrature_bound, (1, 2, Polynomial([1]), 10)),
+    ],
+    ids=["riemann-span", "riemann-m0", "midpoint-steps0", "futaki-steps0", "futaki-inadmissible"],
+)
+def test_bounds_refuse_what_their_oracles_refuse(bound, args):
+    with pytest.raises(DomainError):
+        bound(*args)
 
 
 class TestTelescoping:
