@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -453,6 +454,8 @@ def _load_grid_file(path: str) -> list[GridEntry]:
     entries: list[GridEntry] = []
     for kind, width in (("bundle", 5), ("cone", 4)):
         for row in data.get(kind, ()):
+            if not isinstance(row, list):
+                raise ValueError(f"a {kind} row must be a JSON array, got {row!r}")
             n, *rationals, delta = row
             if len(row) != width:
                 raise ValueError(f"a {kind} row has {width} entries, got {row!r}")
@@ -524,7 +527,10 @@ def run_check(path: str) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built on the first call and shared by every
+    later one: parse_args writes only to a fresh Namespace."""
     parser = _Parser(
         prog="fano-delta",
         description=(
@@ -577,8 +583,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.check:
+            if args.command is not None:
+                raise CliParseError(
+                    f"--check cannot be combined with the {args.command} subcommand"
+                )
             return run_check(args.check)
-        if getattr(args, "command", None) is None:
+        if args.command is None:
             raise CliParseError("a subcommand is required (or --check PATH)")
         return args.handler(args)
     except CliParseError as exc:

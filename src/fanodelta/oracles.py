@@ -318,14 +318,16 @@ def branch_min_bruteforce(grid: Iterable[GridEntry]) -> list[OracleReport]:
         if kind == "bundle":
             _, n, r, a, b, delta = entry
             r, a, b = rational(r), rational(a), rational(b)
-            coeff, v0, vinf = _naive_bundle_branches(n, r, a, b)
+            # The closed form validates the domain before the naive route
+            # divides by anything.
             breakdown = bundle_delta(FanoBase(n, r, delta), BundleBoundary(a, b))
+            coeff, v0, vinf = _naive_bundle_branches(n, r, a, b)
             target = f"bundle_delta(n={n}, r={r}, a={a}, b={b}, delta={delta})"
         elif kind == "cone":
             _, n, r, c, delta = entry
             r, c = rational(r), rational(c)
-            coeff, v0, vinf = _naive_cone_branches(n, r, c)
             breakdown = cone_delta(FanoBase(n, r, delta), ConeBoundary(c))
+            coeff, v0, vinf = _naive_cone_branches(n, r, c)
             target = f"cone_delta(n={n}, r={r}, c={c}, delta={delta})"
         else:
             raise DomainError(f"unknown grid entry kind: {kind!r}")

@@ -1,5 +1,5 @@
 """Command-line interface: subcommands, JSON payloads, exit codes, the
---check round trip, and the deep-mode environment switch."""
+--check round trip, and reuse of the one parser across calls."""
 
 import json
 
@@ -10,6 +10,7 @@ from fanodelta.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_PARSE,
+    build_parser,
     main,
 )
 
@@ -273,6 +274,21 @@ class TestCheckRoundTrip:
         assert code == EXIT_INTERNAL
         assert "mismatch" in err
 
+    def test_check_with_a_subcommand_is_a_parse_error(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            ["cone", "--n", "1", "--r", "1", "--delta-v", "1", "--json"], capsys
+        )
+        target = tmp_path / "payload.json"
+        target.write_text(out)
+        code, out, err = run_cli(
+            ["--check", str(target), "cone", "--n", "1", "--r", "1", "--delta-v", "1"],
+            capsys,
+        )
+        assert code == EXIT_PARSE
+        assert len(err.splitlines()) == 1
+        assert "--check" in err and "cone" in err
+        assert out == ""
+
     def test_unreadable_check_file_is_a_parse_error(self, capsys, tmp_path):
         code, out, err = run_cli(["--check", str(tmp_path / "missing.json")], capsys)
         assert code == EXIT_PARSE
@@ -380,8 +396,17 @@ class TestVerifyCommand:
             {"bundle": [[[1], "2", "0", "0", "1"]]},
             {"cone": None},
             {"bundle": [[1.5, "2", "0", "0", "1"]]},
+            {"bundle": ["12001"], "cone": ["2101"]},
         ],
-        ids=["array", "scalar-row", "short-row", "list-dimension", "null-rows", "float-dimension"],
+        ids=[
+            "array",
+            "scalar-row",
+            "short-row",
+            "list-dimension",
+            "null-rows",
+            "float-dimension",
+            "string-row",
+        ],
     )
     def test_malformed_grid_file_is_a_parse_error(self, capsys, tmp_path, grid):
         path = tmp_path / "grid.json"
@@ -389,6 +414,23 @@ class TestVerifyCommand:
         code, out, err = run_cli(["verify", "--grid", str(path)], capsys)
         assert code == EXIT_PARSE
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            {"bundle": [[1, "1", "2", "0", "1"]]},
+            {"bundle": [[1, "2", "0", "2", "1"]]},
+            {"cone": [[1, "-1", "0", "1"]]},
+        ],
+        ids=["bundle-a-too-large", "bundle-b-too-large", "cone-negative-slope"],
+    )
+    def test_out_of_domain_grid_row_is_a_domain_error(self, capsys, tmp_path, grid):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(grid))
+        code, out, err = run_cli(["verify", "--grid", str(path)], capsys)
+        assert code == EXIT_DOMAIN
+        assert len(err.splitlines()) == 1
+        assert err.startswith("domain error:")
 
     def test_unwritable_report_path_is_refused_before_the_suite_runs(
         self, capsys, tmp_path, monkeypatch
@@ -402,3 +444,50 @@ class TestVerifyCommand:
         assert code == EXIT_PARSE
         assert len(err.splitlines()) == 1
         assert out == ""
+
+
+class TestParserReuse:
+    """main builds its parser once per process; parse_args writes only to a
+    fresh Namespace, so the outcome of a call never depends on the calls
+    before it."""
+
+    def test_the_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_outcomes_do_not_depend_on_call_order(self, capsys, tmp_path):
+        payload = tmp_path / "payload.json"
+        code, out, err = run_cli(
+            ["bundle", "--n", "2", "--r", "3", "--delta-v", "ge1", "--a", "1/2", "--json"],
+            capsys,
+        )
+        assert code == EXIT_OK
+        payload.write_text(out)
+        sequence = [
+            ["bundle", "--n", "1", "--r", "2", "--delta-v", "1", "--json"],
+            ["bundle", "--n", "1", "--r", "x", "--delta-v", "1"],
+            ["--check", str(payload)],
+            ["no-such-command"],
+            ["cone", "--n", "1", "--r", "1", "--delta-v", "1", "--c", "1"],
+            ["--help"],
+            ["cone", "--n", "1", "--r", "1", "--delta-v", "1", "--json"],
+            ["bundle", "--n", "1", "--r", "2", "--delta-v", "1", "--b", "1"],
+            ["cone", "--help"],
+            ["bundle", "--n", "1"],
+        ]
+
+        def outcome(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        forward = {tuple(argv): outcome(argv) for argv in sequence}
+        backward = {tuple(argv): outcome(argv) for argv in reversed(sequence)}
+        assert backward == forward
+        codes = [forward[tuple(argv)][0] for argv in sequence]
+        assert codes == [
+            EXIT_OK, EXIT_PARSE, EXIT_OK, EXIT_PARSE, EXIT_DOMAIN,
+            0, EXIT_OK, EXIT_DOMAIN, 0, EXIT_PARSE,
+        ]

@@ -161,6 +161,21 @@ class TestBranchBruteForce:
         assert reports[0].status == "pass"
         assert reports[0].closed_form == Fraction(6, 7)
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            ("bundle", 1, Fraction(1), Fraction(2), Fraction(0), DeltaKnowledge.exact(1)),
+            ("bundle", 1, Fraction(2), Fraction(0), Fraction(2), DeltaKnowledge.exact(1)),
+            ("cone", 1, Fraction(-1), Fraction(0), DeltaKnowledge.exact(1)),
+        ],
+        ids=["bundle-a-too-large", "bundle-b-too-large", "cone-negative-slope"],
+    )
+    def test_out_of_domain_entry_is_a_domain_error(self, entry):
+        # These entries make the naive branch formulas divide by zero, so
+        # the closed form has to refuse them first.
+        with pytest.raises(DomainError):
+            branch_min_bruteforce([entry])
+
     def test_cone_grid_points_included(self):
         grid = default_branch_grid()
         assert any(entry[0] == "cone" for entry in grid)
