@@ -12,7 +12,6 @@ from fractions import Fraction
 
 from fanodelta import (
     DeltaKnowledge,
-    DivisorPairSpec,
     cone_over_divisor_delta,
     optimal_angle_interval,
     semistable_range_lambda_ge_1,
@@ -20,7 +19,7 @@ from fanodelta import (
 
 # lambda < 1: the interval is closed, with endpoint 1 - r/n where
 # r = 1/lambda - 1 is the slope of -K_S against the restricted divisor.
-interval = optimal_angle_interval(DivisorPairSpec(n=2, lam=Fraction(2, 3)))
+interval = optimal_angle_interval(2, Fraction(2, 3))
 print("n=2, lambda=2/3:")
 print("  semistable exactly on [0,", str(interval.endpoint) + "]")
 for hypothesis in interval.hypotheses:
@@ -32,11 +31,11 @@ print("endpoints for hypersurface sections of the quartic threefold:")
 n = 3
 for d in (1, 2, 3):
     lam = Fraction(d, n + 1)
-    iv = optimal_angle_interval(DivisorPairSpec(n=n, lam=lam))
+    iv = optimal_angle_interval(n, lam)
     print(f"  degree {d} (lambda = {lam}): endpoint = {iv.endpoint}")
 
 # At lambda = 1/(n+1) the interval degenerates to the single point {0}.
-tight = optimal_angle_interval(DivisorPairSpec(n=2, lam=Fraction(1, 3)))
+tight = optimal_angle_interval(2, Fraction(1, 3))
 print("degenerate case endpoint:", tight.endpoint)
 
 # lambda >= 1 flips the regime: the range is half-open [0, 1/lambda).

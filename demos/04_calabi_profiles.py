@@ -59,16 +59,16 @@ for mu in (Fraction(13, 14), Fraction(1)):
 
 # The obstruction integral. Admissible comparison profiles must match the
 # boundary behavior of the metric; the value then does not depend on which
-# admissible profile you feed in.
+# admissible profile you feed in. Each profile carries its own n and r.
 hermite = hermite_admissible_profile(n, r)
 bumped = perturbed_admissible_profile(hermite, Fraction(1, 10))
-print("obstruction, hermite profile :", futaki_invariant(n, r, hermite))
-print("obstruction, bumped profile  :", futaki_invariant(n, r, bumped))
+print("obstruction, hermite profile :", futaki_invariant(hermite))
+print("obstruction, bumped profile  :", futaki_invariant(bumped))
 print("closed form (1/beta0 - 1)*((r+1)^(n+1)-(r-1)^(n+1)) =", futaki_closed_form(n, r))
 
 # A midpoint quadrature converges to the same number, which is the
 # numerical cross-check that the exact routes never used.
-approx = futaki_quadrature(n, r, hermite, steps=2000)
+approx = futaki_quadrature(hermite, steps=2000)
 print("quadrature at 2000 steps:", float(approx), "difference:", float(abs(approx - Fraction(4, 3))))
 
 # Positivity of the obstruction for every (n, r) is exactly the statement

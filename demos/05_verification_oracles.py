@@ -12,6 +12,8 @@ suite.
 from fractions import Fraction
 
 from fanodelta import (
+    DeltaKnowledge,
+    HypersurfaceConeSpec,
     centroid_phi,
     midpoint_centroid_bound,
     midpoint_centroid_offset,
@@ -45,7 +47,8 @@ for steps in (10, 100, 1_000):
 # and never touches the closed form.
 print("iterated cones over the cubic surface:")
 for i in (1, 2, 3, 4):
-    print(f"  i = {i}: telescoped = {telescoping_iterated_cone(2, 3, i, 1)}")
+    spec = HypersurfaceConeSpec(n=2, d=3, i=i, delta_v0=DeltaKnowledge.exact(1))
+    print(f"  i = {i}: telescoped = {telescoping_iterated_cone(spec)}")
 
 # The one-call version: every oracle on its default grid. "deep" raises
 # the resolutions by two orders of magnitude.

@@ -8,12 +8,7 @@ The package exports the entry points listed in ``__all__``; every other
 name is internal to its module and imported from there.
 """
 
-from .angle import (
-    DivisorPairSpec,
-    cone_over_divisor_delta,
-    optimal_angle_interval,
-    semistable_range_lambda_ge_1,
-)
+from .angle import cone_over_divisor_delta, optimal_angle_interval, semistable_range_lambda_ge_1
 from .bundle import (
     BundleBoundary,
     DeltaKnowledge,
@@ -63,7 +58,6 @@ __all__ = [
     "BundleBoundary",
     "ConeBoundary",
     "DeltaKnowledge",
-    "DivisorPairSpec",
     "DomainError",
     "FanoBase",
     "HypersurfaceConeSpec",

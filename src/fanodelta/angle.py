@@ -17,28 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bundle import DeltaBreakdown, DeltaKnowledge, FanoBase
+from .bundle import DeltaBreakdown, DeltaKnowledge, FanoBase, check_integer
 from .cone import ConeBoundary, cone_delta
 from .errors import DomainError
 from .exactarith import Rational, RationalLike, format_rational, rational
-
-
-@dataclass(frozen=True)
-class DivisorPairSpec:
-    """Input data: dimension n of V, proportionality lambda of S against
-    -K_V, and the stability hypotheses the caller asserts about V and S."""
-
-    n: int
-    lam: Rational
-    base_semistable: bool = True
-    divisor_semistable: bool = True
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise DomainError(f"n must be an integer >= 1, got {self.n}")
-        object.__setattr__(self, "lam", rational(self.lam))
-        if self.lam <= 0:
-            raise DomainError(f"lambda must satisfy lambda > 0, got {self.lam}")
 
 
 @dataclass(frozen=True)
@@ -63,8 +45,9 @@ class AngleInterval:
         }
 
 
-def optimal_angle_interval(spec: DivisorPairSpec) -> AngleInterval:
-    """Optimal K-semistability angle range for 0 < lambda < 1.
+def optimal_angle_interval(n: int, lam: RationalLike) -> AngleInterval:
+    """Optimal K-semistability angle range for 0 < lambda < 1, with V of
+    dimension n and S proportional to -lambda * K_V, both K-semistable.
 
     The range is exactly [0, 1 - r/n] with r = 1/lambda - 1; it is closed,
     and past the endpoint the pair is K-unstable (certified by
@@ -72,21 +55,20 @@ def optimal_angle_interval(spec: DivisorPairSpec) -> AngleInterval:
     half-open interval [0, endpoint) under the stronger hypothesis that V
     and S are both K-polystable.
     """
-    if spec.lam >= 1:
+    check_integer(n)
+    ll = rational(lam)
+    if ll <= 0:
+        raise DomainError(f"lambda must satisfy lambda > 0, got {ll}")
+    if ll >= 1:
         raise DomainError(
             f"lambda must satisfy lambda < 1 here (use the lambda >= 1 range "
-            f"operation otherwise), got {spec.lam}"
+            f"operation otherwise), got {ll}"
         )
-    if not (spec.base_semistable and spec.divisor_semistable):
-        raise DomainError(
-            "hypotheses not met: V and S must both be asserted K-semistable"
-        )
-    r = 1 / spec.lam - 1
-    endpoint = 1 - r / spec.n
+    endpoint = 1 - (1 / ll - 1) / n
     if endpoint < 0:
         raise DomainError(
             f"lambda must satisfy lambda >= 1/(n+1) for a K-semistable base, "
-            f"got lambda={spec.lam} with n={spec.n}"
+            f"got lambda={ll} with n={n}"
         )
     return AngleInterval(
         endpoint=endpoint,
@@ -109,8 +91,7 @@ def semistable_range_lambda_ge_1(n: int, lam: RationalLike) -> AngleInterval:
     interpolated toward the Calabi-Yau endpoint, with no claim about which
     uniform variant survives the interpolation.
     """
-    if not isinstance(n, int) or n < 1:
-        raise DomainError(f"n must be an integer >= 1, got {n}")
+    check_integer(n)
     ll = rational(lam)
     if ll < 1:
         raise DomainError(

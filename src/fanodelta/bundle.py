@@ -76,8 +76,7 @@ class FanoBase:
     delta_v: DeltaKnowledge
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise DomainError(f"n must be an integer >= 1, got {self.n}")
+        check_integer(self.n)
         object.__setattr__(self, "r", rational(self.r))
         if self.r <= 0:
             raise DomainError(f"r must satisfy r > 0, got {self.r}")
@@ -123,12 +122,20 @@ def boundary_interval(base: FanoBase, bdry: BundleBoundary) -> tuple[Rational, R
     return r - (1 - a), r + (1 - b)
 
 
+def check_integer(value: object, name: str = "n", least: int = 1) -> int:
+    """value itself, after checking that it is an integer >= least (a bool
+    is refused, as the CLI's integer converter refuses it). Dimensions,
+    iteration counts, step counts and resolutions share it."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise DomainError(f"{name} must be an integer >= {least}, got {value}")
+    return value
+
+
 def check_interval(n: int, A: RationalLike, B: RationalLike) -> tuple[Rational, Rational]:
     """The exact (A, B) of a weight-t^n interval, after checking that n is an
     integer >= 0 and 0 <= A < B. The centroid and its oracles share it."""
     a, b = rational(A), rational(B)
-    if not isinstance(n, int) or n < 0:
-        raise DomainError(f"n must be an integer >= 0, got {n}")
+    check_integer(n, least=0)
     if a < 0:
         raise DomainError(f"A must satisfy A >= 0, got {a}")
     if a >= b:
@@ -155,8 +162,7 @@ def beta_zero(n: int, r: RationalLike) -> Rational:
     every n >= 1 and r > 1.
     """
     rr = rational(r)
-    if not isinstance(n, int) or n < 1:
-        raise DomainError(f"n must be an integer >= 1, got {n}")
+    check_integer(n)
     if rr <= 1:
         raise DomainError(f"r must satisfy r > 1, got {rr}")
     return 1 / (centroid_phi(rr - 1, rr + 1, n) - (rr - 1))
@@ -281,15 +287,12 @@ def smooth_threshold_relation(n: int, r: RationalLike, delta_v: RationalLike) ->
     """Boundary-free delta invariant in its two-branch threshold form.
 
     Returns min{ delta(V) * r * beta0 / (1 + beta0*(r - 1)), beta0 } with
-    beta0 = beta_zero(n, r). Requires r > 1 and an exact delta(V). Agrees
-    with bundle_delta at a = b = 0; the crossover between the two branches
+    beta0 = beta_zero(n, r). Requires r > 1 (checked by beta_zero) and an
+    exact delta(V) >= 0 (checked by DeltaKnowledge.exact). Agrees with
+    bundle_delta at a = b = 0; the crossover between the two branches
     happens at delta(V) = 1/r + beta0*(1 - 1/r).
     """
     rr = rational(r)
-    dv = rational(delta_v)
-    if rr <= 1:
-        raise DomainError(f"r must satisfy r > 1, got {rr}")
-    if dv < 0:
-        raise DomainError(f"delta(V) must be >= 0, got {dv}")
     b0 = beta_zero(n, rr)
+    dv = DeltaKnowledge.exact(delta_v).value
     return min(dv * rr * b0 / (1 + b0 * (rr - 1)), b0)

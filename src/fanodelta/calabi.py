@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .bundle import beta_zero
+from .bundle import beta_zero, check_integer
 from .errors import DomainError, InternalCheckError
 from .exactarith import Polynomial, Rational, RationalLike, rational
 
@@ -79,8 +79,7 @@ def solve_profile(n: int, r: RationalLike, beta: RationalLike) -> CalabiProfile:
     residual are then verified exactly before the profile is returned.
     """
     rr, bb = rational(r), rational(beta)
-    if not isinstance(n, int) or n < 1:
-        raise DomainError(f"n must be an integer >= 1, got {n}")
+    check_integer(n)
     if rr <= 1:
         raise DomainError(f"r must satisfy r > 1, got {rr}")
     if bb <= 0:
@@ -219,12 +218,13 @@ class AdmissibleProfile:
     numerator: Polynomial
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise DomainError(f"n must be an integer >= 1, got {self.n}")
+        check_integer(self.n)
         object.__setattr__(self, "r", rational(self.r))
         if self.r <= 1:
             raise DomainError(f"r must satisfy r > 1, got {self.r}")
-        admissible_numerator(self.n, self.r, self.numerator)
+        failures = admissibility_failures(self.n, self.r, self.numerator)
+        if failures:
+            raise DomainError("; ".join(failures))
 
 
 def admissibility_failures(n: int, r: RationalLike, numerator: Polynomial) -> list[str]:
@@ -244,19 +244,6 @@ def admissibility_failures(n: int, r: RationalLike, numerator: Polynomial) -> li
         for label, actual, expected in checks
         if actual != expected
     ]
-
-
-def admissible_numerator(
-    n: int, r: Rational, profile: Union[AdmissibleProfile, Polynomial]
-) -> Polynomial:
-    """The numerator of profile (an AdmissibleProfile or a bare numerator
-    polynomial), once it is checked admissible for (n, r); violations raise
-    one DomainError listing each failed condition."""
-    numerator = profile.numerator if isinstance(profile, AdmissibleProfile) else profile
-    failures = admissibility_failures(n, r, numerator)
-    if failures:
-        raise DomainError("; ".join(failures))
-    return numerator
 
 
 def hermite_admissible_profile(n: int, r: RationalLike) -> AdmissibleProfile:
@@ -310,20 +297,24 @@ def futaki_integrand(n: int, r: RationalLike, numerator: Polynomial) -> Polynomi
     )
 
 
-def futaki_invariant(
-    n: int, r: RationalLike, profile: Union[AdmissibleProfile, Polynomial]
-) -> Rational:
+def admissible_integrand(profile: AdmissibleProfile) -> Polynomial:
+    """futaki_integrand of an admissible profile. Anything else is refused:
+    a solved CalabiProfile has the same fields but is not admissible, and
+    its integral is not the invariant."""
+    if not isinstance(profile, AdmissibleProfile):
+        raise TypeError(f"expected an AdmissibleProfile, got {type(profile).__name__}")
+    return futaki_integrand(profile.n, profile.r, profile.numerator)
+
+
+def futaki_invariant(profile: AdmissibleProfile) -> Rational:
     """Futaki invariant of the fiberwise scaling field, as an exact integral.
 
-    The profile must be admissible; violations raise a DomainError listing
-    each failed condition. The value depends only on the boundary data (an
-    integration by parts moves every profile term to the endpoints), so it
-    is the same rational for every admissible profile; that independence is
-    a tested property, not an assumption used here.
+    The value depends only on the boundary data (an integration by parts
+    moves every profile term to the endpoints), so it is the same rational
+    for every admissible profile; that independence is a tested property,
+    not an assumption used here.
     """
-    rr = rational(r)
-    numerator = admissible_numerator(n, rr, profile)
-    return futaki_integrand(n, rr, numerator).integrate(rr - 1, rr + 1)
+    return admissible_integrand(profile).integrate(profile.r - 1, profile.r + 1)
 
 
 def futaki_closed_form(n: int, r: RationalLike) -> Rational:

@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
-from .angle import DivisorPairSpec, optimal_angle_interval, semistable_range_lambda_ge_1
+from .angle import optimal_angle_interval, semistable_range_lambda_ge_1
 from .bundle import BundleBoundary, DeltaKnowledge, FanoBase, beta_zero, bundle_delta
 from .calabi import (
     CalabiProfile,
@@ -238,7 +238,7 @@ def _cone_iterate_result(values: dict) -> dict:
     )
     chain = iterated_hypersurface_chain(spec)
     value = chain[-1].value
-    telescoped = telescoping_iterated_cone(spec.n, spec.d, spec.i, spec.delta_v0)
+    telescoped = telescoping_iterated_cone(spec)
     if telescoped != value:
         raise InternalCheckError(
             f"telescoping oracle disagrees with the iterated value: "
@@ -265,9 +265,8 @@ def _cone_iterate_text(inputs: dict, result: dict) -> list[str]:
 
 def _angle_result(values: dict) -> dict:
     n, lam = values["n"], values["lambda"]
-    if lam < 1:
-        return optimal_angle_interval(DivisorPairSpec(n=n, lam=lam)).to_json_dict()
-    return semistable_range_lambda_ge_1(n, lam).to_json_dict()
+    interval = optimal_angle_interval if lam < 1 else semistable_range_lambda_ge_1
+    return interval(n, lam).to_json_dict()
 
 
 def _angle_text(inputs: dict, result: dict) -> list[str]:
@@ -304,7 +303,7 @@ def _calabi_result(values: dict) -> dict:
         "ode_residual_zero": ode_residual(profile).is_zero,
         "ricci_pointwise_constant": ricci_pointwise_residual(profile, mu).is_zero,
         "phi_positive_on_interior": verify_positive_interior(profile),
-        "futaki_invariant": format_rational(futaki_invariant(n, r, hermite)),
+        "futaki_invariant": format_rational(futaki_invariant(hermite)),
         "futaki_closed_form": format_rational(futaki_closed_form(n, r)),
     }
 
@@ -446,31 +445,45 @@ def _open_output(path: str):
         raise CliParseError(f"cannot write output file: {exc}") from None
 
 
-def _load_grid_file(path: str) -> list[GridEntry]:
+_GRID_WIDTHS = {"bundle": 5, "cone": 4}
+
+
+def _load_grid_file(path: str) -> list[tuple]:
+    """The rows of a --grid file, each (kind, n, *rationals, delta text).
+    Only the format is checked here, so a row outside the domain is left
+    for the run to refuse."""
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
     if not isinstance(data, dict):
         raise ValueError("the top level must be a JSON object")
-    entries: list[GridEntry] = []
-    for kind, width in (("bundle", 5), ("cone", 4)):
-        for row in data.get(kind, ()):
-            if not isinstance(row, list):
-                raise ValueError(f"a {kind} row must be a JSON array, got {row!r}")
+    unknown = sorted(set(data) - set(_GRID_WIDTHS))
+    if unknown:
+        raise ValueError(f"unknown grid kinds {unknown} (the kinds are bundle and cone)")
+    rows: list[tuple] = []
+    for kind, width in _GRID_WIDTHS.items():
+        kind_rows = data.get(kind, [])
+        if not isinstance(kind_rows, list):
+            raise ValueError(f"the {kind} rows must be a JSON array, got {kind_rows!r}")
+        for row in kind_rows:
+            if not isinstance(row, list) or len(row) != width:
+                raise ValueError(f"a {kind} row must be an array of {width} entries, got {row!r}")
             n, *rationals, delta = row
-            if len(row) != width:
-                raise ValueError(f"a {kind} row has {width} entries, got {row!r}")
             rationals = (parse_rational(str(x)) for x in rationals)
-            entries.append((kind, _integer(n), *rationals, DeltaKnowledge.parse(str(delta))))
-    return entries
+            rows.append((kind, _integer(n), *rationals, _delta(str(delta))))
+    if not rows:
+        raise ValueError("the grid has no rows")
+    return rows
 
 
 def _handle_verify(args: argparse.Namespace) -> int:
-    grid = None
+    grid: Optional[list[GridEntry]] = None
     if args.grid != "default":
         try:
-            grid = _load_grid_file(args.grid)
+            rows = _load_grid_file(args.grid)
         except (OSError, ValueError, TypeError) as exc:
             raise CliParseError(f"cannot load grid file {args.grid}: {exc}") from None
+        # Outside the parse-error net: an out-of-domain delta exits 3.
+        grid = [(*row[:-1], DeltaKnowledge.parse(row[-1])) for row in rows]
     # The report file is opened first, so an unwritable path is refused
     # before the suite runs.
     with (

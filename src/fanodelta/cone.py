@@ -28,6 +28,7 @@ from .bundle import (
     FanoBase,
     assemble_breakdown,
     centroid_phi,
+    check_integer,
 )
 from .errors import DomainError, InternalCheckError
 from .exactarith import Rational, RationalLike, rational
@@ -103,17 +104,13 @@ def cone_bundle_consistency(base: FanoBase, c: RationalLike = 0) -> ConsistencyR
     (1 - c) / (B - Phi). Since Phi(0, B, n) = (n+1)*B/(n+2), these must
     reproduce the cone closed forms exactly.
     """
-    cc = rational(c)
-    if not (0 <= cc < 1):
-        raise DomainError(f"c must satisfy 0 <= c < 1, got {cc}")
-    n, r = base.n, base.r
+    bdry = ConeBoundary(c)
+    n, r, cc = base.n, base.r, bdry.c
     B = r + 1 - cc
     phi = centroid_phi(0, B, n)
     bundle_route = (r / phi, r / phi, (1 - cc) / (B - phi))
 
-    cone_breakdown = cone_delta(
-        FanoBase(n, r, DeltaKnowledge.exact(1)), ConeBoundary(cc)
-    )
+    cone_breakdown = cone_delta(FanoBase(n, r, DeltaKnowledge.exact(1)), bdry)
     cone_route = (
         cone_breakdown.base_branch,
         cone_breakdown.v0_branch,
@@ -125,7 +122,7 @@ def cone_bundle_consistency(base: FanoBase, c: RationalLike = 0) -> ConsistencyR
 @dataclass(frozen=True)
 class HypersurfaceConeSpec:
     """Iterated-cone input: a smooth degree-d hypersurface of dimension n in
-    projective space (slope r0 = n + 2 - d), coned i times.
+    projective space (slope r0 = n + 2 - d), coned i >= 1 times.
 
     delta_v0 is what is known about the delta invariant of the original
     hypersurface.
@@ -137,14 +134,12 @@ class HypersurfaceConeSpec:
     delta_v0: DeltaKnowledge
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise DomainError(f"n must be an integer >= 1, got {self.n}")
+        check_integer(self.n)
         if not isinstance(self.d, int) or not (2 <= self.d <= self.n + 1):
             raise DomainError(
                 f"d must satisfy 2 <= d <= n+1, got d={self.d} with n={self.n}"
             )
-        if not isinstance(self.i, int) or self.i < 0:
-            raise DomainError(f"i must be an integer >= 0, got {self.i}")
+        check_integer(self.i, "i")
         if not isinstance(self.delta_v0, DeltaKnowledge):
             raise TypeError("delta_v0 must be a DeltaKnowledge")
 
@@ -172,8 +167,6 @@ def iterated_hypersurface_chain(spec: HypersurfaceConeSpec) -> list[DeltaBreakdo
     last value is checked against iterated_hypersurface_closed_form; a
     mismatch raises InternalCheckError rather than trusting either route.
     """
-    if spec.i < 1:
-        raise DomainError(f"iteration count must satisfy i >= 1, got {spec.i}")
     chain: list[DeltaBreakdown] = []
     knowledge = spec.delta_v0
     for step in range(spec.i):
@@ -216,9 +209,8 @@ class BranchedConeSpec:
     l: int
 
     def __post_init__(self) -> None:
-        for name, value in (("n", self.n), ("k", self.k), ("d", self.d), ("l", self.l)):
-            if not isinstance(value, int) or value < 1:
-                raise DomainError(f"{name} must be an integer >= 1, got {value}")
+        for name in ("n", "k", "d", "l"):
+            check_integer(getattr(self, name), name)
         if self.k < 2:
             raise DomainError(f"k must satisfy k >= 2, got {self.k}")
         failures = branched_side_condition_failures(self.n, self.k, self.d, self.l)

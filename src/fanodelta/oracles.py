@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .bundle import (
     BundleBoundary,
@@ -34,13 +34,13 @@ from .bundle import (
     boundary_interval,
     bundle_delta,
     centroid_phi,
+    check_integer,
     check_interval,
 )
 from .calabi import (
     AdmissibleProfile,
-    admissible_numerator,
+    admissible_integrand,
     futaki_closed_form,
-    futaki_integrand,
     futaki_invariant,
     hermite_admissible_profile,
     perturbed_admissible_profile,
@@ -144,8 +144,7 @@ def _riemann_sums(
     evaluated by power sums in O(n^2) operations whatever m is.
     """
     a, b = check_interval(n, A, B)
-    if not isinstance(m, int) or m < 1:
-        raise DomainError(f"m must be an integer >= 1, got {m}")
+    check_integer(m, "m")
     span = (b - a) * m
     if span.denominator != 1:
         raise DomainError(
@@ -194,11 +193,6 @@ def riemann_error_bound(n: int, A: RationalLike, B: RationalLike, m: int) -> Rat
     return (2 * b**n / m) * ((b - a) + phi_offset) / v
 
 
-def _check_steps(steps: int) -> None:
-    if not isinstance(steps, int) or steps < 1:
-        raise DomainError(f"steps must be an integer >= 1, got {steps}")
-
-
 def midpoint_centroid_offset(n: int, A: RationalLike, B: RationalLike, steps: int) -> Rational:
     """Composite midpoint approximation of the normalized volume integral
 
@@ -210,7 +204,7 @@ def midpoint_centroid_offset(n: int, A: RationalLike, B: RationalLike, steps: in
     sums in O(n^2) operations whatever steps is.
     """
     a, b = check_interval(n, A, B)
-    _check_steps(steps)
+    check_integer(steps, "steps")
     q = math.lcm(a.denominator, b.denominator)
     ia = a.numerator * (q // a.denominator)
     ib = b.numerator * (q // b.denominator)
@@ -228,7 +222,7 @@ def midpoint_centroid_bound(n: int, A: RationalLike, B: RationalLike, steps: int
     (B-A)^3 * n(n+1) * B^(n-1) / (24 * steps^2), normalized by the exact
     volume difference (second-derivative bound of the integrand)."""
     a, b = check_interval(n, A, B)
-    _check_steps(steps)
+    check_integer(steps, "steps")
     second = n * (n + 1) * b ** (n - 1) if n >= 1 else Fraction(0)
     return (b - a) ** 3 * second / (24 * steps**2) / (b ** (n + 1) - a ** (n + 1))
 
@@ -346,23 +340,20 @@ def branch_min_bruteforce(grid: Iterable[GridEntry]) -> list[OracleReport]:
     return reports
 
 
-def futaki_quadrature(
-    n: int, r: RationalLike, profile: Union[AdmissibleProfile, Polynomial], steps: int
-) -> Rational:
+def futaki_quadrature(profile: AdmissibleProfile, steps: int) -> Rational:
     """Composite midpoint approximation of the Futaki integral over
-    [r-1, r+1], with the same admissibility validation as the exact route.
+    [r-1, r+1] for the profile's n and r.
 
     The interval has length 2, so every midpoint shares the denominator
     D = q*steps with q the denominator of r, and the whole sum is a single
     integer after clearing the coefficient denominators. It is evaluated
     by power sums in O(deg^3) operations whatever steps is.
     """
-    rr = rational(r)
-    numerator = admissible_numerator(n, rr, profile)
-    _check_steps(steps)
-    integrand = futaki_integrand(n, rr, numerator)
+    check_integer(steps, "steps")
+    integrand = admissible_integrand(profile)
     if integrand.is_zero:
         return Fraction(0)
+    rr = profile.r
     q = rr.denominator
     big_d = q * steps
     deg = integrand.degree
@@ -381,40 +372,24 @@ def futaki_quadrature(
     return Fraction(2 * total, steps * coeff_lcm * big_d**deg)
 
 
-def futaki_quadrature_bound(
-    n: int, r: RationalLike, profile: Union[AdmissibleProfile, Polynomial], steps: int
-) -> Rational:
+def futaki_quadrature_bound(profile: AdmissibleProfile, steps: int) -> Rational:
     """Provable midpoint bound: (hi-lo)^3 * max|f''| / (24 steps^2) with
     max|f''| bounded by the coefficient sum of f'' at tau = r+1."""
-    rr = rational(r)
-    numerator = admissible_numerator(n, rr, profile)
-    _check_steps(steps)
-    second = futaki_integrand(n, rr, numerator).derivative().derivative()
-    peak = sum(abs(c) * (rr + 1) ** k for k, c in enumerate(second.coefficients))
+    check_integer(steps, "steps")
+    second = admissible_integrand(profile).derivative().derivative()
+    peak = sum(abs(c) * (profile.r + 1) ** k for k, c in enumerate(second.coefficients))
     return Fraction(8) * peak / (24 * steps**2)
 
 
-def telescoping_iterated_cone(
-    n: int, d: int, i: int, delta0: Union[DeltaKnowledge, RationalLike]
-) -> Rational:
+def telescoping_iterated_cone(spec: HypersurfaceConeSpec) -> Rational:
     """Iterated-cone value by multiplying the single-step factors
     (n+1+s) * r_{s-1} / ((n+s) * (r_{s-1}+1)) for s = 1..i, capping the
     running delta at 1 before each step. This is the oracle route: it never
     calls cone_delta and never uses the closed form."""
-    if not isinstance(n, int) or n < 1:
-        raise DomainError(f"n must be an integer >= 1, got {n}")
-    if not isinstance(d, int) or not (2 <= d <= n + 1):
-        raise DomainError(f"d must satisfy 2 <= d <= n+1, got d={d} with n={n}")
-    if not isinstance(i, int) or i < 1:
-        raise DomainError(f"i must be an integer >= 1, got {i}")
-    if isinstance(delta0, DeltaKnowledge):
-        value = Fraction(1) if delta0.value is None else delta0.value
-    else:
-        value = rational(delta0)
-    if value < 0:
-        raise DomainError(f"delta0 must be >= 0, got {value}")
-    r0 = n + 2 - d
-    for s in range(1, i + 1):
+    n = spec.n
+    value = Fraction(1) if spec.delta_v0.value is None else spec.delta_v0.value
+    r0 = n + 2 - spec.d
+    for s in range(1, spec.i + 1):
         r_prev = r0 + s - 1
         value = Fraction((n + 1 + s) * r_prev, (n + s) * (r_prev + 1)) * min(
             value, Fraction(1)
@@ -548,7 +523,8 @@ def run_verification(
     reports.extend(branch_min_bruteforce(default_branch_grid() if grid is None else grid))
 
     for n, r in FUTAKI_GRID:
-        exact = futaki_invariant(n, r, hermite_admissible_profile(n, r))
+        base_profile = hermite_admissible_profile(n, r)
+        exact = futaki_invariant(base_profile)
         reports.append(
             OracleReport.build(
                 target=f"futaki closed form vs integral (n={n}, r={r})",
@@ -558,7 +534,6 @@ def run_verification(
                 bound=Fraction(0),
             )
         )
-        base_profile = hermite_admissible_profile(n, r)
         for label, profile in (
             ("hermite", base_profile),
             ("bump", perturbed_admissible_profile(base_profile, Fraction(1, 10))),
@@ -573,9 +548,9 @@ def run_verification(
                 OracleReport.build(
                     target=f"futaki quadrature (n={n}, r={r}, profile={label})",
                     closed_form=exact,
-                    approximation=futaki_quadrature(n, r, profile, resolution),
+                    approximation=futaki_quadrature(profile, resolution),
                     m_or_steps=resolution,
-                    bound=futaki_quadrature_bound(n, r, profile, resolution),
+                    bound=futaki_quadrature_bound(profile, resolution),
                 )
             )
             if label != "hermite":
@@ -583,7 +558,7 @@ def run_verification(
                     OracleReport.build(
                         target=f"futaki profile-independence (n={n}, r={r}, profile={label})",
                         closed_form=exact,
-                        approximation=futaki_invariant(n, r, profile),
+                        approximation=futaki_invariant(profile),
                         m_or_steps=1,
                         bound=Fraction(0),
                     )
@@ -591,7 +566,7 @@ def run_verification(
 
     for n, d, i in _iter_telescoping_grid():
         spec = HypersurfaceConeSpec(n, d, i, DeltaKnowledge.at_least_one())
-        telescoped = telescoping_iterated_cone(n, d, i, spec.delta_v0)
+        telescoped = telescoping_iterated_cone(spec)
         chain_value = iterated_hypersurface_chain(spec)[-1].value
         reports.append(
             OracleReport.build(

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from fanodelta import (
     ConeBoundary,
     DeltaKnowledge,
-    DivisorPairSpec,
     DomainError,
     FanoBase,
     cone_delta,
@@ -21,7 +20,7 @@ from fanodelta import (
 
 class TestSmallLambdaInterval:
     def test_frozen_endpoint(self):
-        interval = optimal_angle_interval(DivisorPairSpec(n=2, lam=Fraction(2, 3)))
+        interval = optimal_angle_interval(2, Fraction(2, 3))
         assert interval.endpoint == Fraction(3, 4)
         assert interval.closed
 
@@ -33,39 +32,34 @@ class TestSmallLambdaInterval:
                 lam = Fraction(d, n + 1)
                 if lam < Fraction(1, n + 1) or lam >= 1:
                     continue
-                interval = optimal_angle_interval(DivisorPairSpec(n=n, lam=lam))
+                interval = optimal_angle_interval(n, lam)
                 r = 1 / lam - 1
                 assert interval.endpoint == 1 - r / n
 
     def test_degenerate_endpoint_is_zero(self):
-        interval = optimal_angle_interval(
-            DivisorPairSpec(n=2, lam=Fraction(1, 3))
-        )
+        interval = optimal_angle_interval(2, Fraction(1, 3))
         assert interval.endpoint == 0
         assert interval.closed
 
     def test_small_lambda_is_rejected(self):
         with pytest.raises(DomainError, match="lambda >= 1/\\(n\\+1\\)"):
-            optimal_angle_interval(DivisorPairSpec(n=2, lam=Fraction(1, 4)))
+            optimal_angle_interval(2, Fraction(1, 4))
 
     def test_lambda_at_least_one_is_routed_elsewhere(self):
         with pytest.raises(DomainError):
-            optimal_angle_interval(DivisorPairSpec(n=2, lam=1))
+            optimal_angle_interval(2, 1)
 
-    def test_hypotheses_must_be_asserted(self):
-        with pytest.raises(DomainError, match="K-semistable"):
-            optimal_angle_interval(
-                DivisorPairSpec(n=2, lam=Fraction(2, 3), base_semistable=False)
-            )
-        with pytest.raises(DomainError, match="K-semistable"):
-            optimal_angle_interval(
-                DivisorPairSpec(n=2, lam=Fraction(2, 3), divisor_semistable=False)
-            )
+    @pytest.mark.parametrize("lam", [0, -1])
+    def test_nonpositive_lambda_is_rejected(self, lam):
+        with pytest.raises(DomainError, match="lambda > 0"):
+            optimal_angle_interval(2, lam)
+
+    def test_dimension_is_rejected_below_one(self):
+        with pytest.raises(DomainError, match="n must be an integer >= 1"):
+            optimal_angle_interval(0, Fraction(1, 2))
 
     def test_json_shape(self):
-        d = optimal_angle_interval(
-            DivisorPairSpec(n=2, lam=Fraction(2, 3))
-        ).to_json_dict()
+        d = optimal_angle_interval(2, Fraction(2, 3)).to_json_dict()
         assert d["endpoint"] == "3/4"
         assert d["semistable_closed"] is True
         assert d["polystable_open_interval"] is True

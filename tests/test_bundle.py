@@ -338,6 +338,11 @@ class TestDomainGuards:
         with pytest.raises(DomainError):
             FanoBase(0, 2, DeltaKnowledge.exact(1))
 
+    def test_dimension_refuses_a_bool(self):
+        # True is an int to Python, but not a dimension.
+        with pytest.raises(DomainError, match="n must be an integer >= 1, got True"):
+            FanoBase(True, 2, DeltaKnowledge.exact(1))
+
     def test_slope_must_be_positive(self):
         with pytest.raises(DomainError):
             FanoBase(1, 0, DeltaKnowledge.exact(1))

@@ -22,7 +22,12 @@ from fanodelta import (
     solve_profile,
     verify_positive_interior,
 )
-from fanodelta.calabi import CalabiProfile, admissibility_failures, futaki_integrand
+from fanodelta.calabi import (
+    AdmissibleProfile,
+    CalabiProfile,
+    admissibility_failures,
+    futaki_integrand,
+)
 from fanodelta.exactarith import Polynomial
 
 PROFILE_GRID = [
@@ -160,8 +165,8 @@ class TestAdmissibleProfiles:
         assert failures
         assert any("r+1" in f for f in failures)
         with pytest.raises(DomainError) as err:
-            futaki_invariant(1, 2, p.numerator)
-        assert "r+1" in str(err.value)
+            AdmissibleProfile(1, 2, p.numerator)
+        assert str(err.value) == "; ".join(failures)
 
     def test_failures_name_each_broken_condition(self):
         bad = Polynomial.monomial(2)
@@ -178,9 +183,7 @@ class TestAdmissibleProfiles:
 class TestFutakiInvariant:
     def test_reference_value(self):
         assert futaki_closed_form(1, 2) == Fraction(4, 3)
-        assert futaki_invariant(1, 2, hermite_admissible_profile(1, 2)) == Fraction(
-            4, 3
-        )
+        assert futaki_invariant(hermite_admissible_profile(1, 2)) == Fraction(4, 3)
 
     def test_independent_of_the_profile(self):
         base = hermite_admissible_profile(1, 2)
@@ -192,13 +195,19 @@ class TestFutakiInvariant:
                 base, Fraction(1, 5), weight=Polynomial.monomial(1)
             ),
         ]
-        values = {futaki_invariant(1, 2, prof) for prof in profiles}
+        values = {futaki_invariant(prof) for prof in profiles}
         assert values == {Fraction(4, 3)}
 
     def test_matches_closed_form_on_a_grid(self):
         for n, r in ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2)):
             prof = hermite_admissible_profile(n, r)
-            assert futaki_invariant(n, r, prof) == futaki_closed_form(n, r), (n, r)
+            assert futaki_invariant(prof) == futaki_closed_form(n, r), (n, r)
+
+    def test_refuses_a_solved_profile(self):
+        # A CalabiProfile has the fields of an AdmissibleProfile but is not
+        # admissible; integrating it would give -80/21, not the invariant.
+        with pytest.raises(TypeError, match="AdmissibleProfile"):
+            futaki_invariant(solve_profile(1, 2, beta_zero(1, 2)))
 
     def test_positivity(self):
         # beta0 < 1 forces a strictly positive obstruction for every slope.
@@ -219,7 +228,7 @@ class TestFutakiInvariant:
     def test_bump_scale_never_moves_the_integral(self, scale):
         base = hermite_admissible_profile(2, 3)
         prof = perturbed_admissible_profile(base, scale)
-        assert futaki_invariant(2, 3, prof) == futaki_closed_form(2, 3)
+        assert futaki_invariant(prof) == futaki_closed_form(2, 3)
 
 
 class TestInternalConsistencyGuards:

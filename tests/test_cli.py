@@ -397,6 +397,12 @@ class TestVerifyCommand:
             {"cone": None},
             {"bundle": [[1.5, "2", "0", "0", "1"]]},
             {"bundle": ["12001"], "cone": ["2101"]},
+            {},
+            {"bundel": [[1, "2", "0", "0", "1"]]},
+            {"bundle": []},
+            {"bundle": [[1]]},
+            {"bundle": 5},
+            {"cone": [[1, "2", "0", "abc"]]},
         ],
         ids=[
             "array",
@@ -406,6 +412,12 @@ class TestVerifyCommand:
             "null-rows",
             "float-dimension",
             "string-row",
+            "empty-object",
+            "unknown-kind",
+            "no-rows",
+            "one-entry-row",
+            "scalar-rows",
+            "malformed-delta",
         ],
     )
     def test_malformed_grid_file_is_a_parse_error(self, capsys, tmp_path, grid):
@@ -414,6 +426,7 @@ class TestVerifyCommand:
         code, out, err = run_cli(["verify", "--grid", str(path)], capsys)
         assert code == EXIT_PARSE
         assert len(err.splitlines()) == 1
+        assert "not enough values" not in err and "not iterable" not in err
 
     @pytest.mark.parametrize(
         "grid",
@@ -421,8 +434,16 @@ class TestVerifyCommand:
             {"bundle": [[1, "1", "2", "0", "1"]]},
             {"bundle": [[1, "2", "0", "2", "1"]]},
             {"cone": [[1, "-1", "0", "1"]]},
+            {"bundle": [[1, "2", "0", "0", "-1"]]},
+            {"cone": [[1, "2", "0", "-1"]]},
         ],
-        ids=["bundle-a-too-large", "bundle-b-too-large", "cone-negative-slope"],
+        ids=[
+            "bundle-a-too-large",
+            "bundle-b-too-large",
+            "cone-negative-slope",
+            "bundle-negative-delta",
+            "cone-negative-delta",
+        ],
     )
     def test_out_of_domain_grid_row_is_a_domain_error(self, capsys, tmp_path, grid):
         path = tmp_path / "grid.json"

@@ -194,6 +194,11 @@ class TestIteratedHypersurfaceCones:
         with pytest.raises(DomainError):
             HypersurfaceConeSpec(2, 1, 1, DeltaKnowledge.at_least_one())
 
+    def test_iteration_count_guard(self):
+        # The spec refuses i = 0, so no route that takes it sees an empty chain.
+        with pytest.raises(DomainError, match="i must be an integer >= 1"):
+            HypersurfaceConeSpec(2, 3, 0, DeltaKnowledge.at_least_one())
+
 
 class TestBranchedCones:
     def test_double_cover_of_the_cubic(self):

@@ -15,6 +15,7 @@ from fanodelta import (
     DeltaKnowledge,
     DomainError,
     FanoBase,
+    HypersurfaceConeSpec,
     beta_zero,
     centroid_phi,
     futaki_closed_form,
@@ -29,7 +30,7 @@ from fanodelta import (
     solve_profile,
     telescoping_iterated_cone,
 )
-from fanodelta.calabi import futaki_integrand
+from fanodelta.calabi import AdmissibleProfile, admissibility_failures, futaki_integrand
 from fanodelta.exactarith import Polynomial
 from fanodelta.bundle import boundary_interval
 from fanodelta.oracles import (
@@ -185,7 +186,7 @@ class TestBranchBruteForce:
 class TestFutakiQuadrature:
     def test_reference_convergence(self):
         prof = hermite_admissible_profile(1, 2)
-        value = futaki_quadrature(1, 2, prof, 10_000)
+        value = futaki_quadrature(prof, 10_000)
         assert abs(value - Fraction(4, 3)) < Fraction(1, 10**5)
 
     def test_within_bound_on_a_grid(self):
@@ -193,14 +194,21 @@ class TestFutakiQuadrature:
             prof = hermite_admissible_profile(n, r)
             target = futaki_closed_form(n, r)
             for steps in (200, 1000):
-                value = futaki_quadrature(n, r, prof, steps)
-                bound = futaki_quadrature_bound(n, r, prof, steps)
+                value = futaki_quadrature(prof, steps)
+                bound = futaki_quadrature_bound(prof, steps)
                 assert abs(value - target) <= bound, (n, r, steps)
 
     def test_rejects_inadmissible_profiles(self):
+        # The quadrature takes an AdmissibleProfile, which refuses the
+        # threshold ODE numerator and names every failed condition.
         p = solve_profile(1, 2, beta_zero(1, 2))
-        with pytest.raises(DomainError):
-            futaki_quadrature(1, 2, p.numerator, 100)
+        with pytest.raises(DomainError) as err:
+            AdmissibleProfile(1, 2, p.numerator)
+        assert str(err.value) == "; ".join(admissibility_failures(1, 2, p.numerator))
+        # The solved profile itself has the same fields, and is refused too.
+        for route in (futaki_quadrature, futaki_quadrature_bound):
+            with pytest.raises(TypeError, match="AdmissibleProfile"):
+                route(p, 100)
 
 
 @pytest.mark.parametrize(
@@ -210,9 +218,10 @@ class TestFutakiQuadrature:
         (riemann_error_bound, (1, 1, Fraction(5, 2), 1)),
         (riemann_error_bound, (1, 1, 3, 0)),
         (midpoint_centroid_bound, (1, 1, 3, 0)),
-        (futaki_quadrature_bound, (1, 2, hermite_admissible_profile(1, 2), 0)),
-        # A constant numerator is not admissible, which futaki_quadrature refuses too.
-        (futaki_quadrature_bound, (1, 2, Polynomial([1]), 10)),
+        (futaki_quadrature_bound, (hermite_admissible_profile(1, 2), 0)),
+        # A constant numerator is not admissible: the profile that both
+        # Futaki routes take refuses it.
+        (AdmissibleProfile, (1, 2, Polynomial([1]))),
     ],
     ids=["riemann-span", "riemann-m0", "midpoint-steps0", "futaki-steps0", "futaki-inadmissible"],
 )
@@ -221,26 +230,32 @@ def test_bounds_refuse_what_their_oracles_refuse(bound, args):
         bound(*args)
 
 
+def _telescoped(n, d, i, delta0):
+    return telescoping_iterated_cone(HypersurfaceConeSpec(n, d, i, delta0))
+
+
 class TestTelescoping:
     def test_reference_values(self):
         ge1 = DeltaKnowledge.at_least_one()
-        assert telescoping_iterated_cone(1, 2, 1, ge1) == Fraction(3, 4)
-        assert telescoping_iterated_cone(2, 3, 1, ge1) == Fraction(2, 3)
-        assert telescoping_iterated_cone(2, 3, 2, ge1) == Fraction(5, 9)
+        assert _telescoped(1, 2, 1, ge1) == Fraction(3, 4)
+        assert _telescoped(2, 3, 1, ge1) == Fraction(2, 3)
+        assert _telescoped(2, 3, 2, ge1) == Fraction(5, 9)
 
     def test_accepts_plain_rationals(self):
-        assert telescoping_iterated_cone(2, 3, 1, 1) == Fraction(2, 3)
-        assert telescoping_iterated_cone(2, 3, 1, Fraction(1, 2)) == Fraction(1, 3)
+        # An exact rational delta0 enters through DeltaKnowledge.exact.
+        assert _telescoped(2, 3, 1, DeltaKnowledge.exact(1)) == Fraction(2, 3)
+        assert _telescoped(2, 3, 1, DeltaKnowledge.exact(Fraction(1, 2))) == Fraction(1, 3)
 
     def test_capping_at_one_only_matters_at_the_start(self):
         # delta0 = 5 behaves exactly like delta0 = 1.
-        assert telescoping_iterated_cone(2, 3, 3, 5) == telescoping_iterated_cone(
-            2, 3, 3, 1
+        assert _telescoped(2, 3, 3, DeltaKnowledge.exact(5)) == _telescoped(
+            2, 3, 3, DeltaKnowledge.exact(1)
         )
 
     def test_degree_window(self):
+        # The spec the oracle takes refuses d outside [2, n+1].
         with pytest.raises(DomainError):
-            telescoping_iterated_cone(2, 4, 1, 1)
+            HypersurfaceConeSpec(2, 4, 1, DeltaKnowledge.exact(1))
 
 
 class TestVerificationRun:
@@ -391,6 +406,6 @@ class TestPowerSumKernels:
         profile = hermite_admissible_profile(n, r)
         if weight:
             profile = perturbed_admissible_profile(profile, scale, Polynomial(weight))
-        assert futaki_quadrature(n, r, profile, steps) == _loop_futaki_quadrature(
+        assert futaki_quadrature(profile, steps) == _loop_futaki_quadrature(
             n, r, profile, steps
         )

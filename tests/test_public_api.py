@@ -18,7 +18,7 @@ README = (ROOT / "README.md").read_text(encoding="utf-8")
 PUBLIC = {
     # types
     "BranchedConeSpec", "BundleBoundary", "ConeBoundary", "DeltaKnowledge",
-    "DivisorPairSpec", "FanoBase", "HypersurfaceConeSpec",
+    "FanoBase", "HypersurfaceConeSpec",
     # bundle and cone
     "beta_zero", "branched_cone_delta", "bundle_delta", "centroid_phi",
     "cone_bundle_consistency", "cone_delta", "cone_over_divisor_delta",
@@ -45,7 +45,7 @@ def _fenced(language):
 
 
 def test_all_is_exactly_the_public_api():
-    assert len(fanodelta.__all__) == len(set(fanodelta.__all__)) == 38
+    assert len(fanodelta.__all__) == len(set(fanodelta.__all__)) == 37
     assert set(fanodelta.__all__) == PUBLIC
     for name in fanodelta.__all__:
         assert getattr(fanodelta, name) is not None
