@@ -438,9 +438,13 @@ def _handle_command(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@contextlib.contextmanager
 def _open_output(path: str):
+    """The output file at path, open for writing. Failing to open, write or
+    close it (a missing directory, a full disk) is a CliParseError."""
     try:
-        return open(path, "w", encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as handle:
+            yield handle
     except OSError as exc:
         raise CliParseError(f"cannot write output file: {exc}") from None
 
@@ -468,8 +472,7 @@ def _load_grid_file(path: str) -> list[tuple]:
             if not isinstance(row, list) or len(row) != width:
                 raise ValueError(f"a {kind} row must be an array of {width} entries, got {row!r}")
             n, *rationals, delta = row
-            rationals = (parse_rational(str(x)) for x in rationals)
-            rows.append((kind, _integer(n), *rationals, _delta(str(delta))))
+            rows.append((kind, _integer(n), *map(_rational, rationals), _delta(delta)))
     if not rows:
         raise ValueError("the grid has no rows")
     return rows

@@ -39,8 +39,11 @@ def rational(value: RationalLike) -> Rational:
 
 
 def parse_rational(text: str) -> Rational:
-    """Parse "p/q", "p", or an exact decimal string into a Rational."""
+    """Parse "p/q", "p", or an exact decimal string into a Rational.
+    Exponent notation is refused: "1e10000000" alone takes seconds to expand."""
     try:
+        if "e" in text.lower():
+            raise ValueError("exponent notation")
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"not a rational: {text!r}") from exc

@@ -9,10 +9,12 @@ throughout, so "error" always means discretization distance to the limit,
 never rounding, and each report carries a provable bound for it.
 
 Every finite-level sum is still the exact discrete sum over all m sample
-points, but it is evaluated in closed form: a sum of k-th powers of an
-arithmetic progression expands binomially into power sums
-S_p(N) = sum_{j=0}^{N} j^p, each an exact integer from a recurrence. So a
-kernel costs O(k^2) big-integer operations whatever m is.
+points, but one kernel, _progression_sum, evaluates it in closed form: the
+sum of a polynomial of degree k over an arithmetic progression expands
+binomially into power sums S_p = sum_{j<m} j^p, each an exact integer from
+a recurrence. So every kernel, the Futaki quadrature included, costs
+O(k^2) big-integer operations whatever m is. The midpoint oracles share
+one midpoint rule and one error bound on top of it.
 
 Reports are generated in a fixed grid order, so output is reproducible.
 """
@@ -110,27 +112,52 @@ class OracleReport:
         }
 
 
-def _power_sums(p_max: int, N: int) -> list[int]:
-    """[S_0(N), ..., S_p_max(N)] with S_p(N) = sum_{j=0}^{N} j^p and 0^0 = 1.
+def _progression_sum(f: Polynomial, start: Rational, step: Rational, count: int) -> Rational:
+    """Exact sum_{j<count} f(start + j*step) in O(deg^2) integer operations.
 
-    Summing (j+1)^(p+1) - j^(p+1) over j = 0..N telescopes to
-    (N+1)^(p+1) = sum_{i<=p} C(p+1, i) S_i(N), which fixes each S_p from the
-    lower ones; the division by C(p+1, p) = p+1 is exact.
+    Over the common denominator D of start and step the samples are
+    (e0 + c1*j)/D, and each (e0 + c1*j)^k expands binomially into power sums
+    S_p = sum_{j<count} j^p (0^0 = 1). Summing (j+1)^(p+1) - j^(p+1) over
+    j < count telescopes to count^(p+1) = sum_{i<=p} C(p+1, i) S_i, which
+    fixes each S_p from the lower ones; the division by p+1 is exact.
     """
+    coeffs = f.coefficients
+    if not coeffs:
+        return Fraction(0)
+    deg = len(coeffs) - 1
+    den = math.lcm(start.denominator, step.denominator)
+    e0 = start.numerator * (den // start.denominator)
+    c1 = step.numerator * (den // step.denominator)
     sums: list[int] = []
-    for p in range(p_max + 1):
+    for p in range(deg + 1):
         lower = sum(math.comb(p + 1, i) * s for i, s in enumerate(sums))
-        sums.append(((N + 1) ** (p + 1) - lower) // (p + 1))
-    return sums
+        sums.append((count ** (p + 1) - lower) // (p + 1))
+    lcm = math.lcm(*(c.denominator for c in coeffs))
+    total = 0
+    for k, c in enumerate(coeffs):
+        if c:
+            powers = sum(
+                math.comb(k, i) * e0 ** (k - i) * c1**i * sums[i] for i in range(k + 1)
+            )
+            total += c.numerator * (lcm // c.denominator) * den ** (deg - k) * powers
+    return Fraction(total, lcm * den**deg)
 
 
-def _affine_power_sum(c0: int, c1: int, k: int, N: int, s: int = 0) -> int:
-    """Exact sum_{j=0}^{N} j^s (c0 + c1*j)^k, with 0^0 = 1, by binomial
-    expansion of (c0 + c1*j)^k over the power sums S_s..S_{s+k}."""
-    sums = _power_sums(k + s, N)
-    return sum(
-        math.comb(k, i) * c0 ** (k - i) * c1**i * sums[i + s] for i in range(k + 1)
-    )
+def _midpoint_rule(f: Polynomial, lo: Rational, hi: Rational, steps: int) -> Rational:
+    """Composite midpoint approximation of the integral of f over [lo, hi]."""
+    check_integer(steps, "steps")
+    h = (hi - lo) / steps
+    return h * _progression_sum(f, lo + h / 2, h, steps)
+
+
+def _midpoint_bound(f: Polynomial, lo: Rational, hi: Rational, steps: int) -> Rational:
+    """Provable error bound of _midpoint_rule for 0 <= lo <= hi:
+    (hi-lo)^3 * max|f''| / (24 steps^2), with max|f''| bounded by the sum
+    of |c_k| hi^k over the coefficients of f''."""
+    check_integer(steps, "steps")
+    second = f.derivative().derivative()
+    peak = sum(abs(c) * hi**k for k, c in enumerate(second.coefficients))
+    return (hi - lo) ** 3 * peak / (24 * steps**2)
 
 
 def _riemann_sums(
@@ -138,10 +165,8 @@ def _riemann_sums(
 ) -> tuple[Rational, Rational, Rational, Rational]:
     """Validate the Riemann oracle's inputs and return (A, B, v, w): the
     exact finite weight sums v = sum_j a_j^n / m and w = sum_j (j/m) a_j^n / m
-    over the lattice samples a_j = A + j/m for j = 0..m(B-A).
-
-    Their numerators are exact integers over a common denominator,
-    evaluated by power sums in O(n^2) operations whatever m is.
+    over the lattice samples a_j = A + j/m for j = 0..m(B-A). Since
+    j/m = a_j - A, m*w sums (t - A) t^n over the same samples.
     """
     a, b = check_interval(n, A, B)
     check_integer(m, "m")
@@ -151,14 +176,10 @@ def _riemann_sums(
             f"m*(B-A) must be an integer (pick m divisible by the denominator "
             f"of B-A), got {span}"
         )
-    # Sample numerators over the common denominator D = q*m: a_j = e_j / D.
-    q = math.lcm(a.denominator, b.denominator)
-    e0 = a.numerator * (q // a.denominator) * m
-    count = int(span)
-    scale = m * (q * m) ** n
-    total = _affine_power_sum(e0, q, n, count)
-    weighted = _affine_power_sum(e0, q, n, count, s=1)
-    return a, b, Fraction(total, scale), Fraction(weighted, m * scale)
+    step, count = Fraction(1, m), int(span) + 1
+    v = _progression_sum(Polynomial.monomial(n), a, step, count) / m
+    w = _progression_sum(Polynomial([0] * n + [-a, 1]), a, step, count) / m
+    return a, b, v, w
 
 
 def riemann_s_limit(n: int, A: RationalLike, B: RationalLike, m: int) -> Rational:
@@ -196,35 +217,23 @@ def riemann_error_bound(n: int, A: RationalLike, B: RationalLike, m: int) -> Rat
 def midpoint_centroid_offset(n: int, A: RationalLike, B: RationalLike, steps: int) -> Rational:
     """Composite midpoint approximation of the normalized volume integral
 
-        integral_0^{B-A} (B^(n+1) - (A+t)^(n+1)) dt / (B^(n+1) - A^(n+1)),
+        integral_A^B (B^(n+1) - t^(n+1)) dt / (B^(n+1) - A^(n+1)),
 
     whose exact value is centroid_phi(A, B, n) - A. Works on any raw
-    interval with 0 <= A < B, including the cone case A = 0. The midpoint
-    sum is an exact integer over a common denominator, evaluated by power
-    sums in O(n^2) operations whatever steps is.
+    interval with 0 <= A < B, including the cone case A = 0.
     """
     a, b = check_interval(n, A, B)
-    check_integer(steps, "steps")
-    q = math.lcm(a.denominator, b.denominator)
-    ia = a.numerator * (q // a.denominator)
-    ib = b.numerator * (q // b.denominator)
-    # Midpoints of [0, B-A]: shifted samples A + t_k = e_k / (2*steps*q).
-    # e_k = 2*steps*ia + (2k+1)*(ib-ia) for k = 0..steps-1.
-    big = (2 * steps * ib) ** (n + 1)
-    e0 = 2 * steps * ia + (ib - ia)
-    acc = steps * big - _affine_power_sum(e0, 2 * (ib - ia), n + 1, steps - 1)
-    integral = Fraction((ib - ia) * acc, q * steps * (2 * steps * q) ** (n + 1))
-    return integral / Fraction(ib ** (n + 1) - ia ** (n + 1), q ** (n + 1))
+    f = Polynomial([b ** (n + 1)] + [0] * n + [-1])  # B^(n+1) - t^(n+1)
+    return _midpoint_rule(f, a, b, steps) / (b ** (n + 1) - a ** (n + 1))
 
 
 def midpoint_centroid_bound(n: int, A: RationalLike, B: RationalLike, steps: int) -> Rational:
-    """Provable midpoint error bound for midpoint_centroid_offset:
-    (B-A)^3 * n(n+1) * B^(n-1) / (24 * steps^2), normalized by the exact
-    volume difference (second-derivative bound of the integrand)."""
+    """Provable midpoint error bound for midpoint_centroid_offset: the
+    midpoint bound of its integrand, normalized by the exact volume
+    difference B^(n+1) - A^(n+1)."""
     a, b = check_interval(n, A, B)
-    check_integer(steps, "steps")
-    second = n * (n + 1) * b ** (n - 1) if n >= 1 else Fraction(0)
-    return (b - a) ** 3 * second / (24 * steps**2) / (b ** (n + 1) - a ** (n + 1))
+    f = Polynomial([b ** (n + 1)] + [0] * n + [-1])  # B^(n+1) - t^(n+1)
+    return _midpoint_bound(f, a, b, steps) / (b ** (n + 1) - a ** (n + 1))
 
 
 def _naive_bundle_branches(
@@ -342,43 +351,13 @@ def branch_min_bruteforce(grid: Iterable[GridEntry]) -> list[OracleReport]:
 
 def futaki_quadrature(profile: AdmissibleProfile, steps: int) -> Rational:
     """Composite midpoint approximation of the Futaki integral over
-    [r-1, r+1] for the profile's n and r.
-
-    The interval has length 2, so every midpoint shares the denominator
-    D = q*steps with q the denominator of r, and the whole sum is a single
-    integer after clearing the coefficient denominators. It is evaluated
-    by power sums in O(deg^3) operations whatever steps is.
-    """
-    check_integer(steps, "steps")
-    integrand = admissible_integrand(profile)
-    if integrand.is_zero:
-        return Fraction(0)
-    rr = profile.r
-    q = rr.denominator
-    big_d = q * steps
-    deg = integrand.degree
-    coeff_lcm = math.lcm(*(c.denominator for c in integrand.coefficients))
-    # weights[j] = (coeff_j * coeff_lcm) * D^(deg-j), so over the integer
-    # midpoint numerators e_k = (r_num - q)*steps + (2k+1)*q,
-    # sum_j weights[j] * e_k^j = f(e_k / D) * coeff_lcm * D^deg.
-    weights = [
-        int(c * coeff_lcm) * big_d ** (deg - j)
-        for j, c in enumerate(integrand.coefficients)
-    ]
-    e0 = (rr.numerator - q) * steps + q
-    total = sum(
-        w * _affine_power_sum(e0, 2 * q, j, steps - 1) for j, w in enumerate(weights)
-    )
-    return Fraction(2 * total, steps * coeff_lcm * big_d**deg)
+    [r-1, r+1] for the profile's n and r, exact in O(deg^2) operations."""
+    return _midpoint_rule(admissible_integrand(profile), profile.r - 1, profile.r + 1, steps)
 
 
 def futaki_quadrature_bound(profile: AdmissibleProfile, steps: int) -> Rational:
-    """Provable midpoint bound: (hi-lo)^3 * max|f''| / (24 steps^2) with
-    max|f''| bounded by the coefficient sum of f'' at tau = r+1."""
-    check_integer(steps, "steps")
-    second = admissible_integrand(profile).derivative().derivative()
-    peak = sum(abs(c) * (profile.r + 1) ** k for k, c in enumerate(second.coefficients))
-    return Fraction(8) * peak / (24 * steps**2)
+    """Provable midpoint bound for futaki_quadrature on [r-1, r+1]."""
+    return _midpoint_bound(admissible_integrand(profile), profile.r - 1, profile.r + 1, steps)
 
 
 def telescoping_iterated_cone(spec: HypersurfaceConeSpec) -> Rational:

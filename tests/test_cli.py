@@ -2,6 +2,7 @@
 --check round trip, and reuse of the one parser across calls."""
 
 import json
+import os
 
 import pytest
 
@@ -176,13 +177,18 @@ class TestCalabiCommand:
         assert lines[-1].startswith("3,0,")
 
     def test_unwritable_csv_path_is_a_parse_error(self, capsys, tmp_path):
-        target = tmp_path / "nodir" / "profile.csv"
-        code, out, err = run_cli(
-            ["calabi", "--n", "1", "--r", "2", "--csv", str(target)], capsys
-        )
-        assert code == EXIT_PARSE
-        assert len(err.splitlines()) == 1
-        assert out == ""
+        # A missing directory fails to open; /dev/full opens but fails to
+        # write.
+        targets = [tmp_path / "nodir" / "profile.csv"]
+        if os.path.exists("/dev/full"):
+            targets.append("/dev/full")
+        for target in targets:
+            code, out, err = run_cli(
+                ["calabi", "--n", "1", "--r", "2", "--csv", str(target)], capsys
+            )
+            assert code == EXIT_PARSE, target
+            assert len(err.splitlines()) == 1
+            assert out == ""
 
 
 class TestExitCodes:
@@ -192,6 +198,14 @@ class TestExitCodes:
         )
         assert code == EXIT_PARSE
         assert "error" in err
+
+    def test_exponent_notation_is_a_parse_error(self, capsys):
+        # Fraction would expand "1e10000000" into ten million digits.
+        code, out, err = run_cli(
+            ["bundle", "--n", "1", "--r", "1e3", "--delta-v", "1"], capsys
+        )
+        assert code == EXIT_PARSE
+        assert len(err.splitlines()) == 1
 
     def test_missing_required_flag_is_a_parse_error(self, capsys):
         code, out, err = run_cli(["bundle", "--n", "1"], capsys)
@@ -403,6 +417,8 @@ class TestVerifyCommand:
             {"bundle": [[1]]},
             {"bundle": 5},
             {"cone": [[1, "2", "0", "abc"]]},
+            {"bundle": [[1, 2, "0", "0", "1"]]},
+            {"bundle": [[1, "2", "0", "0", 1]]},
         ],
         ids=[
             "array",
@@ -418,6 +434,8 @@ class TestVerifyCommand:
             "one-entry-row",
             "scalar-rows",
             "malformed-delta",
+            "number-rational",
+            "number-delta",
         ],
     )
     def test_malformed_grid_file_is_a_parse_error(self, capsys, tmp_path, grid):
@@ -465,6 +483,14 @@ class TestVerifyCommand:
         assert code == EXIT_PARSE
         assert len(err.splitlines()) == 1
         assert out == ""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_report_write_failure_is_a_parse_error(self, capsys):
+        # /dev/full opens, so the suite runs; the write then fails.
+        code, out, err = run_cli(["verify", "--json", "/dev/full"], capsys)
+        assert code == EXIT_PARSE
+        assert err.startswith("error: cannot write output file")
+        assert len(err.splitlines()) == 1
 
 
 class TestParserReuse:

@@ -1,9 +1,12 @@
-"""Byte-for-byte golden output of every computing subcommand.
+"""Byte-for-byte golden output of every computing subcommand and of the
+verification reports.
 
 The fixture golden_cli.json holds the exact stdout of each argv below, in
 text and --json form, plus the bytes of the file that calabi --csv writes.
-It pins the rendered output, not just substrings of it, so a refactor of
-the CLI that changes a single byte fails here. Regenerate it only for a
+golden_verify.json and golden_verify_deep.json are the report files that
+verify --json and verify --deep --json write. They pin the rendered output,
+not just substrings of it, so a refactor of the CLI or of an oracle kernel
+that changes a single byte fails here. Regenerate them only for a
 deliberate output change:
 
     PYTHONPATH=src python tests/test_cli_golden.py
@@ -44,6 +47,10 @@ CASES = {
     "calabi-beta": ["calabi", "--n", "2", "--r", "3", "--beta", "3/4", "--mu", "1/2"],
 }
 CSV_CASE = ["calabi", "--n", "1", "--r", "2", "--csv", CSV_NAME, "--samples", "5"]
+VERIFY_CASES = {
+    "golden_verify.json": ["verify", "--json"],
+    "golden_verify_deep.json": ["verify", "--deep", "--json"],
+}
 
 
 def _all_cases():
@@ -77,6 +84,13 @@ def test_stdout_is_byte_identical(golden, name, argv, capsys, tmp_path, monkeypa
         assert (tmp_path / CSV_NAME).read_bytes().decode("utf-8") == golden["csv"]
 
 
+@pytest.mark.parametrize("name", list(VERIFY_CASES))
+def test_verify_report_is_byte_identical(name, capsys, tmp_path):
+    report = tmp_path / name
+    _run(VERIFY_CASES[name] + [str(report)], capsys)
+    assert report.read_bytes() == FIXTURE.with_name(name).read_bytes()
+
+
 if __name__ == "__main__":
     import contextlib
     import io
@@ -92,6 +106,9 @@ if __name__ == "__main__":
                 assert main(list(argv)) == EXIT_OK, argv
             stdout[name] = buffer.getvalue()
         csv = Path(CSV_NAME).read_bytes().decode("utf-8")
+        for name, argv in VERIFY_CASES.items():
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv + [str(FIXTURE.with_name(name))]) == EXIT_OK, argv
     FIXTURE.write_text(
         json.dumps({"stdout": stdout, "csv": csv}, indent=2) + "\n", encoding="utf-8"
     )

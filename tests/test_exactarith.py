@@ -30,6 +30,12 @@ class TestRationalHelpers:
         with pytest.raises(DomainError):
             parse_rational("1/0")
 
+    @pytest.mark.parametrize("text", ["1e3", "2.5E-1", " 7e0 "])
+    def test_parse_refuses_exponent_notation(self, text):
+        # Fraction would expand "1e10000000" into ten million digits.
+        with pytest.raises(DomainError, match="not a rational"):
+            parse_rational(text)
+
     def test_format_is_plain_fraction_text(self):
         assert format_rational(Fraction(3, 4)) == "3/4"
         assert format_rational(Fraction(-2)) == "-2"

@@ -1,7 +1,7 @@
 """Independent numerical oracles: convergence to the closed forms with
 provable error bounds, brute-force branch comparison, the full
-verification run, and exact equality of the power-sum kernels with their
-term-by-term reference loops."""
+verification run, and exact equality of the progression-sum kernel and the
+oracles built on it with term-by-term reference loops."""
 
 import math
 from fractions import Fraction
@@ -34,7 +34,7 @@ from fanodelta.calabi import AdmissibleProfile, admissibility_failures, futaki_i
 from fanodelta.exactarith import Polynomial
 from fanodelta.bundle import boundary_interval
 from fanodelta.oracles import (
-    _power_sums,
+    _progression_sum,
     branch_min_bruteforce,
     default_branch_grid,
     futaki_quadrature_bound,
@@ -292,8 +292,9 @@ class TestVerificationRun:
         assert run.passed
 
 
-# Term-by-term reference loops: the O(m) evaluations the power-sum kernels
-# replace, kept as an independent route to the same exact integers.
+# Term-by-term reference loops: the O(m) evaluations the progression-sum
+# kernel replaces, kept as an independent route to the same exact integers,
+# and the bound formulas as first written for each oracle.
 
 
 def _loop_riemann_sums(n, A, B, m):
@@ -334,6 +335,17 @@ def _loop_midpoint_centroid_offset(n, A, B, steps):
     return integral / Fraction(ib ** (n + 1) - ia ** (n + 1), q ** (n + 1))
 
 
+def _reference_midpoint_centroid_bound(n, A, B, steps):
+    second = n * (n + 1) * B ** (n - 1) if n >= 1 else Fraction(0)
+    return (B - A) ** 3 * second / (24 * steps**2) / (B ** (n + 1) - A ** (n + 1))
+
+
+def _reference_futaki_quadrature_bound(n, r, profile, steps):
+    second = futaki_integrand(n, r, profile.numerator).derivative().derivative()
+    peak = sum(abs(c) * (r + 1) ** k for k, c in enumerate(second.coefficients))
+    return Fraction(8) * peak / (24 * steps**2)
+
+
 def _loop_futaki_quadrature(n, r, profile, steps):
     integrand = futaki_integrand(n, r, profile.numerator)
     if integrand.is_zero:
@@ -361,15 +373,41 @@ endpoints = st.fractions(min_value=0, max_value=4, max_denominator=8)
 widths = st.fractions(min_value=Fraction(1, 8), max_value=3, max_denominator=8)
 
 
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+
+
+def _monomial(p):
+    return Polynomial([0] * p + [1])
+
+
 class TestPowerSumKernels:
     def test_power_sums_match_brute_force(self):
+        # sum_{j<=N} j^p is the progression sum of x^p from 0 in steps of 1.
         for N in (0, 1, 2, 7, 50):
             expected = [sum(j**p for j in range(N + 1)) for p in range(13)]
-            assert _power_sums(12, N) == expected, N
+            got = [
+                _progression_sum(_monomial(p), Fraction(0), Fraction(1), N + 1)
+                for p in range(13)
+            ]
+            assert got == expected, N
 
     def test_zeroth_power_counts_the_origin(self):
-        assert _power_sums(0, 0) == [1]
-        assert _power_sums(3, 0) == [1, 0, 0, 0]
+        # 0^0 = 1, while 0^p = 0 for p >= 1.
+        one = [_progression_sum(_monomial(p), Fraction(0), Fraction(1), 1) for p in range(4)]
+        assert one == [1, 0, 0, 0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(rationals, max_size=8).map(Polynomial),
+        rationals,
+        rationals,
+        st.integers(min_value=0, max_value=60),
+    )
+    @example(Polynomial([3, 0, 1]), Fraction(0), Fraction(1), 1)  # 0^0 counts once
+    @example(Polynomial(), Fraction(1, 3), Fraction(2), 5)  # the zero polynomial
+    def test_progression_sum_matches_the_direct_sum(self, f, start, step, count):
+        expected = sum((f(start + j * step) for j in range(count)), Fraction(0))
+        assert _progression_sum(f, start, step, count) == expected
 
     @settings(max_examples=150, deadline=None)
     @given(small_dims, endpoints, widths, st.integers(min_value=1, max_value=200))
@@ -392,6 +430,9 @@ class TestPowerSumKernels:
         assert midpoint_centroid_offset(n, A, B, steps) == _loop_midpoint_centroid_offset(
             n, A, B, steps
         )
+        assert midpoint_centroid_bound(n, A, B, steps) == _reference_midpoint_centroid_bound(
+            n, A, B, steps
+        )
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -407,5 +448,8 @@ class TestPowerSumKernels:
         if weight:
             profile = perturbed_admissible_profile(profile, scale, Polynomial(weight))
         assert futaki_quadrature(profile, steps) == _loop_futaki_quadrature(
+            n, r, profile, steps
+        )
+        assert futaki_quadrature_bound(profile, steps) == _reference_futaki_quadrature_bound(
             n, r, profile, steps
         )
