@@ -51,11 +51,15 @@ class CalabiProfile:
             object.__setattr__(self, field, rational(getattr(self, field)))
 
     def phi(self, tau: RationalLike) -> Rational:
-        """Exact profile value phi(tau) = N(tau) / tau^n."""
+        """Exact profile value phi(tau) = N(tau) / tau^n. With tau = p/q and
+        N(p/q) = h / d before reduction, phi = h q^n / (d p^n): one reduction
+        in integers."""
         t = rational(tau)
-        if t <= 0:
+        p, q = t.numerator, t.denominator
+        if p <= 0:
             raise DomainError(f"phi is defined for tau > 0, got {t}")
-        return self.numerator(t) / t**self.n
+        h, d = self.numerator.cleared_value(t)
+        return Fraction(h * q**self.n, d * p**self.n)
 
     def phi_prime(self, tau: RationalLike) -> Rational:
         """Exact derivative phi'(tau) = (tau*N'(tau) - n*N(tau)) / tau^(n+1)."""

@@ -17,6 +17,7 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
@@ -339,11 +340,15 @@ def _calabi_csv(args: argparse.Namespace, values: dict, result: dict) -> list[st
     profile = CalabiProfile(
         values["n"], values["r"], values["beta"], result["c1"], result["c2"], numerator
     )
-    lo, hi = profile.r - 1, profile.r + 1
+    # tau_k = (r-1) + 2k/(samples-1) = (u0 + k*du) / D over one integer
+    # denominator; solve_profile refused r <= 1, so every tau_k is positive.
+    lo = profile.r - 1
+    den = lo.denominator * (args.samples - 1)
+    u0, du = lo.numerator * (args.samples - 1), 2 * lo.denominator
     rows = ["tau,phi,tau_decimal,phi_decimal"]
     for k in range(args.samples):
-        tau = lo + (hi - lo) * Fraction(k, args.samples - 1)
-        phi = profile.phi(tau) if tau > 0 else Fraction(0)
+        tau = Fraction(u0 + k * du, den)
+        phi = profile.phi(tau)
         rows.append(
             f"{format_rational(tau)},{format_rational(phi)},"
             f"{float(tau):.9f},{float(phi):.9f}"
@@ -432,10 +437,22 @@ def _handle_command(args: argparse.Namespace) -> int:
     inputs, result = _compute(command, values)
     extra = command.emit(args, values, result) if command.emit else []
     if args.json:
-        sys.stdout.write(render_json(_payload(args.command, inputs, result)))
+        _write_stdout(render_json(_payload(args.command, inputs, result)))
     else:
-        print("\n".join(command.text(inputs, result) + extra))
+        _write_stdout("\n".join(command.text(inputs, result) + extra) + "\n")
     return EXIT_OK
+
+
+def _write_stdout(text: str) -> None:
+    """Write text to stdout and flush it. A stream that is closed or cannot
+    take it (a full disk) is a CliParseError, as an output file is."""
+    if sys.stdout is None:
+        raise CliParseError("cannot write to standard output: it is closed")
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        raise CliParseError(f"cannot write to standard output: {exc}") from None
 
 
 @contextlib.contextmanager
@@ -500,7 +517,7 @@ def _handle_verify(args: argparse.Namespace) -> int:
                 run.to_json_dict(),
             )
             handle.write(render_json(payload))
-    print("\n".join(run.summary_lines()))
+    _write_stdout("\n".join(run.summary_lines()) + "\n")
     return EXIT_OK if run.passed else EXIT_INTERNAL
 
 
@@ -539,7 +556,7 @@ def run_check(path: str) -> int:
             file=sys.stderr,
         )
         return EXIT_INTERNAL
-    print(f"check ok: {path} reproduces byte-for-byte")
+    _write_stdout(f"check ok: {path} reproduces byte-for-byte\n")
     return EXIT_OK
 
 
@@ -619,7 +636,15 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 def console_entry() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError:
+        # main has reported the failed write; send what is still buffered to
+        # devnull, so the interpreter's flush at exit reports nothing more.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ the denominator is 1), which is exactly the serialization this library uses.
 
 from __future__ import annotations
 
+import math
 import sys
 from fractions import Fraction
 from typing import Iterable, Union
@@ -52,7 +53,8 @@ def parse_rational(text: str) -> Rational:
 def format_rational(value: Rational) -> str:
     """Render a Rational as "p/q", or "p" when the denominator is 1. Digits
     beyond the interpreter's int-to-str limit raise DomainError."""
-    value = Fraction(value)
+    if not isinstance(value, Fraction):
+        value = Fraction(value)  # an int or bool renders as its integer value
     try:
         return str(value)
     except ValueError:
@@ -76,12 +78,17 @@ class Polynomial:
     polynomial stores coefficients up to a nonzero leading one. Evaluation,
     differentiation, antidifferentiation, and definite integration are all
     exact.
+
+    Evaluation runs in integers: the coefficients are cleared to
+    L*c_k over their least common denominator L once, on first use, and
+    each value is one reduced fraction.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_coeffs", "_cleared")
 
     def __init__(self, coefficients: Iterable[RationalLike] = ()) -> None:
         object.__setattr__(self, "_coeffs", _as_coeff_tuple(coefficients))
+        object.__setattr__(self, "_cleared", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Polynomial is immutable")
@@ -127,13 +134,40 @@ class Polynomial:
     def __hash__(self) -> int:
         return hash(self._coeffs)
 
-    def __call__(self, point: RationalLike) -> Rational:
-        """Evaluate exactly at a rational point by Horner's scheme."""
+    @property
+    def cleared(self) -> tuple[int, tuple[int, ...]]:
+        """(L, (L*c_0, ..., L*c_deg)): the least common denominator L of the
+        coefficients and the integer coefficients over it; (1, ()) for the
+        zero polynomial. Computed on first use and kept."""
+        if self._cleared is None:
+            # Lists, not generators: tuple() of a generator allocates ten
+            # slots and shrinks, which strands small tuples on the
+            # interpreter's free lists.
+            lcm = math.lcm(*[c.denominator for c in self._coeffs])
+            ints = tuple([c.numerator * (lcm // c.denominator) for c in self._coeffs])
+            object.__setattr__(self, "_cleared", (lcm, ints))
+        return self._cleared
+
+    def cleared_value(self, point: RationalLike) -> tuple[int, int]:
+        """The value at point = p/q as an unreduced integer pair
+        (h, L*q^deg), where h = sum_k L*c_k p^k q^(deg-k) comes from Horner's
+        scheme on the homogenised integer coefficients; (0, 1) for the zero
+        polynomial. Callers reduce once, after any further scaling."""
         x = rational(point)
-        acc = Fraction(0)
-        for c in reversed(self._coeffs):
-            acc = acc * x + c
-        return acc
+        p, q = x.numerator, x.denominator
+        lcm, ints = self.cleared
+        if not ints:
+            return 0, 1
+        h, q_power = ints[-1], 1
+        for c in ints[-2::-1]:
+            q_power *= q
+            h = h * p + c * q_power
+        return h, lcm * q_power
+
+    def __call__(self, point: RationalLike) -> Rational:
+        """Evaluate exactly at a rational point: Horner's scheme in integers,
+        then one reduction."""
+        return Fraction(*self.cleared_value(point))
 
     def __neg__(self) -> "Polynomial":
         return Polynomial(-c for c in self._coeffs)

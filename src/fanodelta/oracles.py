@@ -21,6 +21,7 @@ Reports are generated in a fixed grid order, so output is reproducible.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -115,16 +116,17 @@ class OracleReport:
 def _progression_sum(f: Polynomial, start: Rational, step: Rational, count: int) -> Rational:
     """Exact sum_{j<count} f(start + j*step) in O(deg^2) integer operations.
 
-    Over the common denominator D of start and step the samples are
-    (e0 + c1*j)/D, and each (e0 + c1*j)^k expands binomially into power sums
+    f is read in its cleared integer form (L, L*c_k). Over the common
+    denominator D of start and step the samples are (e0 + c1*j)/D, and each
+    (e0 + c1*j)^k expands binomially into power sums
     S_p = sum_{j<count} j^p (0^0 = 1). Summing (j+1)^(p+1) - j^(p+1) over
     j < count telescopes to count^(p+1) = sum_{i<=p} C(p+1, i) S_i, which
     fixes each S_p from the lower ones; the division by p+1 is exact.
     """
-    coeffs = f.coefficients
-    if not coeffs:
+    lcm, ints = f.cleared
+    if not ints:
         return Fraction(0)
-    deg = len(coeffs) - 1
+    deg = len(ints) - 1
     den = math.lcm(start.denominator, step.denominator)
     e0 = start.numerator * (den // start.denominator)
     c1 = step.numerator * (den // step.denominator)
@@ -132,14 +134,13 @@ def _progression_sum(f: Polynomial, start: Rational, step: Rational, count: int)
     for p in range(deg + 1):
         lower = sum(math.comb(p + 1, i) * s for i, s in enumerate(sums))
         sums.append((count ** (p + 1) - lower) // (p + 1))
-    lcm = math.lcm(*(c.denominator for c in coeffs))
     total = 0
-    for k, c in enumerate(coeffs):
+    for k, c in enumerate(ints):
         if c:
             powers = sum(
                 math.comb(k, i) * e0 ** (k - i) * c1**i * sums[i] for i in range(k + 1)
             )
-            total += c.numerator * (lcm // c.denominator) * den ** (deg - k) * powers
+            total += c * den ** (deg - k) * powers
     return Fraction(total, lcm * den**deg)
 
 
@@ -160,13 +161,15 @@ def _midpoint_bound(f: Polynomial, lo: Rational, hi: Rational, steps: int) -> Ra
     return (hi - lo) ** 3 * peak / (24 * steps**2)
 
 
-def _riemann_sums(
+@functools.lru_cache(maxsize=1, typed=True)
+def _riemann_weight(
     n: int, A: RationalLike, B: RationalLike, m: int
-) -> tuple[Rational, Rational, Rational, Rational]:
-    """Validate the Riemann oracle's inputs and return (A, B, v, w): the
-    exact finite weight sums v = sum_j a_j^n / m and w = sum_j (j/m) a_j^n / m
-    over the lattice samples a_j = A + j/m for j = 0..m(B-A). Since
-    j/m = a_j - A, m*w sums (t - A) t^n over the same samples.
+) -> tuple[Rational, Rational, Rational]:
+    """Validate the Riemann oracle's inputs and return (A, B, v), where v is
+    the exact finite weight sum sum_j a_j^n / m over the lattice samples
+    a_j = A + j/m for j = 0..m(B-A). The last result is kept:
+    run_verification asks for the limit and then the bound of the same
+    (n, A, B, m), and both divide by v.
     """
     a, b = check_interval(n, A, B)
     check_integer(m, "m")
@@ -176,10 +179,8 @@ def _riemann_sums(
             f"m*(B-A) must be an integer (pick m divisible by the denominator "
             f"of B-A), got {span}"
         )
-    step, count = Fraction(1, m), int(span) + 1
-    v = _progression_sum(Polynomial.monomial(n), a, step, count) / m
-    w = _progression_sum(Polynomial([0] * n + [-a, 1]), a, step, count) / m
-    return a, b, v, w
+    v = _progression_sum(Polynomial.monomial(n), a, Fraction(1, m), int(span) + 1) / m
+    return a, b, v
 
 
 def riemann_s_limit(n: int, A: RationalLike, B: RationalLike, m: int) -> Rational:
@@ -191,9 +192,12 @@ def riemann_s_limit(n: int, A: RationalLike, B: RationalLike, m: int) -> Rationa
 
         sum_j (j/m) a_j^n / sum_j a_j^n,
 
-    which converges to centroid_phi(A, B, n) - A as m grows.
+    which converges to centroid_phi(A, B, n) - A as m grows. Since
+    j/m = a_j - A, the numerator sums (t - A) t^n over the same samples.
     """
-    _, _, v, w = _riemann_sums(n, A, B, m)
+    a, b, v = _riemann_weight(n, A, B, m)
+    count = int((b - a) * m) + 1
+    w = _progression_sum(Polynomial([0] * n + [-a, 1]), a, Fraction(1, m), count) / m
     return w / v
 
 
@@ -209,7 +213,7 @@ def riemann_error_bound(n: int, A: RationalLike, B: RationalLike, m: int) -> Rat
     where v is the exact finite weight sum sum_j a_j^n / m. Every factor is
     an exact rational, so the bound itself is exact.
     """
-    a, b, v, _ = _riemann_sums(n, A, B, m)
+    a, b, v = _riemann_weight(n, A, B, m)
     phi_offset = centroid_phi(a, b, n) - a
     return (2 * b**n / m) * ((b - a) + phi_offset) / v
 

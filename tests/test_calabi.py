@@ -77,6 +77,21 @@ class TestSolveProfile:
         assert p.phi(2) == Fraction(11, 28)
         assert p.phi_prime(1) == 1
 
+    @settings(max_examples=60)
+    @given(
+        st.sampled_from(PROFILE_GRID),
+        st.fractions(min_value=Fraction(1, 10**4), max_value=10, max_denominator=10**4),
+    )
+    def test_phi_is_the_numerator_over_tau_to_the_n(self, case, t):
+        n, r, beta = case
+        p = solve_profile(n, r, beta)
+        assert p.phi(t) == p.numerator(t) / t**n
+
+    @pytest.mark.parametrize("tau", [0, Fraction(-1, 2), -3])
+    def test_phi_refuses_nonpositive_tau(self, tau):
+        with pytest.raises(DomainError, match="tau > 0"):
+            solve_profile(1, 2, beta_zero(1, 2)).phi(tau)
+
     def test_requires_slope_above_one(self):
         with pytest.raises(DomainError):
             solve_profile(1, 1, Fraction(1, 2))

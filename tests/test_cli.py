@@ -3,9 +3,14 @@
 
 import json
 import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from fanodelta import beta_zero, solve_profile
 from fanodelta.cli import (
     EXIT_DOMAIN,
     EXIT_INTERNAL,
@@ -175,6 +180,19 @@ class TestCalabiCommand:
         assert len(lines) == 6
         assert lines[1].startswith("1,0,")
         assert lines[-1].startswith("3,0,")
+
+    @pytest.mark.parametrize(
+        "n,r", [(2, Fraction(3, 2)), (3, Fraction(5, 2)), (5, Fraction(13, 7))]
+    )
+    def test_csv_bytes_equal_the_fraction_loop(self, n, r, capsys, tmp_path):
+        target = tmp_path / "profile.csv"
+        code, out, err = run_cli(
+            ["calabi", "--n", str(n), "--r", str(r), "--csv", str(target),
+             "--samples", "1001"],
+            capsys,
+        )
+        assert code == EXIT_OK
+        assert target.read_bytes() == _reference_calabi_csv(n, r, 1001).encode("utf-8")
 
     def test_unwritable_csv_path_is_a_parse_error(self, capsys, tmp_path):
         # A missing directory fails to open; /dev/full opens but fails to
@@ -493,6 +511,42 @@ class TestVerifyCommand:
         assert len(err.splitlines()) == 1
 
 
+STDOUT_ARGVS = [
+    ["bundle", "--n", "1", "--r", "2", "--delta-v", "1"],
+    ["bundle", "--n", "1", "--r", "2", "--delta-v", "1", "--json"],
+    ["verify"],
+]
+
+
+def _run_module(argv, **kwargs):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+    return subprocess.run(
+        [sys.executable, "-m", "fanodelta.cli", *argv],
+        stderr=subprocess.PIPE, text=True, env=env, timeout=120, **kwargs,
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", STDOUT_ARGVS)
+def test_full_stdout_is_a_parse_error_in_a_process(argv):
+    # The interpreter flushes stdout again at exit; that second failure
+    # must not add a line to stderr or change the exit code.
+    with open("/dev/full", "w") as full:
+        done = _run_module(argv, stdout=full)
+    assert done.returncode == EXIT_PARSE
+    assert done.stderr.startswith("error: cannot write to standard output")
+    assert len(done.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", STDOUT_ARGVS)
+def test_closed_stdout_is_a_parse_error_in_a_process(argv):
+    done = _run_module(argv, preexec_fn=lambda: os.close(1))
+    assert done.returncode == EXIT_PARSE
+    assert done.stderr == "error: cannot write to standard output: it is closed\n"
+
+
 class TestParserReuse:
     """main builds its parser once per process; parse_args writes only to a
     fresh Namespace, so the outcome of a call never depends on the calls
@@ -538,3 +592,22 @@ class TestParserReuse:
             EXIT_OK, EXIT_PARSE, EXIT_OK, EXIT_PARSE, EXIT_DOMAIN,
             0, EXIT_OK, EXIT_DOMAIN, 0, EXIT_PARSE,
         ]
+
+
+def _reference_calabi_csv(n, r, samples):
+    """The CSV as calabi --csv first wrote it: tau stepped in Fraction
+    arithmetic, phi by a Fraction Horner over tau^n, each value copied into
+    a new Fraction before str."""
+    profile = solve_profile(n, r, beta_zero(n, r))
+    lo, hi = profile.r - 1, profile.r + 1
+    rows = ["tau,phi,tau_decimal,phi_decimal"]
+    for k in range(samples):
+        tau = lo + (hi - lo) * Fraction(k, samples - 1)
+        acc = Fraction(0)
+        for c in reversed(profile.numerator.coefficients):
+            acc = acc * tau + c
+        phi = acc / tau**n if tau > 0 else Fraction(0)
+        rows.append(
+            f"{str(Fraction(tau))},{str(Fraction(phi))},{float(tau):.9f},{float(phi):.9f}"
+        )
+    return "\n".join(rows) + "\n"

@@ -4,7 +4,7 @@ invariants."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fanodelta import DomainError
@@ -49,6 +49,15 @@ class TestRationalHelpers:
     def test_division_round_trip(self, a, b):
         assert (a / b) * (b / a) == 1
 
+    @pytest.mark.parametrize(
+        "value,text",
+        [(7, "7"), (-3, "-3"), (True, "1"), (False, "0"), (Fraction(3, 4), "3/4"),
+         (Fraction(-6, 3), "-2")],
+    )
+    def test_format_renders_ints_bools_and_fractions_alike(self, value, text):
+        # A Fraction is rendered as given; an int or bool as the Fraction of it.
+        assert format_rational(value) == text == str(Fraction(value))
+
     def test_rational_coerces_ints_and_strings(self):
         assert rational(7) == Fraction(7)
         assert rational("5/3") == Fraction(5, 3)
@@ -76,6 +85,28 @@ class TestPolynomialBasics:
         p = Polynomial([Fraction(1, 3), Fraction(-1, 7), Fraction(2, 11)])
         x = Fraction(5, 13)
         assert p(x) == Fraction(1, 3) - Fraction(1, 7) * x + Fraction(2, 11) * x * x
+
+    @given(
+        st.lists(st.fractions(max_denominator=1000), min_size=0, max_size=8),
+        st.fractions(max_denominator=1000),
+    )
+    @example([], Fraction(5, 3))
+    @example([Fraction(2, 3), Fraction(-1, 5)], Fraction(0))
+    @example([Fraction(1, 2), 0, Fraction(-7, 4), 3], Fraction(-5, 6))
+    @example([Fraction(1, 6), Fraction(5, 9), Fraction(1, 4)], Fraction(-3))
+    @example([Fraction(-3, 10), 0, 0, Fraction(9, 14)], Fraction(4))
+    def test_evaluation_matches_the_fraction_horner(self, coefficients, x):
+        p = Polynomial(coefficients)
+        assert p(x) == _reference_horner(p.coefficients, x)
+        assert p(x.numerator if x.denominator == 1 else x) == p(x)
+
+    def test_cleared_form(self):
+        p = Polynomial([Fraction(1, 6), 0, Fraction(-3, 4), 2])
+        assert p.cleared == (12, (2, 0, -9, 24))
+        assert Polynomial.zero().cleared == (1, ())
+        # (t + 1)/2 at t = 3/5 is h = 3 + 5 over L*q^deg = 2*5, not reduced.
+        assert Polynomial([Fraction(1, 2), Fraction(1, 2)]).cleared_value(Fraction(3, 5)) == (
+            8, 10)
 
     def test_pretty_printing(self):
         p = Polynomial([Fraction(-9, 14), 0, Fraction(13, 14), Fraction(-2, 7)])
@@ -157,3 +188,12 @@ class TestCalculus:
     def test_antiderivative_round_trip_high_degree(self, k):
         p = Polynomial.monomial(k, Fraction(3, 7))
         assert p.antiderivative().derivative().coefficients == p.coefficients
+
+
+def _reference_horner(coefficients, x):
+    """Horner's scheme in Fraction arithmetic, one reduction per step: the
+    evaluation route the integer form replaced."""
+    acc = Fraction(0)
+    for c in reversed(coefficients):
+        acc = acc * x + c
+    return acc

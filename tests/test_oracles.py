@@ -35,6 +35,7 @@ from fanodelta.exactarith import Polynomial
 from fanodelta.bundle import boundary_interval
 from fanodelta.oracles import (
     _progression_sum,
+    _riemann_weight,
     branch_min_bruteforce,
     default_branch_grid,
     futaki_quadrature_bound,
@@ -75,6 +76,29 @@ class TestRiemannOracle:
                 value = riemann_s_limit(n, A, B, mm)
                 bound = riemann_error_bound(n, A, B, mm)
                 assert abs(value - target) <= bound, (n, A, B, mm)
+
+    def test_the_weight_sum_is_computed_once_per_pair(self, monkeypatch):
+        # The bound needs only v; the limit then reuses that v and adds w.
+        calls = []
+        monkeypatch.setattr(
+            "fanodelta.oracles._progression_sum",
+            lambda *args: calls.append(args) or _progression_sum(*args),
+        )
+        _riemann_weight.cache_clear()
+        bound = riemann_error_bound(2, 1, 3, 40)
+        assert len(calls) == 1
+        limit = riemann_s_limit(2, 1, 3, 40)
+        assert len(calls) == 2
+        assert (limit, bound) == (
+            _loop_riemann_s_limit(2, Fraction(1), Fraction(3), 40),
+            _loop_riemann_error_bound(2, Fraction(1), Fraction(3), 40),
+        )
+
+    def test_a_kept_weight_sum_does_not_skip_validation(self):
+        # True == 1 and hashes alike; the kept result is keyed by type too.
+        riemann_s_limit(1, 1, 3, 10)
+        with pytest.raises(DomainError):
+            riemann_error_bound(True, 1, 3, 10)
 
     def test_requires_integer_sample_count(self):
         with pytest.raises(DomainError, match="integer"):
