@@ -149,9 +149,18 @@ def centroid_phi(A: RationalLike, B: RationalLike, n: int) -> Rational:
     Equals ((n+1)/(n+2)) * (B^(n+2) - A^(n+2)) / (B^(n+1) - A^(n+1)), i.e.
     the ratio of the exact integrals of t^(n+1) and t^n over [A, B], and
     always lies strictly between A and B.
+
+    Evaluated in integers: over q = den(A)*den(B), A = x/q and B = y/q, so
+    the centroid is (n+1)(y^(n+2) - x^(n+2)) / ((n+2) q (y^(n+1) - x^(n+1))),
+    one Fraction and one reduction.
     """
     a, b = check_interval(n, A, B)
-    return Fraction(n + 1, n + 2) * (b ** (n + 2) - a ** (n + 2)) / (b ** (n + 1) - a ** (n + 1))
+    x, y = a.numerator * b.denominator, b.numerator * a.denominator
+    q = a.denominator * b.denominator
+    return Fraction(
+        (n + 1) * (y ** (n + 2) - x ** (n + 2)),
+        (n + 2) * q * (y ** (n + 1) - x ** (n + 1)),
+    )
 
 
 def beta_zero(n: int, r: RationalLike) -> Rational:
@@ -221,6 +230,10 @@ def assemble_breakdown(
     v0_branch: Rational,
     vinf_branch: Rational,
     delta: DeltaKnowledge,
+    *,
+    r_effective: Optional[Rational] = None,
+    proof_coverage: Optional[str] = None,
+    side_conditions: Optional[tuple[str, ...]] = None,
 ) -> DeltaBreakdown:
     """Combine branch values given what is known about delta(V).
 
@@ -239,33 +252,32 @@ def assemble_breakdown(
     always holds. For a cone, base_coefficient is v0 itself. So a
     coefficient below both section branches means a caller bug, and raises
     InternalCheckError.
+
+    The keyword-only metadata is stored on the breakdown as given (see
+    DeltaBreakdown); the cone operations set it, a bundle leaves it unset.
     """
     if delta.is_exact:
         base_branch = base_coefficient * delta.value
         value = min(base_branch, v0_branch, vinf_branch)
-        tags = tuple(
-            tag
-            for tag, branch in (
-                (MINIMIZER_BASE, base_branch),
-                (MINIMIZER_V0, v0_branch),
-                (MINIMIZER_VINF, vinf_branch),
+        candidates = (
+            (MINIMIZER_BASE, base_branch),
+            (MINIMIZER_V0, v0_branch),
+            (MINIMIZER_VINF, vinf_branch),
+        )
+    else:
+        base_branch = None
+        value = min(v0_branch, vinf_branch)
+        if value > base_coefficient:
+            raise InternalCheckError(
+                f"base coefficient {base_coefficient} undercuts both section branches "
+                f"({v0_branch}, {vinf_branch}); impossible on the valid domain"
             )
-            if branch == value
-        )
-        return DeltaBreakdown(base_branch, v0_branch, vinf_branch, value, tags)
-
-    section_min = min(v0_branch, vinf_branch)
-    if section_min > base_coefficient:
-        raise InternalCheckError(
-            f"base coefficient {base_coefficient} undercuts both section branches "
-            f"({v0_branch}, {vinf_branch}); impossible on the valid domain"
-        )
-    tags = tuple(
-        tag
-        for tag, branch in ((MINIMIZER_V0, v0_branch), (MINIMIZER_VINF, vinf_branch))
-        if branch == section_min
+        candidates = ((MINIMIZER_V0, v0_branch), (MINIMIZER_VINF, vinf_branch))
+    tags = tuple(tag for tag, branch in candidates if branch == value)
+    return DeltaBreakdown(
+        base_branch, v0_branch, vinf_branch, value, tags,
+        r_effective, proof_coverage, side_conditions,
     )
-    return DeltaBreakdown(None, v0_branch, vinf_branch, section_min, tags)
 
 
 def bundle_delta(base: FanoBase, bdry: BundleBoundary = BundleBoundary()) -> DeltaBreakdown:

@@ -20,6 +20,7 @@ dropped, so every identity is an identity of rationals.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -230,6 +231,12 @@ class AdmissibleProfile:
         if failures:
             raise DomainError("; ".join(failures))
 
+    @functools.cached_property
+    def integrand(self) -> Polynomial:
+        """futaki_integrand of this profile, built on first use and kept:
+        the invariant and each quadrature of the profile integrate it."""
+        return futaki_integrand(self.n, self.r, self.numerator)
+
 
 def admissibility_failures(n: int, r: RationalLike, numerator: Polynomial) -> list[str]:
     """Every violated admissibility condition, as constraint-naming
@@ -307,7 +314,7 @@ def admissible_integrand(profile: AdmissibleProfile) -> Polynomial:
     its integral is not the invariant."""
     if not isinstance(profile, AdmissibleProfile):
         raise TypeError(f"expected an AdmissibleProfile, got {type(profile).__name__}")
-    return futaki_integrand(profile.n, profile.r, profile.numerator)
+    return profile.integrand
 
 
 def futaki_invariant(profile: AdmissibleProfile) -> Rational:

@@ -20,7 +20,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional
+from typing import IO, Callable, NamedTuple, Optional
 
 from .angle import optimal_angle_interval, semistable_range_lambda_ge_1
 from .bundle import BundleBoundary, DeltaKnowledge, FanoBase, beta_zero, bundle_delta
@@ -69,6 +69,15 @@ class CliParseError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise CliParseError(message)
+
+    def _print_message(self, message: str, file: Optional[IO[str]] = None) -> None:
+        # argparse drops a failed write. Help and usage text on stdout go
+        # through _write_stdout instead, so they fail as command output does.
+        if file is None or file is sys.stdout:
+            if message:
+                _write_stdout(message)
+        else:
+            super()._print_message(message, file)
 
 
 # Input converters: each takes a flag's text or a --check payload's input
@@ -160,9 +169,17 @@ class _Command(NamedTuple):
     emit: Optional[Callable[[argparse.Namespace, dict, dict], list[str]]] = None
 
 
+FLOAT_RANGE_MARKER = "beyond float range"
+
+
 def _show(text: str) -> str:
-    """Exact value with a 6-place decimal approximation for human output."""
-    return f"{text} ({float(parse_rational(text)):.6f})"
+    """Exact value with a 6-place decimal approximation for human output,
+    or FLOAT_RANGE_MARKER in its place when the value does not fit a float."""
+    try:
+        decimal = f"{float(parse_rational(text)):.6f}"
+    except OverflowError:
+        decimal = FLOAT_RANGE_MARKER
+    return f"{text} ({decimal})"
 
 
 def render_json(payload: dict) -> str:
@@ -349,10 +366,17 @@ def _calabi_csv(args: argparse.Namespace, values: dict, result: dict) -> list[st
     for k in range(args.samples):
         tau = Fraction(u0 + k * du, den)
         phi = profile.phi(tau)
-        rows.append(
-            f"{format_rational(tau)},{format_rational(phi)},"
-            f"{float(tau):.9f},{float(phi):.9f}"
-        )
+        try:
+            decimals = f"{float(tau):.9f},{float(phi):.9f}"
+        except OverflowError:
+            raise DomainError(
+                "--csv writes decimal columns, so every sampled tau and phi must "
+                f"fit a float (magnitude at most {sys.float_info.max:.6g}); "
+                f"the sample at k={k} does not"
+            ) from None
+        rows.append(f"{format_rational(tau)},{format_rational(phi)},{decimals}")
+    # Every row is built before the file is opened, so a refused sample
+    # leaves no file behind.
     with _open_output(args.csv) as handle:
         handle.write("\n".join(rows) + "\n")
     return [f"  wrote {args.samples} profile samples to {args.csv}"]

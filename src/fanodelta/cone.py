@@ -18,7 +18,7 @@ from the arithmetic data (n, k, d, l) rather than given.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -49,7 +49,12 @@ class ConeBoundary:
             raise DomainError(f"c must satisfy 0 <= c < 1, got {self.c}")
 
 
-def cone_delta(base: FanoBase, bdry: ConeBoundary = ConeBoundary()) -> DeltaBreakdown:
+def cone_delta(
+    base: FanoBase,
+    bdry: ConeBoundary = ConeBoundary(),
+    *,
+    side_conditions: Optional[tuple[str, ...]] = None,
+) -> DeltaBreakdown:
     """Delta invariant of the cone pair (Y, c*Vinf) as a three-branch minimum.
 
     Branches, with B = r + 1 - c: base divisors give
@@ -57,19 +62,30 @@ def cone_delta(base: FanoBase, bdry: ConeBoundary = ConeBoundary()) -> DeltaBrea
     (n+2)*r / ((n+1)*B) (its log discrepancy is r), and the infinity section
     gives (n+2)*(1-c) / B.
 
+    Evaluated in integers: with r = p/q and c = s/t, B = b/(qt) for
+    b = pt + qt - sq > 0, so V0 gives (n+2)pt / ((n+1)b) and Vinf gives
+    (n+2)(t-s)q / b, one Fraction each.
+
     The value is flagged proof_coverage="upper-bound-only" when r > n + 1:
     there the closed form is only known to bound the delta invariant from
     above. For r <= n + 1 it is an equality and the flag says "full".
+    side_conditions is recorded on the breakdown as given (see
+    branched_cone_delta).
     """
     n, r, c = base.n, base.r, bdry.c
-    B = r + 1 - c
-    v0_branch = Fraction(n + 2, n + 1) * r / B
-    vinf_branch = (n + 2) * (1 - c) / B
-    breakdown = assemble_breakdown(v0_branch, v0_branch, vinf_branch, base.delta_v)
-    return replace(
-        breakdown,
+    p, q = r.numerator, r.denominator
+    s, t = c.numerator, c.denominator
+    b = p * t + q * t - s * q
+    v0_branch = Fraction((n + 2) * p * t, (n + 1) * b)
+    vinf_branch = Fraction((n + 2) * (t - s) * q, b)
+    return assemble_breakdown(
+        v0_branch,
+        v0_branch,
+        vinf_branch,
+        base.delta_v,
         r_effective=r,
         proof_coverage=PROOF_FULL if r <= n + 1 else PROOF_UPPER_BOUND,
+        side_conditions=side_conditions,
     )
 
 
@@ -277,5 +293,7 @@ def branched_cone_delta(
                 "delta_pair is required when d <= n: no automatic semistability "
                 f"guarantee for d={spec.d}, n={spec.n}"
             )
-    breakdown = cone_delta(FanoBase(spec.n, rational(spec.r), delta_pair))
-    return replace(breakdown, side_conditions=spec.side_conditions())
+    return cone_delta(
+        FanoBase(spec.n, rational(spec.r), delta_pair),
+        side_conditions=spec.side_conditions(),
+    )

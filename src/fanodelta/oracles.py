@@ -318,7 +318,14 @@ def default_branch_grid() -> list[GridEntry]:
 def branch_min_bruteforce(grid: Iterable[GridEntry]) -> list[OracleReport]:
     """Independently evaluate the three branch formulas on each grid entry
     and check the value and minimizer set of the module breakdown against a
-    from-scratch min/argmin, which must also be exact."""
+    from-scratch min/argmin, which must also be exact.
+
+    The naive branch triple is plain Fraction arithmetic, a different
+    computation from the integer closed forms. It depends on the geometry
+    only, so it is computed once per (kind, n, r, a, b) or (kind, n, r, c)
+    and shared by every delta on that geometry, in any grid order.
+    """
+    naive: dict[tuple, tuple[Rational, Rational, Rational]] = {}
     reports: list[OracleReport] = []
     for entry in grid:
         kind = entry[0]
@@ -328,17 +335,21 @@ def branch_min_bruteforce(grid: Iterable[GridEntry]) -> list[OracleReport]:
             # The closed form validates the domain before the naive route
             # divides by anything.
             breakdown = bundle_delta(FanoBase(n, r, delta), BundleBoundary(a, b))
-            coeff, v0, vinf = _naive_bundle_branches(n, r, a, b)
+            geometry: tuple = (kind, n, r, a, b)
+            if geometry not in naive:
+                naive[geometry] = _naive_bundle_branches(n, r, a, b)
             target = f"bundle_delta(n={n}, r={r}, a={a}, b={b}, delta={delta})"
         elif kind == "cone":
             _, n, r, c, delta = entry
             r, c = rational(r), rational(c)
             breakdown = cone_delta(FanoBase(n, r, delta), ConeBoundary(c))
-            coeff, v0, vinf = _naive_cone_branches(n, r, c)
+            geometry = (kind, n, r, c)
+            if geometry not in naive:
+                naive[geometry] = _naive_cone_branches(n, r, c)
             target = f"cone_delta(n={n}, r={r}, c={c}, delta={delta})"
         else:
             raise DomainError(f"unknown grid entry kind: {kind!r}")
-        value, tags, exact = _naive_expected(coeff, v0, vinf, delta)
+        value, tags, exact = _naive_expected(*naive[geometry], delta)
         agrees = exact and tags == frozenset(breakdown.minimizers)
         reports.append(
             OracleReport.build(
@@ -368,16 +379,25 @@ def telescoping_iterated_cone(spec: HypersurfaceConeSpec) -> Rational:
     """Iterated-cone value by multiplying the single-step factors
     (n+1+s) * r_{s-1} / ((n+s) * (r_{s-1}+1)) for s = 1..i, capping the
     running delta at 1 before each step. This is the oracle route: it never
-    calls cone_delta and never uses the closed form."""
+    calls cone_delta and never uses the closed form.
+
+    The running value is an integer pair (num, den) reduced by its gcd at
+    every step; unreduced, the pair grows by a factor per step and the loop
+    turns quadratic in i.
+    """
     n = spec.n
-    value = Fraction(1) if spec.delta_v0.value is None else spec.delta_v0.value
+    start = Fraction(1) if spec.delta_v0.value is None else spec.delta_v0.value
+    num, den = start.numerator, start.denominator
     r0 = n + 2 - spec.d
     for s in range(1, spec.i + 1):
         r_prev = r0 + s - 1
-        value = Fraction((n + 1 + s) * r_prev, (n + s) * (r_prev + 1)) * min(
-            value, Fraction(1)
-        )
-    return value
+        if num > den:
+            num, den = 1, 1
+        num *= (n + 1 + s) * r_prev
+        den *= (n + s) * (r_prev + 1)
+        g = math.gcd(num, den)
+        num, den = num // g, den // g
+    return Fraction(num, den)
 
 
 @dataclass(frozen=True)

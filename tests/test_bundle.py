@@ -4,7 +4,7 @@ structural properties of the three-branch minimum."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fanodelta import (
@@ -86,6 +86,18 @@ class TestCentroid:
         lo, hi = min(x, y), max(x, y)
         phi = centroid_phi(lo, hi, n)
         assert lo < phi < hi
+
+    @settings(max_examples=300)
+    @given(
+        st.integers(min_value=0, max_value=12),
+        st.fractions(min_value=0, max_value=20, max_denominator=30),
+        st.fractions(min_value=Fraction(1, 30), max_value=20, max_denominator=30),
+    )
+    @example(0, Fraction(0), Fraction(1))
+    @example(3, Fraction(0), Fraction(5, 2))  # the cone interval [0, B]
+    @example(2, Fraction(7, 3), Fraction(1, 6))  # coprime denominators
+    def test_integer_route_equals_the_fraction_formula(self, n, lo, width):
+        assert centroid_phi(lo, lo + width, n) == _reference_centroid_phi(lo, lo + width, n)
 
     @settings(max_examples=100)
     @given(st.integers(min_value=0, max_value=8), st.fractions(min_value=0, max_value=5, max_denominator=6))
@@ -348,3 +360,9 @@ class TestDomainGuards:
             FanoBase(1, 0, DeltaKnowledge.exact(1))
         with pytest.raises(DomainError):
             FanoBase(1, Fraction(-3, 2), DeltaKnowledge.exact(1))
+
+
+def _reference_centroid_phi(A, B, n):
+    """The centroid as it was first computed: the closed form in Fraction
+    arithmetic, one operation at a time."""
+    return Fraction(n + 1, n + 2) * (B ** (n + 2) - A ** (n + 2)) / (B ** (n + 1) - A ** (n + 1))

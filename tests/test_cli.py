@@ -16,6 +16,7 @@ from fanodelta.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_PARSE,
+    FLOAT_RANGE_MARKER,
     build_parser,
     main,
 )
@@ -540,11 +541,62 @@ def test_full_stdout_is_a_parse_error_in_a_process(argv):
     assert len(done.stderr.splitlines()) == 1
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["--help"], ["cone", "--help"]])
+def test_help_to_a_full_stdout_is_a_parse_error_in_a_process(argv):
+    with open("/dev/full", "w") as full:
+        done = _run_module(argv, stdout=full)
+    assert done.returncode == EXIT_PARSE
+    assert done.stderr.startswith("error: cannot write to standard output")
+    assert len(done.stderr.splitlines()) == 1
+
+
 @pytest.mark.parametrize("argv", STDOUT_ARGVS)
 def test_closed_stdout_is_a_parse_error_in_a_process(argv):
     done = _run_module(argv, preexec_fn=lambda: os.close(1))
     assert done.returncode == EXIT_PARSE
     assert done.stderr == "error: cannot write to standard output: it is closed\n"
+
+
+# 10^320 is exact input, but no float holds it.
+HUGE = "1" + "0" * 320
+
+
+class TestBeyondTheFloatRange:
+    """Exact values too large for a float keep their exact text and show a
+    fixed marker in place of the decimal; only calabi --csv, whose columns
+    are decimals, refuses them."""
+
+    @pytest.mark.parametrize(
+        "argv, exact",
+        [
+            (["bundle", "--n", "1", "--r", "2", "--delta-v", HUGE], "12" + "0" * 320 + "/13"),
+            (["calabi", "--n", "2", "--r", HUGE], None),
+        ],
+        ids=["bundle", "calabi"],
+    )
+    def test_text_output_marks_the_decimal(self, argv, exact):
+        done = _run_module(argv, stdout=subprocess.PIPE)
+        assert done.returncode == EXIT_OK, done.stderr
+        assert done.stderr == ""
+        assert f"({FLOAT_RANGE_MARKER})" in done.stdout
+        if exact is not None:
+            assert f"{exact} ({FLOAT_RANGE_MARKER})" in done.stdout
+        # The JSON payload carries the same exact values.
+        payload = json.loads(_run_module(argv + ["--json"], stdout=subprocess.PIPE).stdout)
+        if exact is not None:
+            assert payload["result"]["branches"]["base"] == exact
+
+    def test_csv_is_refused_before_the_file_is_opened(self, tmp_path):
+        target = tmp_path / "profile.csv"
+        done = _run_module(
+            ["calabi", "--n", "2", "--r", HUGE, "--csv", str(target)], stdout=subprocess.PIPE
+        )
+        assert done.returncode == EXIT_DOMAIN
+        assert done.stderr.startswith("domain error: --csv writes decimal columns")
+        assert len(done.stderr.splitlines()) == 1
+        assert done.stdout == ""
+        assert not target.exists()
 
 
 class TestParserReuse:

@@ -1,6 +1,7 @@
 """Projective-cone delta invariants, iterated cones over hypersurfaces, and
 branched-cover cones."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from fanodelta import (
     iterated_hypersurface_chain,
     iterated_hypersurface_delta,
 )
+from fanodelta.bundle import assemble_breakdown
 from fanodelta.cone import (
     PROOF_FULL,
     PROOF_UPPER_BOUND,
@@ -116,6 +118,23 @@ class TestConeStructure:
         assert scaled.base_branch == dv * unit.v0_branch
         assert scaled.v0_branch == unit.v0_branch
         assert scaled.vinf_branch == unit.vinf_branch
+
+    @settings(max_examples=300)
+    @given(
+        dims,
+        st.fractions(min_value=Fraction(1, 30), max_value=12, max_denominator=30),
+        st.fractions(min_value=0, max_value=Fraction(29, 30), max_denominator=30),
+        st.one_of(st.none(), st.fractions(min_value=0, max_value=3, max_denominator=12)),
+    )
+    @example(1, Fraction(1), Fraction(0), Fraction(1))  # quadric cone, a three-way tie
+    @example(2, Fraction(1), Fraction(0), None)
+    @example(3, Fraction(9, 2), Fraction(1, 2), Fraction(0))  # upper-bound-only
+    def test_integer_route_equals_the_fraction_formula(self, n, r, c, dv):
+        delta = DeltaKnowledge.at_least_one() if dv is None else DeltaKnowledge.exact(dv)
+        base, bdry = FanoBase(n, r, delta), ConeBoundary(c)
+        # Dataclass equality covers the value, the branches, the minimizers
+        # and the metadata.
+        assert cone_delta(base, bdry) == _reference_cone_delta(base, bdry)
 
     def test_vertex_weight_guard(self):
         with pytest.raises(DomainError, match="0 <= c < 1"):
@@ -251,6 +270,17 @@ class TestBranchedCones:
         with pytest.raises(DomainError):
             BranchedConeSpec(2, 3, 3, 1)  # k does not divide d*l-1 = 2
 
+    def test_breakdown_is_the_cone_breakdown_with_its_side_conditions(self):
+        for spec, pair in (
+            (BranchedConeSpec(2, 2, 3, 1), None),
+            (BranchedConeSpec(3, 3, 2, 2), DeltaKnowledge.exact(Fraction(2, 3))),
+            (BranchedConeSpec(5, 2, 7, 1), DeltaKnowledge.at_least_one()),
+        ):
+            known = DeltaKnowledge.at_least_one() if pair is None else pair
+            cone = _reference_cone_delta(FanoBase(spec.n, spec.r, known), ConeBoundary())
+            expected = dataclasses.replace(cone, side_conditions=spec.side_conditions())
+            assert branched_cone_delta(spec, pair) == expected
+
     def test_slope_formula(self):
         assert branched_slope(2, 2, 3) == 3
         assert branched_slope(1, 2, 3) == 1
@@ -277,3 +307,18 @@ class TestBranchedCones:
         assert any("gcd" in s for s in b.side_conditions)
         d = b.to_json_dict()
         assert "side_conditions" in d
+
+
+def _reference_cone_delta(base, bdry):
+    """cone_delta as it was first computed: the branches in Fraction
+    arithmetic, then the metadata copied onto the assembled breakdown."""
+    n, r, c = base.n, base.r, bdry.c
+    B = r + 1 - c
+    v0_branch = Fraction(n + 2, n + 1) * r / B
+    vinf_branch = (n + 2) * (1 - c) / B
+    breakdown = assemble_breakdown(v0_branch, v0_branch, vinf_branch, base.delta_v)
+    return dataclasses.replace(
+        breakdown,
+        r_effective=r,
+        proof_coverage=PROOF_FULL if r <= n + 1 else PROOF_UPPER_BOUND,
+    )

@@ -19,6 +19,7 @@ from fanodelta import (
     beta_zero,
     centroid_phi,
     futaki_closed_form,
+    futaki_invariant,
     futaki_quadrature,
     hermite_admissible_profile,
     midpoint_centroid_bound,
@@ -30,6 +31,7 @@ from fanodelta import (
     solve_profile,
     telescoping_iterated_cone,
 )
+from fanodelta import calabi, oracles
 from fanodelta.calabi import AdmissibleProfile, admissibility_failures, futaki_integrand
 from fanodelta.exactarith import Polynomial
 from fanodelta.bundle import boundary_interval
@@ -201,6 +203,21 @@ class TestBranchBruteForce:
         with pytest.raises(DomainError):
             branch_min_bruteforce([entry])
 
+    def test_any_order_and_duplicate_rows_give_the_same_reports(self, monkeypatch):
+        grid = default_branch_grid()
+        shuffled = grid[::-1] + grid[::7]
+        singly = [branch_min_bruteforce([entry])[0] for entry in shuffled]
+        calls = []
+        for name in ("_naive_bundle_branches", "_naive_cone_branches"):
+            naive = getattr(oracles, name)
+            monkeypatch.setattr(
+                oracles, name, lambda *args, naive=naive: calls.append(args) or naive(*args)
+            )
+        assert branch_min_bruteforce(shuffled) == singly
+        # The naive triple is computed once per geometry, whatever the
+        # delta, the order or the repeats.
+        assert len(calls) == len({entry[:-1] for entry in grid})
+
     def test_cone_grid_points_included(self):
         grid = default_branch_grid()
         assert any(entry[0] == "cone" for entry in grid)
@@ -221,6 +238,18 @@ class TestFutakiQuadrature:
                 value = futaki_quadrature(prof, steps)
                 bound = futaki_quadrature_bound(prof, steps)
                 assert abs(value - target) <= bound, (n, r, steps)
+
+    def test_integrand_is_built_once_per_profile(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(
+            calabi, "futaki_integrand", lambda *args: built.append(args) or futaki_integrand(*args)
+        )
+        profile = perturbed_admissible_profile(hermite_admissible_profile(2, 3), Fraction(1, 10))
+        exact = futaki_invariant(profile)
+        value = futaki_quadrature(profile, 100)
+        bound = futaki_quadrature_bound(profile, 100)
+        assert len(built) == 1
+        assert abs(value - exact) <= bound
 
     def test_rejects_inadmissible_profiles(self):
         # The quadrature takes an AdmissibleProfile, which refuses the
@@ -275,6 +304,22 @@ class TestTelescoping:
         assert _telescoped(2, 3, 3, DeltaKnowledge.exact(5)) == _telescoped(
             2, 3, 3, DeltaKnowledge.exact(1)
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=0, max_value=7),
+        st.integers(min_value=1, max_value=60),
+        st.one_of(st.none(), st.fractions(min_value=0, max_value=4, max_denominator=15)),
+    )
+    @example(2, 1, 3, Fraction(0))  # a zero delta0 stays zero
+    @example(2, 1, 3, Fraction(5))  # capped at the first step
+    @example(1, 0, 1, None)
+    def test_integer_route_equals_the_fraction_loop(self, n, d_offset, i, dv):
+        d = 2 + d_offset % n
+        delta0 = DeltaKnowledge.at_least_one() if dv is None else DeltaKnowledge.exact(dv)
+        spec = HypersurfaceConeSpec(n, d, i, delta0)
+        assert telescoping_iterated_cone(spec) == _reference_telescoping(spec)
 
     def test_degree_window(self):
         # The spec the oracle takes refuses d outside [2, n+1].
@@ -337,6 +382,20 @@ def _loop_riemann_sums(n, A, B, m):
 def _loop_riemann_s_limit(n, A, B, m):
     weighted, total = _loop_riemann_sums(n, A, B, m)
     return Fraction(weighted, m * total)
+
+
+def _reference_telescoping(spec):
+    """telescoping_iterated_cone as it was first computed: the running value
+    a Fraction, capped with min and multiplied by a Fraction each step."""
+    n = spec.n
+    value = Fraction(1) if spec.delta_v0.value is None else spec.delta_v0.value
+    r0 = n + 2 - spec.d
+    for s in range(1, spec.i + 1):
+        r_prev = r0 + s - 1
+        value = Fraction((n + 1 + s) * r_prev, (n + s) * (r_prev + 1)) * min(
+            value, Fraction(1)
+        )
+    return value
 
 
 def _loop_riemann_error_bound(n, A, B, m):
