@@ -19,7 +19,6 @@ from fanodelta import (
     cone_bundle_consistency,
     cone_delta,
     iterated_hypersurface_chain,
-    iterated_hypersurface_delta,
 )
 
 # The cone over a conic (the quadric cone surface): n = 1, r = 1, delta = 1.
@@ -40,9 +39,11 @@ balanced = cone_delta(
 print("balanced weighted cone:", balanced.value, "minimizers:", balanced.minimizers)
 
 # Every cone is the a = 1-r, b = c specialization of the bundle formula.
-# The package checks that substitution exactly, branch by branch.
-report = cone_bundle_consistency(FanoBase(2, 1, DeltaKnowledge.exact(1)), c=0)
-print("cone/bundle substitution matches:", report.matches)
+# Both routes give the same branch coefficients, exactly.
+bundle_route, cone_route = cone_bundle_consistency(
+    FanoBase(2, 1, DeltaKnowledge.exact(1)), c=0
+)
+print("cone/bundle substitution matches:", bundle_route == cone_route)
 
 # Iterating the cone over a degree-d hypersurface drops the delta by a
 # fixed factor each step; the chain records each stage.
@@ -53,9 +54,9 @@ for i, step in enumerate(chain, start=1):
     print(f"  after {i} cone(s): delta = {step.value}")
 
 # The product of the per-step factors telescopes to
-# (n+2-d)(n+1+i) / ((n+1)(n+2+i-d)); the package recomputes both routes
+# (n+2-d)(n+1+i) / ((n+1)(n+2+i-d)); the chain recomputes both routes
 # and insists they agree.
-value = iterated_hypersurface_delta(spec)
+value = chain[-1].value
 closed = Fraction((2 + 2 - 3) * (2 + 1 + 4), (2 + 1) * (2 + 2 + 4 - 3))
 print("after 4 cones:", value, "= closed form", closed)
 

@@ -11,8 +11,10 @@ over S.
 from fractions import Fraction
 
 from fanodelta import (
+    ConeBoundary,
     DeltaKnowledge,
-    cone_over_divisor_delta,
+    FanoBase,
+    cone_delta,
     optimal_angle_interval,
     semistable_range_lambda_ge_1,
 )
@@ -45,9 +47,10 @@ for lam in (Fraction(1), Fraction(3, 2), Fraction(2)):
 
 # Why the endpoint is sharp: past it, the projective cone over S with
 # vertex weight a destabilizes. Watch the cone's delta cross 1 exactly at
-# the endpoint a = 3/4 (here S has slope r = 1/2 inside V of dimension 2).
-r = Fraction(1, 2)
+# the endpoint a = 3/4 (here S has slope r = 1/2 inside V of dimension 2,
+# so S itself has dimension 1).
+divisor = FanoBase(1, Fraction(1, 2), DeltaKnowledge.at_least_one())
 for a in (Fraction(1, 2), Fraction(3, 4), Fraction(7, 8)):
-    cone = cone_over_divisor_delta(2, r, a, DeltaKnowledge.at_least_one())
+    cone = cone_delta(divisor, ConeBoundary(a))
     state = "semistable" if cone.value >= 1 else "UNSTABLE"
     print(f"  a = {a}: cone delta = {cone.value}  ({state})")

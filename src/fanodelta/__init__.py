@@ -8,7 +8,7 @@ The package exports the entry points listed in ``__all__``; every other
 name is internal to its module and imported from there.
 """
 
-from .angle import cone_over_divisor_delta, optimal_angle_interval, semistable_range_lambda_ge_1
+from .angle import optimal_angle_interval, semistable_range_lambda_ge_1
 from .bundle import (
     BundleBoundary,
     DeltaKnowledge,
@@ -38,7 +38,6 @@ from .cone import (
     cone_bundle_consistency,
     cone_delta,
     iterated_hypersurface_chain,
-    iterated_hypersurface_delta,
 )
 from .errors import DomainError, InternalCheckError
 from .oracles import (
@@ -68,14 +67,12 @@ __all__ = [
     "centroid_phi",
     "cone_bundle_consistency",
     "cone_delta",
-    "cone_over_divisor_delta",
     "edge_angles",
     "futaki_closed_form",
     "futaki_invariant",
     "futaki_quadrature",
     "hermite_admissible_profile",
     "iterated_hypersurface_chain",
-    "iterated_hypersurface_delta",
     "midpoint_centroid_bound",
     "midpoint_centroid_offset",
     "ode_residual",

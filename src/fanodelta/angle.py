@@ -7,6 +7,10 @@ pair (V, a*S) K-semistable?
 For 0 < lambda < 1 the answer is the closed interval [0, 1 - r/n] with
 r = 1/lambda - 1; instability strictly past the endpoint is certified by the
 delta invariant of the projective cone over S, which drops below 1 there.
+S has dimension n - 1, so that invariant is
+cone_delta(FanoBase(n - 1, r, delta(S)), ConeBoundary(a)). Its infinity
+branch (n+1)(1-a)/(r+1-a) equals 1 exactly at a = 1 - r/n, by the identity
+(n+1)(1-a) = r + 1 - a there, and drops below 1 past it.
 For lambda >= 1 the answer contains [0, 1/lambda) with K-stability on the
 open interval. Polystability and stability refinements carry extra
 hypotheses, so they are reported as hypothesis strings, never as bare
@@ -17,8 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bundle import DeltaBreakdown, DeltaKnowledge, FanoBase, check_integer
-from .cone import ConeBoundary, cone_delta
+from .bundle import check_integer
 from .errors import DomainError
 from .exactarith import Rational, RationalLike, format_rational, rational
 
@@ -50,10 +53,11 @@ def optimal_angle_interval(n: int, lam: RationalLike) -> AngleInterval:
     dimension n and S proportional to -lambda * K_V, both K-semistable.
 
     The range is exactly [0, 1 - r/n] with r = 1/lambda - 1; it is closed,
-    and past the endpoint the pair is K-unstable (certified by
-    cone_over_divisor_delta dropping below 1). K-polystability holds on the
-    half-open interval [0, endpoint) under the stronger hypothesis that V
-    and S are both K-polystable.
+    and past the endpoint the pair is K-unstable (certified by the delta
+    invariant of the cone over S dropping below 1, see the module
+    docstring). K-polystability holds on the half-open interval
+    [0, endpoint) under the stronger hypothesis that V and S are both
+    K-polystable.
     """
     check_integer(n)
     ll = rational(lam)
@@ -113,18 +117,3 @@ def semistable_range_lambda_ge_1(n: int, lam: RationalLike) -> AngleInterval:
         )
     return AngleInterval(endpoint=1 / ll, closed=False, hypotheses=tuple(hypotheses))
 
-
-def cone_over_divisor_delta(
-    n: int, r: RationalLike, a: RationalLike, delta_s: DeltaKnowledge
-) -> DeltaBreakdown:
-    """Delta invariant of the cone over the divisor S with angle boundary a.
-
-    S has dimension n - 1, so this is cone_delta with the dimension shifted
-    down by one and boundary c = a. Past the optimal endpoint a = 1 - r/n
-    the infinity branch (n+1)(1-a)/(r+1-a) drops below 1, certifying
-    K-instability; at the endpoint itself it equals 1 exactly, by the
-    identity (n+1)(1-a) = r + 1 - a at a = 1 - r/n.
-    """
-    if not isinstance(n, int) or n < 2:
-        raise DomainError(f"n must be an integer >= 2 (S has dimension n-1), got {n}")
-    return cone_delta(FanoBase(n - 1, rational(r), delta_s), ConeBoundary(rational(a)))

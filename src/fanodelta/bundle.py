@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .errors import DomainError, InternalCheckError
+from .errors import DomainError
 from .exactarith import Rational, RationalLike, format_rational, parse_rational, rational
 
 MINIMIZER_BASE = "BaseDivisor"
@@ -32,19 +32,24 @@ MINIMIZER_VINF = "Vinf"
 class DeltaKnowledge:
     """What is known about the delta invariant of the base.
 
-    Either an exact rational value, or only the fact that it is at least 1
+    Either an exact rational value >= 0 (coerced and checked at
+    construction), or None: only the fact that it is at least 1
     (a K-semistable base). The latter is enough information whenever a
     section branch attains the minimum, which for cones is always the case.
     """
 
     value: Optional[Rational]
 
+    def __post_init__(self) -> None:
+        if self.value is not None:
+            object.__setattr__(self, "value", rational(self.value))
+            if self.value < 0:
+                raise DomainError(f"delta(V) must be >= 0, got {self.value}")
+
     @classmethod
     def exact(cls, value: RationalLike) -> "DeltaKnowledge":
-        v = rational(value)
-        if v < 0:
-            raise DomainError(f"delta(V) must be >= 0, got {v}")
-        return cls(v)
+        """An exact value; None is refused here (that is at_least_one)."""
+        return cls(rational(value))
 
     @classmethod
     def at_least_one(cls) -> "DeltaKnowledge":
@@ -245,13 +250,11 @@ def assemble_breakdown(
     set (its branch can only be larger or equal, and equality would require
     the unknown delta(V) to be exactly 1).
 
-    That condition always holds. For a bundle, base_coefficient = r/Phi,
-    and on the boundary domain A = r-1+a > 0, so 1-a = r-A and 1-b = B-r.
-    Hence v0 = (r-A)/(Phi-A) <= r/Phi exactly when Phi >= r, and
-    vinf = (B-r)/(B-Phi) <= r/Phi exactly when Phi <= r: one of the two
-    always holds. For a cone, base_coefficient is v0 itself. So a
-    coefficient below both section branches means a caller bug, and raises
-    InternalCheckError.
+    That condition always holds, so it is not checked. For a bundle,
+    base_coefficient = r/Phi, and on the boundary domain A = r-1+a > 0, so
+    1-a = r-A and 1-b = B-r. Hence v0 = (r-A)/(Phi-A) <= r/Phi exactly when
+    Phi >= r, and vinf = (B-r)/(B-Phi) <= r/Phi exactly when Phi <= r: one
+    of the two always holds. For a cone, base_coefficient is v0 itself.
 
     The keyword-only metadata is stored on the breakdown as given (see
     DeltaBreakdown); the cone operations set it, a bundle leaves it unset.
@@ -267,11 +270,6 @@ def assemble_breakdown(
     else:
         base_branch = None
         value = min(v0_branch, vinf_branch)
-        if value > base_coefficient:
-            raise InternalCheckError(
-                f"base coefficient {base_coefficient} undercuts both section branches "
-                f"({v0_branch}, {vinf_branch}); impossible on the valid domain"
-            )
         candidates = ((MINIMIZER_V0, v0_branch), (MINIMIZER_VINF, vinf_branch))
     tags = tuple(tag for tag, branch in candidates if branch == value)
     return DeltaBreakdown(

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Union
 
 from .bundle import beta_zero, check_integer
-from .errors import DomainError, InternalCheckError
+from .errors import DomainError, InternalCheckError, agree
 from .exactarith import Polynomial, Rational, RationalLike, rational
 
 
@@ -81,7 +81,8 @@ def solve_profile(n: int, r: RationalLike, beta: RationalLike) -> CalabiProfile:
         c2 = -(2*beta/(n+2)) * (r^2 - 1)^(n+1) / P
 
     with P = (r+1)^(n+1) - (r-1)^(n+1). Both endpoint values and the ODE
-    residual are then verified exactly before the profile is returned.
+    residual are then checked exactly by agree before the profile is
+    returned.
     """
     rr, bb = rational(r), rational(beta)
     check_integer(n)
@@ -101,10 +102,9 @@ def solve_profile(n: int, r: RationalLike, beta: RationalLike) -> CalabiProfile:
     )
     profile = CalabiProfile(n=n, r=rr, beta=bb, c1=c1, c2=c2, numerator=numerator)
 
-    if numerator(rr - 1) != 0 or numerator(rr + 1) != 0:
-        raise InternalCheckError("profile numerator fails to vanish at an endpoint")
-    if not ode_residual(profile).is_zero:
-        raise InternalCheckError("profile fails the momentum ODE identically")
+    agree("profile numerator N(r-1)", numerator(rr - 1), 0)
+    agree("profile numerator N(r+1)", numerator(rr + 1), 0)
+    agree("momentum ODE residual", ode_residual(profile), Polynomial.zero())
     return profile
 
 
@@ -127,21 +127,18 @@ def edge_angles(profile: CalabiProfile) -> tuple[Rational, Rational]:
 
     beta1 = phi'(r-1) and beta2 = -phi'(r+1), computed by exact
     differentiation of the profile and cross-checked against the closed
-    forms beta/beta0 and beta*(2*beta0 - 1)/beta0. The two routes must
-    agree exactly; a mismatch is an internal error, not bad input.
+    forms beta/beta0 and beta*(2*beta0 - 1)/beta0 by agree: a mismatch is
+    an internal error, not bad input.
     """
     b0 = beta_zero(profile.n, profile.r)
-    beta1_direct = profile.phi_prime(profile.r - 1)
-    beta2_direct = -profile.phi_prime(profile.r + 1)
-    beta1_closed = profile.beta / b0
-    beta2_closed = profile.beta * (2 * b0 - 1) / b0
-    if (beta1_direct, beta2_direct) != (beta1_closed, beta2_closed):
-        raise InternalCheckError(
-            f"edge angle routes disagree: differentiation gives "
-            f"({beta1_direct}, {beta2_direct}), closed forms give "
-            f"({beta1_closed}, {beta2_closed})"
-        )
-    return beta1_closed, beta2_closed
+    return (
+        agree("edge angle beta1", profile.phi_prime(profile.r - 1), profile.beta / b0),
+        agree(
+            "edge angle beta2",
+            -profile.phi_prime(profile.r + 1),
+            profile.beta * (2 * b0 - 1) / b0,
+        ),
+    )
 
 
 def ricci_bound_margin(profile: CalabiProfile, mu: RationalLike) -> Rational:
@@ -196,18 +193,17 @@ def verify_positive_interior(profile: CalabiProfile) -> bool:
     them, and phi = N/tau^n > 0 there as well.
     """
     n, r = profile.n, profile.r
-    factored = Polynomial.monomial(n) * Polynomial(
-        [(n + 1) * profile.c1, -profile.beta]
+    n_prime = agree(
+        "N' against its factored form",
+        profile.numerator.derivative(),
+        Polynomial.monomial(n) * Polynomial([(n + 1) * profile.c1, -profile.beta]),
     )
-    if factored != profile.numerator.derivative():
-        raise InternalCheckError("numerator derivative fails its factored form")
-    n_prime = profile.numerator.derivative()
     if not (n_prime(r - 1) > 0 and n_prime(r + 1) < 0):
         raise InternalCheckError(
             "profile is not unimodal on the interval; positivity unproven"
         )
-    if profile.numerator(r - 1) != 0 or profile.numerator(r + 1) != 0:
-        raise InternalCheckError("numerator fails endpoint vanishing")
+    agree("profile numerator N(r-1)", profile.numerator(r - 1), 0)
+    agree("profile numerator N(r+1)", profile.numerator(r + 1), 0)
     return True
 
 

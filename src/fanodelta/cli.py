@@ -45,7 +45,7 @@ from .cone import (
     cone_delta,
     iterated_hypersurface_chain,
 )
-from .errors import DomainError, InternalCheckError
+from .errors import DomainError, InternalCheckError, agree
 from .exactarith import Polynomial, format_rational, parse_rational
 from .oracles import GridEntry, run_verification, telescoping_iterated_cone
 
@@ -255,13 +255,8 @@ def _cone_iterate_result(values: dict) -> dict:
         values["n"], values["d"], values["i"], DeltaKnowledge.parse(values["delta0"])
     )
     chain = iterated_hypersurface_chain(spec)
-    value = chain[-1].value
     telescoped = telescoping_iterated_cone(spec)
-    if telescoped != value:
-        raise InternalCheckError(
-            f"telescoping oracle disagrees with the iterated value: "
-            f"{telescoped} vs {value}"
-        )
+    value = agree("iterated cone: composition vs telescoping", chain[-1].value, telescoped)
     return {
         "value": format_rational(value),
         "telescoped_value": format_rational(telescoped),

@@ -6,13 +6,15 @@ section at infinity Vinf. The pair (Y, c*Vinf) is the object of study. A
 cone is the degenerate case of the projectivized bundle in which the zero
 section contracts to the vertex: the fiber support interval becomes [0, B]
 with B = r + 1 - c, the vertex blowup divisor has log discrepancy r, and
-the infinity section has log discrepancy 1 - c. That substitution is
-checked exactly by cone_bundle_consistency.
+the infinity section has log discrepancy 1 - c. cone_bundle_consistency
+computes the branch coefficients both ways, and the verification suite
+compares them.
 
 Two derived constructions are included: iterated cones over smooth
-hypersurfaces, and cones over branched covers attached to hypersurfaces of
-the shape x_{n+1}^k * x_{n+2}^{d-k} = g_d, where the slope r is derived
-from the arithmetic data (n, k, d, l) rather than given.
+hypersurfaces, whose step-wise composition is checked against a telescoped
+closed form by agree, and cones over branched covers attached to
+hypersurfaces of the shape x_{n+1}^k * x_{n+2}^{d-k} = g_d, where the slope
+r is derived from the arithmetic data (n, k, d, l) rather than given.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .bundle import (
     centroid_phi,
     check_integer,
 )
-from .errors import DomainError, InternalCheckError
+from .errors import DomainError, agree
 from .exactarith import Rational, RationalLike, rational
 
 PROOF_FULL = "full"
@@ -89,50 +91,28 @@ def cone_delta(
     )
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
-    """Branch coefficients of the cone formula computed two ways.
+def cone_bundle_consistency(
+    base: FanoBase, c: RationalLike = 0
+) -> tuple[tuple[Rational, Rational, Rational], tuple[Rational, Rational, Rational]]:
+    """Branch coefficients (base, v0, vinf) of the cone formula computed two
+    ways, as the pair (bundle_route, cone_route); they must be equal.
 
-    bundle_route holds (base coefficient, v0, vinf) obtained from the bundle
-    centroid formulas under the degeneration substitution a = 1 - r,
-    b = c (so the support interval is [0, r + 1 - c]) with the cone log
-    discrepancies r for V0 and 1 - c for Vinf. cone_route holds the same
-    triple straight from cone_delta's closed forms. The coefficients are
-    delta-independent, so the comparison is meaningful for any knowledge of
-    delta(V).
-    """
-
-    bundle_route: tuple[Rational, Rational, Rational]
-    cone_route: tuple[Rational, Rational, Rational]
-
-    @property
-    def matches(self) -> bool:
-        return self.bundle_route == self.cone_route
-
-
-def cone_bundle_consistency(base: FanoBase, c: RationalLike = 0) -> ConsistencyReport:
-    """Check that the cone branch formulas are the bundle formulas under the
-    degeneration substitution, as exact rationals.
-
-    Substituting a = 1 - r and b = c into the bundle support interval gives
-    A = 0 and B = r + 1 - c; the base coefficient becomes r / Phi(0, B, n),
-    the vertex branch r / (Phi - 0), and the infinity branch
-    (1 - c) / (B - Phi). Since Phi(0, B, n) = (n+1)*B/(n+2), these must
-    reproduce the cone closed forms exactly.
+    bundle_route substitutes a = 1 - r and b = c into the bundle support
+    interval, which gives A = 0 and B = r + 1 - c; the base coefficient
+    becomes r / Phi(0, B, n), the vertex branch r / (Phi - 0), and the
+    infinity branch (1 - c) / (B - Phi), with the cone log discrepancies r
+    for V0 and 1 - c for Vinf. cone_route reads the same triple off
+    cone_delta(base, c), whose base coefficient is its V0 branch. Since
+    Phi(0, B, n) = (n+1)*B/(n+2), the two must agree exactly. The
+    coefficients do not depend on delta(V), so any knowledge of it will do.
     """
     bdry = ConeBoundary(c)
     n, r, cc = base.n, base.r, bdry.c
     B = r + 1 - cc
     phi = centroid_phi(0, B, n)
     bundle_route = (r / phi, r / phi, (1 - cc) / (B - phi))
-
-    cone_breakdown = cone_delta(FanoBase(n, r, DeltaKnowledge.exact(1)), bdry)
-    cone_route = (
-        cone_breakdown.base_branch,
-        cone_breakdown.v0_branch,
-        cone_breakdown.vinf_branch,
-    )
-    return ConsistencyReport(bundle_route, cone_route)
+    cone = cone_delta(base, bdry)
+    return bundle_route, (cone.v0_branch, cone.v0_branch, cone.vinf_branch)
 
 
 @dataclass(frozen=True)
@@ -180,8 +160,9 @@ def iterated_hypersurface_chain(spec: HypersurfaceConeSpec) -> list[DeltaBreakdo
     Step s goes from dimension n + s - 1 with slope r0 + s - 1 to dimension
     n + s with slope r0 + s. Every step's value is exact (see
     assemble_breakdown), so knowledge never degrades along the chain. The
-    last value is checked against iterated_hypersurface_closed_form; a
-    mismatch raises InternalCheckError rather than trusting either route.
+    last value is checked against iterated_hypersurface_closed_form by
+    agree, so a mismatch raises InternalCheckError rather than trusting
+    either route. The value is always < 1: coning strictly destabilizes.
     """
     chain: list[DeltaBreakdown] = []
     knowledge = spec.delta_v0
@@ -191,22 +172,12 @@ def iterated_hypersurface_chain(spec: HypersurfaceConeSpec) -> list[DeltaBreakdo
         breakdown = cone_delta(FanoBase(dim, slope, knowledge))
         chain.append(breakdown)
         knowledge = DeltaKnowledge.exact(breakdown.value)
-    closed_form = iterated_hypersurface_closed_form(spec)
-    if closed_form != chain[-1].value:
-        raise InternalCheckError(
-            f"iterated cone routes disagree: closed form {closed_form}, "
-            f"composition {chain[-1].value}"
-        )
+    agree(
+        "iterated cone: composition vs closed form",
+        chain[-1].value,
+        iterated_hypersurface_closed_form(spec),
+    )
     return chain
-
-
-def iterated_hypersurface_delta(spec: HypersurfaceConeSpec) -> Rational:
-    """Delta invariant of the i-fold iterated cone over a degree-d
-    hypersurface: the last value of iterated_hypersurface_chain, which has
-    already been checked against the closed form. The result is always
-    < 1: coning strictly destabilizes.
-    """
-    return iterated_hypersurface_chain(spec)[-1].value
 
 
 @dataclass(frozen=True)

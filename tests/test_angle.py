@@ -12,7 +12,6 @@ from fanodelta import (
     DomainError,
     FanoBase,
     cone_delta,
-    cone_over_divisor_delta,
     optimal_angle_interval,
     semistable_range_lambda_ge_1,
 )
@@ -104,15 +103,8 @@ class TestEndpointIdentity:
 
 
 class TestConeOverDivisor:
-    def test_delegates_to_the_cone_formula(self):
-        value = cone_over_divisor_delta(
-            2, Fraction(1, 2), Fraction(3, 4), DeltaKnowledge.at_least_one()
-        )
-        direct = cone_delta(
-            FanoBase(1, Fraction(1, 2), DeltaKnowledge.at_least_one()),
-            ConeBoundary(Fraction(3, 4)),
-        )
-        assert value.value == direct.value == 1
+    # S has dimension n - 1, so the cone over it with angle boundary a is
+    # cone_delta one dimension lower with c = a.
 
     @settings(max_examples=100)
     @given(
@@ -120,27 +112,18 @@ class TestConeOverDivisor:
         st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=6),
         st.fractions(min_value=0, max_value=Fraction(9, 10), max_denominator=10),
     )
-    def test_matches_cone_delta_in_one_dimension_lower(self, n, r, a):
-        via_angle = cone_over_divisor_delta(n, r, a, DeltaKnowledge.exact(1))
-        direct = cone_delta(
-            FanoBase(n - 1, r, DeltaKnowledge.exact(1)), ConeBoundary(a)
-        )
-        assert via_angle.value == direct.value
-        assert via_angle.minimizers == direct.minimizers
+    def test_infinity_branch_closed_form_one_dimension_lower(self, n, r, a):
+        cone = cone_delta(FanoBase(n - 1, r, DeltaKnowledge.exact(1)), ConeBoundary(a))
+        assert cone.vinf_branch == (n + 1) * (1 - a) / (r + 1 - a)
 
     def test_instability_just_past_the_endpoint(self):
         # n=2, lambda=2/3 gives endpoint 3/4 with slope r=1/2 on the divisor;
-        # the cone value drops below 1 once a crosses it.
+        # the cone value is 1 there and drops below 1 once a crosses it.
         r = Fraction(1, 2)
-        at_endpoint = cone_over_divisor_delta(
-            2, r, Fraction(3, 4), DeltaKnowledge.at_least_one()
-        )
-        past = cone_over_divisor_delta(
-            2, r, Fraction(7, 8), DeltaKnowledge.at_least_one()
-        )
+        endpoint = optimal_angle_interval(2, Fraction(2, 3)).endpoint
+        assert endpoint == Fraction(3, 4)
+        divisor = FanoBase(1, r, DeltaKnowledge.at_least_one())
+        at_endpoint = cone_delta(divisor, ConeBoundary(endpoint))
+        past = cone_delta(divisor, ConeBoundary(Fraction(7, 8)))
         assert at_endpoint.value == 1
         assert past.value < 1
-
-    def test_requires_ambient_dimension_at_least_two(self):
-        with pytest.raises(DomainError):
-            cone_over_divisor_delta(1, 1, 0, DeltaKnowledge.exact(1))

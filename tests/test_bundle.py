@@ -12,13 +12,12 @@ from fanodelta import (
     DeltaKnowledge,
     DomainError,
     FanoBase,
-    InternalCheckError,
     beta_zero,
     bundle_delta,
     centroid_phi,
     smooth_threshold_relation,
 )
-from fanodelta.bundle import assemble_breakdown, boundary_interval
+from fanodelta.bundle import boundary_interval
 
 # Strategy pieces reused across property tests. Slopes and boundary
 # coefficients are kept small so the exact arithmetic stays readable in
@@ -55,6 +54,20 @@ class TestDeltaKnowledge:
     def test_negative_delta_rejected(self):
         with pytest.raises(DomainError):
             DeltaKnowledge.exact(Fraction(-1, 2))
+
+    def test_constructor_rejects_negative_delta(self):
+        # The constructor runs the same check as exact, so a negative value
+        # never reaches a formula.
+        with pytest.raises(DomainError, match="delta\\(V\\) must be >= 0"):
+            bundle_delta(FanoBase(1, 2, DeltaKnowledge(Fraction(-3))))
+
+    def test_constructor_coerces_like_exact(self):
+        knowledge = DeltaKnowledge("1/2")
+        assert knowledge == DeltaKnowledge.exact(Fraction(1, 2))
+        assert bundle_delta(FanoBase(1, 2, knowledge)).value == Fraction(6, 13)
+        assert DeltaKnowledge(None) == DeltaKnowledge.at_least_one()
+        with pytest.raises(TypeError):
+            DeltaKnowledge.exact(None)
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(DomainError):
@@ -271,14 +284,6 @@ class TestBranchStructure:
         assert bound_only.value == min(exact.v0_branch, exact.vinf_branch)
         assert bound_only.to_json_dict()["lower_bound_only"] is False
         assert "BaseDivisor" not in bound_only.minimizers
-
-    def test_coefficient_below_both_section_branches_is_an_internal_error(self):
-        # No valid bundle or cone reaches this (see assemble_breakdown's
-        # docstring), so only a caller bug can.
-        with pytest.raises(InternalCheckError):
-            assemble_breakdown(
-                Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), DeltaKnowledge.at_least_one()
-            )
 
     @settings(max_examples=120)
     @given(dims, slopes, unit_coeffs, unit_coeffs, delta_values, delta_values)

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, JSON payloads, exit codes, the
 --check round trip, and reuse of the one parser across calls."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -274,6 +275,28 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
         assert "digits" in err
         assert out == ""
+
+    ITERATE = ["cone-iterate", "--n", "2", "--d", "3", "--i", "3"]
+
+    @pytest.mark.parametrize(
+        "module, name, label",
+        [
+            ("fanodelta.cli", "telescoping_iterated_cone", "composition vs telescoping"),
+            ("fanodelta.cone", "iterated_hypersurface_closed_form", "composition vs closed form"),
+        ],
+    )
+    def test_disagreeing_routes_are_an_internal_error(
+        self, module, name, label, capsys, monkeypatch
+    ):
+        # One route off by one: agree stops the command with exit 4 and a
+        # single stderr line that names both values.
+        true_route = getattr(importlib.import_module(module), name)
+        monkeypatch.setattr(f"{module}.{name}", lambda spec: true_route(spec) + 1)
+        code, out, err = run_cli(self.ITERATE, capsys)
+        assert code == EXIT_INTERNAL
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line == f"internal check failed: iterated cone: {label}: 1/2 != 3/2"
 
 
 class TestCheckRoundTrip:

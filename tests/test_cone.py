@@ -20,7 +20,6 @@ from fanodelta import (
     cone_bundle_consistency,
     cone_delta,
     iterated_hypersurface_chain,
-    iterated_hypersurface_delta,
 )
 from fanodelta.bundle import assemble_breakdown
 from fanodelta.cone import (
@@ -146,23 +145,29 @@ class TestConeBundleConsistency:
         for n in (1, 2, 3, 4, 5, 6):
             for r in (Fraction(1, 2), 1, Fraction(3, 2), 2, 3):
                 for c in (0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
-                    report = cone_bundle_consistency(
+                    bundle_route, cone_route = cone_bundle_consistency(
                         FanoBase(n, r, DeltaKnowledge.exact(1)), c
                     )
-                    assert report.matches, (n, r, c, report)
+                    assert bundle_route == cone_route, (n, r, c)
 
     @settings(max_examples=150)
     @given(dims, slopes, cone_coeffs, delta_values)
     def test_exact_match_generically(self, n, r, c, dv):
-        report = cone_bundle_consistency(FanoBase(n, r, DeltaKnowledge.exact(dv)), c)
-        assert report.matches
+        bundle_route, cone_route = cone_bundle_consistency(
+            FanoBase(n, r, DeltaKnowledge.exact(dv)), c
+        )
+        assert bundle_route == cone_route
+        # The coefficients do not depend on what is known about delta(V).
+        assert cone_bundle_consistency(
+            FanoBase(n, r, DeltaKnowledge.at_least_one()), c
+        ) == (bundle_route, cone_route)
 
 
 class TestIteratedHypersurfaceCones:
     def test_single_step_equals_cone_delta(self):
         spec = HypersurfaceConeSpec(2, 3, 1, DeltaKnowledge.at_least_one())
         base = FanoBase(2, spec.r0, DeltaKnowledge.at_least_one())
-        assert iterated_hypersurface_delta(spec) == cone_delta(base).value
+        assert iterated_hypersurface_chain(spec)[-1].value == cone_delta(base).value
 
     def test_cubic_surface_tower(self):
         expected = {
@@ -173,18 +178,25 @@ class TestIteratedHypersurfaceCones:
         }
         for i, value in expected.items():
             spec = HypersurfaceConeSpec(2, 3, i, DeltaKnowledge.at_least_one())
-            assert iterated_hypersurface_delta(spec) == value, i
+            assert iterated_hypersurface_chain(spec)[-1].value == value, i
 
     def test_quadric_towers(self):
         spec = HypersurfaceConeSpec(2, 2, 1, DeltaKnowledge.at_least_one())
-        assert iterated_hypersurface_delta(spec) == Fraction(8, 9)
+        assert iterated_hypersurface_chain(spec)[-1].value == Fraction(8, 9)
         spec = HypersurfaceConeSpec(3, 2, 1, DeltaKnowledge.at_least_one())
-        assert iterated_hypersurface_delta(spec) == Fraction(15, 16)
+        assert iterated_hypersurface_chain(spec)[-1].value == Fraction(15, 16)
+
+    def test_negative_starting_delta_is_refused_at_construction(self):
+        # Neither route may start from it: the telescoped recursion would
+        # carry the negative value through, and the composition would only
+        # refuse it at its second step.
+        with pytest.raises(DomainError, match="must be >= 0"):
+            HypersurfaceConeSpec(2, 3, 2, DeltaKnowledge(Fraction(-1)))
 
     def test_low_starting_delta_propagates(self):
         spec = HypersurfaceConeSpec(2, 3, 1, DeltaKnowledge.exact(Fraction(1, 2)))
         # first factor is min(delta0, 1) * (n+2) r0 / ((n+1)(r0+1)) with r0 = 1
-        assert iterated_hypersurface_delta(spec) == Fraction(1, 3)
+        assert iterated_hypersurface_chain(spec)[-1].value == Fraction(1, 3)
 
     def test_chain_records_each_step(self):
         spec = HypersurfaceConeSpec(2, 3, 3, DeltaKnowledge.at_least_one())
@@ -201,7 +213,7 @@ class TestIteratedHypersurfaceCones:
             for d in range(2, n + 2):
                 for i in range(1, 5):
                     spec = HypersurfaceConeSpec(n, d, i, DeltaKnowledge.at_least_one())
-                    value = iterated_hypersurface_delta(spec)
+                    value = iterated_hypersurface_chain(spec)[-1].value
                     closed = (
                         Fraction((n + 2 - d) * (n + 1 + i), (n + 1) * (n + 2 + i - d))
                     )

@@ -21,8 +21,7 @@ PUBLIC = {
     "FanoBase", "HypersurfaceConeSpec",
     # bundle and cone
     "beta_zero", "branched_cone_delta", "bundle_delta", "centroid_phi",
-    "cone_bundle_consistency", "cone_delta", "cone_over_divisor_delta",
-    "iterated_hypersurface_chain", "iterated_hypersurface_delta",
+    "cone_bundle_consistency", "cone_delta", "iterated_hypersurface_chain",
     "smooth_threshold_relation",
     # angles
     "optimal_angle_interval", "semistable_range_lambda_ge_1",
@@ -45,7 +44,7 @@ def _fenced(language):
 
 
 def test_all_is_exactly_the_public_api():
-    assert len(fanodelta.__all__) == len(set(fanodelta.__all__)) == 37
+    assert len(fanodelta.__all__) == len(set(fanodelta.__all__)) == 35
     assert set(fanodelta.__all__) == PUBLIC
     for name in fanodelta.__all__:
         assert getattr(fanodelta, name) is not None
