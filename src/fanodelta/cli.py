@@ -23,7 +23,9 @@ from fractions import Fraction
 from typing import IO, Callable, NamedTuple, Optional
 
 from .angle import optimal_angle_interval, semistable_range_lambda_ge_1
-from .bundle import BundleBoundary, DeltaKnowledge, FanoBase, beta_zero, bundle_delta
+from .bundle import (
+    BundleBoundary, DeltaKnowledge, FanoBase, beta_zero, boundary_interval, bundle_delta,
+)
 from .calabi import (
     CalabiProfile,
     edge_angles,
@@ -47,7 +49,7 @@ from .cone import (
 )
 from .errors import DomainError, InternalCheckError, agree
 from .exactarith import Polynomial, format_rational, parse_rational
-from .oracles import GridEntry, run_verification, telescoping_iterated_cone
+from .oracles import BranchCase, run_verification, telescoping_iterated_cone
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -490,8 +492,8 @@ _GRID_WIDTHS = {"bundle": 5, "cone": 4}
 
 def _load_grid_file(path: str) -> list[tuple]:
     """The rows of a --grid file, each (kind, n, *rationals, delta text).
-    Only the format is checked here, so a row outside the domain is left
-    for the run to refuse."""
+    Only the format is checked here; _grid_case refuses a row outside the
+    domain."""
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
     if not isinstance(data, dict):
@@ -514,15 +516,28 @@ def _load_grid_file(path: str) -> list[tuple]:
     return rows
 
 
+def _grid_case(row: tuple) -> BranchCase:
+    """The branch case of a --grid row, or a DomainError for a row outside
+    the domain."""
+    kind, n, r, *boundary, delta = row
+    base = FanoBase(n, r, DeltaKnowledge.parse(delta))
+    if kind == "cone":
+        return base, ConeBoundary(*boundary)
+    bdry = BundleBoundary(*boundary)
+    boundary_interval(base, bdry)  # the valid range of a depends on r
+    return base, bdry
+
+
 def _handle_verify(args: argparse.Namespace) -> int:
-    grid: Optional[list[GridEntry]] = None
+    grid: Optional[list[BranchCase]] = None
     if args.grid != "default":
         try:
             rows = _load_grid_file(args.grid)
         except (OSError, ValueError, TypeError) as exc:
             raise CliParseError(f"cannot load grid file {args.grid}: {exc}") from None
-        # Outside the parse-error net: an out-of-domain delta exits 3.
-        grid = [(*row[:-1], DeltaKnowledge.parse(row[-1])) for row in rows]
+        # Outside the parse-error net, and before the report file opens: an
+        # out-of-domain row exits 3 and leaves no report behind.
+        grid = [_grid_case(row) for row in rows]
     # The report file is opened first, so an unwritable path is refused
     # before the suite runs.
     with (

@@ -56,7 +56,7 @@ from .cone import (
     iterated_hypersurface_chain,
 )
 from .errors import DomainError
-from .exactarith import Polynomial, Rational, RationalLike, format_rational, rational
+from .exactarith import Polynomial, Rational, RationalLike, format_rational
 
 DEFAULT_RESOLUTION = 1000
 DEEP_RESOLUTION = 100000
@@ -65,41 +65,28 @@ DEEP_RESOLUTION = 100000
 @dataclass(frozen=True)
 class OracleReport:
     """One oracle evaluation: the exact closed form, the finite-scale
-    approximation, the exact absolute error, and a provable bound for it.
+    approximation, and a provable bound for their distance, from which the
+    exact absolute error and the status follow.
 
     For purely exact comparisons (branch logic, consistency, telescoping)
-    the bound is 0 and passing means literal rational equality.
+    the defaults hold: one step, bound 0, so passing means literal rational
+    equality, and agrees is False when a check beyond the value fails.
     """
 
     target: str
     closed_form: Rational
     approximation: Rational
-    m_or_steps: int
-    absolute_error: Rational
-    bound: Rational
-    status: str
+    m_or_steps: int = 1
+    bound: Rational = Fraction(0)
+    agrees: bool = True
 
-    @classmethod
-    def build(
-        cls,
-        target: str,
-        closed_form: Rational,
-        approximation: Rational,
-        m_or_steps: int,
-        bound: Rational,
-        extra_ok: bool = True,
-    ) -> "OracleReport":
-        error = abs(closed_form - approximation)
-        ok = extra_ok and error <= bound
-        return cls(
-            target=target,
-            closed_form=closed_form,
-            approximation=approximation,
-            m_or_steps=m_or_steps,
-            absolute_error=error,
-            bound=bound,
-            status="pass" if ok else "fail",
-        )
+    @functools.cached_property
+    def absolute_error(self) -> Rational:
+        return abs(self.closed_form - self.approximation)
+
+    @functools.cached_property
+    def status(self) -> str:
+        return "pass" if self.agrees and self.absolute_error <= self.bound else "fail"
 
     def to_json_dict(self) -> dict:
         return {
@@ -161,15 +148,13 @@ def _midpoint_bound(f: Polynomial, lo: Rational, hi: Rational, steps: int) -> Ra
     return (hi - lo) ** 3 * peak / (24 * steps**2)
 
 
-@functools.lru_cache(maxsize=1, typed=True)
 def _riemann_weight(
     n: int, A: RationalLike, B: RationalLike, m: int
 ) -> tuple[Rational, Rational, Rational]:
     """Validate the Riemann oracle's inputs and return (A, B, v), where v is
     the exact finite weight sum sum_j a_j^n / m over the lattice samples
-    a_j = A + j/m for j = 0..m(B-A). The last result is kept:
-    run_verification asks for the limit and then the bound of the same
-    (n, A, B, m), and both divide by v.
+    a_j = A + j/m for j = 0..m(B-A). The limit and its bound both divide
+    by v.
     """
     a, b = check_interval(n, A, B)
     check_integer(m, "m")
@@ -241,10 +226,11 @@ def midpoint_centroid_bound(n: int, A: RationalLike, B: RationalLike, steps: int
 
 
 def _naive_bundle_branches(
-    n: int, r: Rational, a: Rational, b: Rational
+    n: int, r: Rational, bdry: BundleBoundary
 ) -> tuple[Rational, Rational, Rational]:
     # Spelled out from scratch on purpose; only the assembly logic is shared
     # with the module under test, never the branch values.
+    a, b = bdry.a, bdry.b
     A = r - 1 + a
     B = r + 1 - b
     phi = (
@@ -256,11 +242,11 @@ def _naive_bundle_branches(
 
 
 def _naive_cone_branches(
-    n: int, r: Rational, c: Rational
+    n: int, r: Rational, bdry: ConeBoundary
 ) -> tuple[Rational, Rational, Rational]:
-    B = r + 1 - c
+    B = r + 1 - bdry.c
     coeff = Fraction(n + 2, n + 1) * r / B
-    return coeff, coeff, (n + 2) * (1 - c) / B
+    return coeff, coeff, (n + 2) * (1 - bdry.c) / B
 
 
 def _naive_expected(
@@ -287,78 +273,70 @@ def _naive_expected(
     return section_min, tags, section_min <= coefficient
 
 
-GridEntry = tuple  # ("bundle", n, r, a, b, delta) or ("cone", n, r, c, delta)
+# One branch-comparison case: a bundle or a cone over the base, told apart
+# by the type of its boundary.
+BranchCase = tuple[FanoBase, BundleBoundary | ConeBoundary]
 
 
-def default_branch_grid() -> list[GridEntry]:
-    """Deterministic default grid of valid branch-comparison inputs."""
+def default_branch_grid() -> list[BranchCase]:
+    """Deterministic default grid of valid branch-comparison cases."""
     deltas = [
         DeltaKnowledge.exact(Fraction(1, 2)),
         DeltaKnowledge.exact(1),
         DeltaKnowledge.exact(2),
         DeltaKnowledge.at_least_one(),
     ]
-    grid: list[GridEntry] = []
+    grid: list[BranchCase] = []
     for n in range(1, 5):
         for r in (Fraction(1), Fraction(2), Fraction(3)):
             for a in (Fraction(0), Fraction(1, 2)):
                 if r <= 1 and not (1 - r < a < 1):
                     continue
                 for b in (Fraction(0), Fraction(1, 2)):
-                    for delta in deltas:
-                        grid.append(("bundle", n, r, a, b, delta))
+                    bdry = BundleBoundary(a, b)
+                    grid.extend((FanoBase(n, r, delta), bdry) for delta in deltas)
     for n in range(1, 5):
         for r in (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3)):
             for c in (Fraction(0), Fraction(1, 2)):
-                for delta in deltas:
-                    grid.append(("cone", n, r, c, delta))
+                bdry = ConeBoundary(c)
+                grid.extend((FanoBase(n, r, delta), bdry) for delta in deltas)
     return grid
 
 
-def branch_min_bruteforce(grid: Iterable[GridEntry]) -> list[OracleReport]:
-    """Independently evaluate the three branch formulas on each grid entry
-    and check the value and minimizer set of the module breakdown against a
+def branch_min_bruteforce(cases: Iterable[BranchCase]) -> list[OracleReport]:
+    """Independently evaluate the three branch formulas on each case and
+    check the value and minimizer set of the module breakdown against a
     from-scratch min/argmin, which must also be exact.
 
     The naive branch triple is plain Fraction arithmetic, a different
     computation from the integer closed forms. It depends on the geometry
-    only, so it is computed once per (kind, n, r, a, b) or (kind, n, r, c)
-    and shared by every delta on that geometry, in any grid order.
+    only, so it is computed once per (n, r, boundary) and shared by every
+    delta on that geometry, in any case order.
     """
     naive: dict[tuple, tuple[Rational, Rational, Rational]] = {}
     reports: list[OracleReport] = []
-    for entry in grid:
-        kind = entry[0]
-        if kind == "bundle":
-            _, n, r, a, b, delta = entry
-            r, a, b = rational(r), rational(a), rational(b)
-            # The closed form validates the domain before the naive route
-            # divides by anything.
-            breakdown = bundle_delta(FanoBase(n, r, delta), BundleBoundary(a, b))
-            geometry: tuple = (kind, n, r, a, b)
-            if geometry not in naive:
-                naive[geometry] = _naive_bundle_branches(n, r, a, b)
-            target = f"bundle_delta(n={n}, r={r}, a={a}, b={b}, delta={delta})"
-        elif kind == "cone":
-            _, n, r, c, delta = entry
-            r, c = rational(r), rational(c)
-            breakdown = cone_delta(FanoBase(n, r, delta), ConeBoundary(c))
-            geometry = (kind, n, r, c)
-            if geometry not in naive:
-                naive[geometry] = _naive_cone_branches(n, r, c)
-            target = f"cone_delta(n={n}, r={r}, c={c}, delta={delta})"
+    for base, bdry in cases:
+        n, r, delta = base.n, base.r, base.delta_v
+        if isinstance(bdry, ConeBoundary):
+            breakdown = cone_delta(base, bdry)
+            naive_branches = _naive_cone_branches
+            target = f"cone_delta(n={n}, r={r}, c={bdry.c}, delta={delta})"
         else:
-            raise DomainError(f"unknown grid entry kind: {kind!r}")
+            # The closed form validates the boundary range before the naive
+            # route divides by anything.
+            breakdown = bundle_delta(base, bdry)
+            naive_branches = _naive_bundle_branches
+            target = f"bundle_delta(n={n}, r={r}, a={bdry.a}, b={bdry.b}, delta={delta})"
+        geometry = (n, r, bdry)
+        if geometry not in naive:
+            naive[geometry] = naive_branches(n, r, bdry)
         value, tags, exact = _naive_expected(*naive[geometry], delta)
-        agrees = exact and tags == frozenset(breakdown.minimizers)
         reports.append(
-            OracleReport.build(
+            OracleReport(
                 target=target,
                 closed_form=breakdown.value,
                 approximation=value,
-                m_or_steps=1,
-                bound=Fraction(0),
-                extra_ok=agrees,
+                agrees=exact and tags == frozenset(breakdown.minimizers),
             )
         )
     return reports
@@ -478,12 +456,13 @@ def _iter_telescoping_grid() -> Iterator[tuple[int, int, int]]:
 
 
 def run_verification(
-    deep: bool = False, grid: Optional[Iterable[GridEntry]] = None
+    deep: bool = False, grid: Optional[Iterable[BranchCase]] = None
 ) -> VerificationRun:
     """Run every oracle against its closed form and aggregate the reports.
 
-    deep raises the Riemann/quadrature resolution from 10^3 to 10^5. grid
-    overrides only the branch-minimum grid; all other grids are fixed.
+    deep raises the Riemann/quadrature resolution from 10^3 to 10^5. grid,
+    a list of (FanoBase, boundary) branch cases, replaces only the default
+    branch-minimum cases; all other grids are fixed.
     """
     resolution = DEEP_RESOLUTION if deep else DEFAULT_RESOLUTION
     reports: list[OracleReport] = []
@@ -491,7 +470,7 @@ def run_verification(
     for n, A, B in RIEMANN_GRID:
         m = resolution * (B - A).denominator
         reports.append(
-            OracleReport.build(
+            OracleReport(
                 target=f"riemann_s_limit(n={n}, A={A}, B={B})",
                 closed_form=centroid_phi(A, B, n) - A,
                 approximation=riemann_s_limit(n, A, B, m),
@@ -504,7 +483,7 @@ def run_verification(
         base = FanoBase(n, r, DeltaKnowledge.at_least_one())
         lo, hi = boundary_interval(base, BundleBoundary(a, b))
         reports.append(
-            OracleReport.build(
+            OracleReport(
                 target=f"quadrature_s_v0(n={n}, a={a}, b={b}, r={r})",
                 closed_form=centroid_phi(lo, hi, n) - lo,
                 approximation=midpoint_centroid_offset(n, lo, hi, resolution),
@@ -514,7 +493,7 @@ def run_verification(
         )
     for n, B in QUADRATURE_CONE_GRID:
         reports.append(
-            OracleReport.build(
+            OracleReport(
                 target=f"quadrature cone interval (n={n}, A=0, B={B})",
                 closed_form=centroid_phi(0, B, n),
                 approximation=midpoint_centroid_offset(n, 0, B, resolution),
@@ -529,12 +508,10 @@ def run_verification(
         base_profile = hermite_admissible_profile(n, r)
         exact = futaki_invariant(base_profile)
         reports.append(
-            OracleReport.build(
+            OracleReport(
                 target=f"futaki closed form vs integral (n={n}, r={r})",
                 closed_form=futaki_closed_form(n, r),
                 approximation=exact,
-                m_or_steps=1,
-                bound=Fraction(0),
             )
         )
         for label, profile in (
@@ -548,7 +525,7 @@ def run_verification(
             ),
         ):
             reports.append(
-                OracleReport.build(
+                OracleReport(
                     target=f"futaki quadrature (n={n}, r={r}, profile={label})",
                     closed_form=exact,
                     approximation=futaki_quadrature(profile, resolution),
@@ -558,12 +535,10 @@ def run_verification(
             )
             if label != "hermite":
                 reports.append(
-                    OracleReport.build(
+                    OracleReport(
                         target=f"futaki profile-independence (n={n}, r={r}, profile={label})",
                         closed_form=exact,
                         approximation=futaki_invariant(profile),
-                        m_or_steps=1,
-                        bound=Fraction(0),
                     )
                 )
 
@@ -572,12 +547,11 @@ def run_verification(
         telescoped = telescoping_iterated_cone(spec)
         chain_value = iterated_hypersurface_chain(spec)[-1].value
         reports.append(
-            OracleReport.build(
+            OracleReport(
                 target=f"telescoping vs composition (n={n}, d={d}, i={i})",
                 closed_form=chain_value,
                 approximation=telescoped,
                 m_or_steps=i,
-                bound=Fraction(0),
             )
         )
 
@@ -588,13 +562,11 @@ def run_verification(
             for c in CONSISTENCY_C_GRID:
                 bundle_route, cone_route = cone_bundle_consistency(base, c)
                 reports.append(
-                    OracleReport.build(
+                    OracleReport(
                         target=f"cone/bundle consistency (n={n}, r={r}, c={c})",
                         closed_form=cone_route[1],
                         approximation=bundle_route[1],
-                        m_or_steps=1,
-                        bound=Fraction(0),
-                        extra_ok=bundle_route == cone_route,
+                        agrees=bundle_route == cone_route,
                     )
                 )
 

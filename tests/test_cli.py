@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from fanodelta import beta_zero, solve_profile
+from fanodelta import ConeBoundary, beta_zero, solve_profile
 from fanodelta.cli import (
     EXIT_DOMAIN,
     EXIT_INTERNAL,
@@ -21,6 +21,7 @@ from fanodelta.cli import (
     build_parser,
     main,
 )
+from fanodelta.oracles import default_branch_grid
 
 
 def run_cli(argv, capsys):
@@ -508,10 +509,37 @@ class TestVerifyCommand:
     def test_out_of_domain_grid_row_is_a_domain_error(self, capsys, tmp_path, grid):
         path = tmp_path / "grid.json"
         path.write_text(json.dumps(grid))
-        code, out, err = run_cli(["verify", "--grid", str(path)], capsys)
+        report = tmp_path / "report.json"
+        code, out, err = run_cli(
+            ["verify", "--grid", str(path), "--json", str(report)], capsys
+        )
         assert code == EXIT_DOMAIN
         assert len(err.splitlines()) == 1
         assert err.startswith("domain error:")
+        # The row is refused before the report file is opened.
+        assert not report.exists()
+
+    def test_a_grid_file_of_the_default_cases_gives_the_default_reports(
+        self, capsys, tmp_path
+    ):
+        rows = {"bundle": [], "cone": []}
+        for base, bdry in default_branch_grid():
+            delta = "ge1" if base.delta_v.value is None else str(base.delta_v.value)
+            if isinstance(bdry, ConeBoundary):
+                rows["cone"].append([base.n, str(base.r), str(bdry.c), delta])
+            else:
+                rows["bundle"].append([base.n, str(base.r), str(bdry.a), str(bdry.b), delta])
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(rows))
+        reports = []
+        for argv in (["verify"], ["verify", "--grid", str(grid)]):
+            target = tmp_path / "report.json"
+            code, out, err = run_cli([*argv, "--json", str(target)], capsys)
+            assert code == EXIT_OK
+            text = target.read_text()
+            # The reports list is the last entry of the payload.
+            reports.append(text[text.index('"reports": ['):])
+        assert reports[0] == reports[1]
 
     def test_unwritable_report_path_is_refused_before_the_suite_runs(
         self, capsys, tmp_path, monkeypatch

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from fanodelta import (
     BundleBoundary,
+    ConeBoundary,
     DeltaKnowledge,
     DomainError,
     FanoBase,
@@ -36,8 +37,8 @@ from fanodelta.calabi import AdmissibleProfile, admissibility_failures, futaki_i
 from fanodelta.exactarith import Polynomial
 from fanodelta.bundle import boundary_interval
 from fanodelta.oracles import (
+    OracleReport,
     _progression_sum,
-    _riemann_weight,
     branch_min_bruteforce,
     default_branch_grid,
     futaki_quadrature_bound,
@@ -79,28 +80,11 @@ class TestRiemannOracle:
                 bound = riemann_error_bound(n, A, B, mm)
                 assert abs(value - target) <= bound, (n, A, B, mm)
 
-    def test_the_weight_sum_is_computed_once_per_pair(self, monkeypatch):
-        # The bound needs only v; the limit then reuses that v and adds w.
-        calls = []
-        monkeypatch.setattr(
-            "fanodelta.oracles._progression_sum",
-            lambda *args: calls.append(args) or _progression_sum(*args),
-        )
-        _riemann_weight.cache_clear()
-        bound = riemann_error_bound(2, 1, 3, 40)
-        assert len(calls) == 1
-        limit = riemann_s_limit(2, 1, 3, 40)
-        assert len(calls) == 2
-        assert (limit, bound) == (
-            _loop_riemann_s_limit(2, Fraction(1), Fraction(3), 40),
-            _loop_riemann_error_bound(2, Fraction(1), Fraction(3), 40),
-        )
-
-    def test_a_kept_weight_sum_does_not_skip_validation(self):
-        # True == 1 and hashes alike; the kept result is keyed by type too.
-        riemann_s_limit(1, 1, 3, 10)
-        with pytest.raises(DomainError):
-            riemann_error_bound(True, 1, 3, 10)
+    def test_the_limit_and_the_bound_refuse_a_bool_dimension(self):
+        # True == 1, but a dimension must be an int that is not a bool.
+        for oracle in (riemann_s_limit, riemann_error_bound):
+            with pytest.raises(DomainError):
+                oracle(True, 1, 3, 10)
 
     def test_requires_integer_sample_count(self):
         with pytest.raises(DomainError, match="integer"):
@@ -166,7 +150,7 @@ class TestBranchBruteForce:
 
     def test_single_bundle_point(self):
         reports = branch_min_bruteforce(
-            [("bundle", 1, Fraction(2), Fraction(0), Fraction(0), DeltaKnowledge.exact(1))]
+            [(FanoBase(1, 2, DeltaKnowledge.exact(1)), BundleBoundary(0, 0))]
         )
         assert len(reports) == 1
         assert reports[0].status == "pass"
@@ -174,34 +158,27 @@ class TestBranchBruteForce:
 
     def test_threshold_tie_point(self):
         reports = branch_min_bruteforce(
-            [
-                (
-                    "bundle",
-                    1,
-                    Fraction(2),
-                    Fraction(0),
-                    Fraction(0),
-                    DeltaKnowledge.exact(Fraction(13, 14)),
-                )
-            ]
+            [(FanoBase(1, 2, DeltaKnowledge.exact(Fraction(13, 14))), BundleBoundary(0, 0))]
         )
         assert reports[0].status == "pass"
         assert reports[0].closed_form == Fraction(6, 7)
 
     @pytest.mark.parametrize(
-        "entry",
+        "r, boundary",
         [
-            ("bundle", 1, Fraction(1), Fraction(2), Fraction(0), DeltaKnowledge.exact(1)),
-            ("bundle", 1, Fraction(2), Fraction(0), Fraction(2), DeltaKnowledge.exact(1)),
-            ("cone", 1, Fraction(-1), Fraction(0), DeltaKnowledge.exact(1)),
+            (Fraction(1), BundleBoundary(2, 0)),
+            (Fraction(2), BundleBoundary(0, 2)),
+            (Fraction(-1), ConeBoundary(0)),
         ],
         ids=["bundle-a-too-large", "bundle-b-too-large", "cone-negative-slope"],
     )
-    def test_out_of_domain_entry_is_a_domain_error(self, entry):
-        # These entries make the naive branch formulas divide by zero, so
-        # the closed form has to refuse them first.
+    def test_out_of_domain_entry_is_a_domain_error(self, r, boundary):
+        # These entries make the naive branch formulas divide by zero. The
+        # base refuses a negative slope when the case is built; the closed
+        # form refuses a bundle boundary out of range before the naive
+        # route runs.
         with pytest.raises(DomainError):
-            branch_min_bruteforce([entry])
+            branch_min_bruteforce([(FanoBase(1, r, DeltaKnowledge.exact(1)), boundary)])
 
     def test_any_order_and_duplicate_rows_give_the_same_reports(self, monkeypatch):
         grid = default_branch_grid()
@@ -216,12 +193,12 @@ class TestBranchBruteForce:
         assert branch_min_bruteforce(shuffled) == singly
         # The naive triple is computed once per geometry, whatever the
         # delta, the order or the repeats.
-        assert len(calls) == len({entry[:-1] for entry in grid})
+        assert len(calls) == len({(base.n, base.r, bdry) for base, bdry in grid})
 
     def test_cone_grid_points_included(self):
         grid = default_branch_grid()
-        assert any(entry[0] == "cone" for entry in grid)
-        assert any(entry[0] == "bundle" for entry in grid)
+        assert any(isinstance(bdry, ConeBoundary) for _, bdry in grid)
+        assert any(isinstance(bdry, BundleBoundary) for _, bdry in grid)
 
 
 class TestFutakiQuadrature:
@@ -354,11 +331,29 @@ class TestVerificationRun:
         assert {"target", "status"} <= set(sample)
 
     def test_custom_grid_is_honored(self):
-        grid = [
-            ("bundle", 1, Fraction(2), Fraction(0), Fraction(0), DeltaKnowledge.exact(1))
-        ]
+        grid = [(FanoBase(1, 2, DeltaKnowledge.exact(1)), BundleBoundary(0, 0))]
         run = run_verification(grid=grid)
         assert run.passed
+        branch_targets = [
+            report.target for report in run.reports
+            if report.target.startswith(("bundle_delta", "cone_delta"))
+        ]
+        assert branch_targets == ["bundle_delta(n=1, r=2, a=0, b=0, delta=1)"]
+
+    def test_a_report_derives_its_status(self):
+        # Exact comparisons pass on the defaults (one step, bound 0) when
+        # the values are equal.
+        equal = OracleReport("t", Fraction(1, 3), Fraction(1, 3))
+        assert (equal.m_or_steps, equal.bound, equal.absolute_error) == (1, 0, 0)
+        assert equal.status == "pass"
+        # A failed check beyond the value fails the report.
+        assert OracleReport("t", Fraction(1, 3), Fraction(1, 3), agrees=False).status == "fail"
+        # So does an error above the bound, and one at the bound passes.
+        close = OracleReport("t", Fraction(1), Fraction(9, 10), 10, bound=Fraction(1, 10))
+        assert (close.absolute_error, close.status) == (Fraction(1, 10), "pass")
+        far = OracleReport("t", Fraction(1), Fraction(8, 10), 10, bound=Fraction(1, 10))
+        assert (far.absolute_error, far.status) == (Fraction(1, 5), "fail")
+        assert far.to_json_dict()["absolute_error"] == "1/5"
 
 
 # Term-by-term reference loops: the O(m) evaluations the progression-sum
