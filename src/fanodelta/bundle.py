@@ -184,14 +184,25 @@ def beta_zero(n: int, r: RationalLike) -> Rational:
 
 @dataclass(frozen=True)
 class DeltaBreakdown:
-    """The three branch values of a delta formula, their minimum, and the
-    divisor tags attaining it. The value is always exact.
+    """The three branch values of a delta formula, their minimum (value),
+    and the divisor tags attaining it (minimizers). value and minimizers are
+    derived from the branches at construction and cannot be passed in, so
+    they always agree with the branches. The value is always exact.
 
-    base_branch is None when only delta(V) >= 1 is known (the branch value
-    is then not a single rational). The value is still exact, because a
-    section branch always undercuts the base branch's lower bound (see
-    assemble_breakdown). The JSON form keeps a "lower_bound_only" key, always
-    false, so that schema-1 payloads stay byte-stable.
+    The base branch is base_coefficient * delta(V), with base_coefficient
+    r/Phi for a bundle and the V0 branch for a cone. base_branch is None when
+    only delta(V) >= 1 is known: the branch is then not a single rational,
+    only at least base_coefficient. The value is still exact, because
+    min(v0, vinf) <= base_coefficient always holds: the base branch can only
+    be larger or equal, and equality would require the unknown delta(V) to
+    be exactly 1. So the value is min(v0, vinf), and the base divisor is left
+    out of the minimizers. Proof of the inequality: for a cone,
+    base_coefficient is v0 itself. For a bundle, on the boundary domain
+    A = r-1+a > 0, so 1-a = r-A and 1-b = B-r. Hence v0 = (r-A)/(Phi-A) <=
+    r/Phi exactly when Phi >= r, and vinf = (B-r)/(B-Phi) <= r/Phi exactly
+    when Phi <= r: one of the two always holds. The JSON form keeps a
+    "lower_bound_only" key, always false, so that schema-1 payloads stay
+    byte-stable.
 
     The optional metadata fields are populated by the cone operations:
     r_effective echoes the slope the formula actually used (derived, for
@@ -204,11 +215,22 @@ class DeltaBreakdown:
     base_branch: Optional[Rational]
     v0_branch: Rational
     vinf_branch: Rational
-    value: Rational
-    minimizers: tuple[str, ...]
+    value: Rational = field(init=False)
+    minimizers: tuple[str, ...] = field(init=False)
     r_effective: Optional[Rational] = None
     proof_coverage: Optional[str] = None
     side_conditions: Optional[tuple[str, ...]] = None
+
+    def __post_init__(self) -> None:
+        base, v0, vinf = self.base_branch, self.v0_branch, self.vinf_branch
+        value = min(v0, vinf) if base is None else min(base, v0, vinf)
+        tags = [MINIMIZER_BASE] if base is not None and base == value else []
+        if v0 == value:
+            tags.append(MINIMIZER_V0)
+        if vinf == value:
+            tags.append(MINIMIZER_VINF)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "minimizers", tuple(tags))
 
     def to_json_dict(self) -> dict:
         payload: dict = {
@@ -230,67 +252,22 @@ class DeltaBreakdown:
         return payload
 
 
-def assemble_breakdown(
-    base_coefficient: Rational,
-    v0_branch: Rational,
-    vinf_branch: Rational,
-    delta: DeltaKnowledge,
-    *,
-    r_effective: Optional[Rational] = None,
-    proof_coverage: Optional[str] = None,
-    side_conditions: Optional[tuple[str, ...]] = None,
-) -> DeltaBreakdown:
-    """Combine branch values given what is known about delta(V).
-
-    The base branch is base_coefficient * delta(V). With exact knowledge all
-    three branches are rationals and the minimum is taken outright. With
-    only delta(V) >= 1, the base branch is bounded below by
-    base_coefficient, so when min(v0, vinf) <= base_coefficient that minimum
-    is the exact value and the base divisor is excluded from the minimizer
-    set (its branch can only be larger or equal, and equality would require
-    the unknown delta(V) to be exactly 1).
-
-    That condition always holds, so it is not checked. For a bundle,
-    base_coefficient = r/Phi, and on the boundary domain A = r-1+a > 0, so
-    1-a = r-A and 1-b = B-r. Hence v0 = (r-A)/(Phi-A) <= r/Phi exactly when
-    Phi >= r, and vinf = (B-r)/(B-Phi) <= r/Phi exactly when Phi <= r: one
-    of the two always holds. For a cone, base_coefficient is v0 itself.
-
-    The keyword-only metadata is stored on the breakdown as given (see
-    DeltaBreakdown); the cone operations set it, a bundle leaves it unset.
-    """
-    if delta.is_exact:
-        base_branch = base_coefficient * delta.value
-        value = min(base_branch, v0_branch, vinf_branch)
-        candidates = (
-            (MINIMIZER_BASE, base_branch),
-            (MINIMIZER_V0, v0_branch),
-            (MINIMIZER_VINF, vinf_branch),
-        )
-    else:
-        base_branch = None
-        value = min(v0_branch, vinf_branch)
-        candidates = ((MINIMIZER_V0, v0_branch), (MINIMIZER_VINF, vinf_branch))
-    tags = tuple(tag for tag, branch in candidates if branch == value)
-    return DeltaBreakdown(
-        base_branch, v0_branch, vinf_branch, value, tags,
-        r_effective, proof_coverage, side_conditions,
-    )
-
-
 def bundle_delta(base: FanoBase, bdry: BundleBoundary = BundleBoundary()) -> DeltaBreakdown:
     """Delta invariant of (Y, a*V0 + b*Vinf) as a three-branch minimum.
 
-    Branches: r * delta(V) / Phi for divisors pulled back from the base,
-    (1 - a) / (Phi - A) for the zero section, (1 - b) / (B - Phi) for the
-    infinity section, where Phi = centroid_phi(A, B, n).
+    Branches: r * delta(V) / Phi for divisors pulled back from the base
+    (None when only delta(V) >= 1 is known), (1 - a) / (Phi - A) for the
+    zero section, (1 - b) / (B - Phi) for the infinity section, where
+    Phi = centroid_phi(A, B, n).
     """
     A, B = boundary_interval(base, bdry)
     phi = centroid_phi(A, B, base.n)
-    base_coefficient = base.r / phi
-    v0_branch = (1 - bdry.a) / (phi - A)
-    vinf_branch = (1 - bdry.b) / (B - phi)
-    return assemble_breakdown(base_coefficient, v0_branch, vinf_branch, base.delta_v)
+    delta = base.delta_v.value
+    return DeltaBreakdown(
+        None if delta is None else base.r / phi * delta,
+        (1 - bdry.a) / (phi - A),
+        (1 - bdry.b) / (B - phi),
+    )
 
 
 def smooth_threshold_relation(n: int, r: RationalLike, delta_v: RationalLike) -> Rational:

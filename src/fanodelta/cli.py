@@ -346,10 +346,10 @@ def _calabi_text(inputs: dict, result: dict) -> list[str]:
 def _calabi_csv(args: argparse.Namespace, values: dict, result: dict) -> list[str]:
     """Write --csv samples of the profile, rebuilt from the result's exact
     coefficients rather than solved again."""
-    if not args.csv:
-        return []
     if args.samples < 2:
         raise DomainError(f"samples must be >= 2, got {args.samples}")
+    if args.csv is None:
+        return []
     numerator = Polynomial(result["numerator_coefficients"])
     profile = CalabiProfile(
         values["n"], values["r"], values["beta"], result["c1"], result["c2"], numerator
@@ -541,7 +541,7 @@ def _handle_verify(args: argparse.Namespace) -> int:
     # The report file is opened first, so an unwritable path is refused
     # before the suite runs.
     with (
-        _open_output(args.json_path) if args.json_path else contextlib.nullcontext()
+        contextlib.nullcontext() if args.json_path is None else _open_output(args.json_path)
     ) as handle:
         run = run_verification(deep=args.deep, grid=grid)
         if handle is not None:
@@ -649,7 +649,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.check:
+        if args.check is not None:
             if args.command is not None:
                 raise CliParseError(
                     f"--check cannot be combined with the {args.command} subcommand"

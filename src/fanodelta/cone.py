@@ -20,7 +20,7 @@ r is derived from the arithmetic data (n, k, d, l) rather than given.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -28,7 +28,6 @@ from .bundle import (
     DeltaBreakdown,
     DeltaKnowledge,
     FanoBase,
-    assemble_breakdown,
     centroid_phi,
     check_integer,
 )
@@ -51,18 +50,14 @@ class ConeBoundary:
             raise DomainError(f"c must satisfy 0 <= c < 1, got {self.c}")
 
 
-def cone_delta(
-    base: FanoBase,
-    bdry: ConeBoundary = ConeBoundary(),
-    *,
-    side_conditions: Optional[tuple[str, ...]] = None,
-) -> DeltaBreakdown:
+def cone_delta(base: FanoBase, bdry: ConeBoundary = ConeBoundary()) -> DeltaBreakdown:
     """Delta invariant of the cone pair (Y, c*Vinf) as a three-branch minimum.
 
     Branches, with B = r + 1 - c: base divisors give
     (n+2)*r*delta(V) / ((n+1)*B), the vertex blowup divisor V0 gives
     (n+2)*r / ((n+1)*B) (its log discrepancy is r), and the infinity section
-    gives (n+2)*(1-c) / B.
+    gives (n+2)*(1-c) / B. The base branch is the V0 branch times delta(V),
+    or None when only delta(V) >= 1 is known.
 
     Evaluated in integers: with r = p/q and c = s/t, B = b/(qt) for
     b = pt + qt - sq > 0, so V0 gives (n+2)pt / ((n+1)b) and Vinf gives
@@ -71,23 +66,19 @@ def cone_delta(
     The value is flagged proof_coverage="upper-bound-only" when r > n + 1:
     there the closed form is only known to bound the delta invariant from
     above. For r <= n + 1 it is an equality and the flag says "full".
-    side_conditions is recorded on the breakdown as given (see
-    branched_cone_delta).
     """
     n, r, c = base.n, base.r, bdry.c
     p, q = r.numerator, r.denominator
     s, t = c.numerator, c.denominator
     b = p * t + q * t - s * q
     v0_branch = Fraction((n + 2) * p * t, (n + 1) * b)
-    vinf_branch = Fraction((n + 2) * (t - s) * q, b)
-    return assemble_breakdown(
+    delta = base.delta_v.value
+    return DeltaBreakdown(
+        None if delta is None else v0_branch * delta,
         v0_branch,
-        v0_branch,
-        vinf_branch,
-        base.delta_v,
+        Fraction((n + 2) * (t - s) * q, b),
         r_effective=r,
         proof_coverage=PROOF_FULL if r <= n + 1 else PROOF_UPPER_BOUND,
-        side_conditions=side_conditions,
     )
 
 
@@ -159,7 +150,7 @@ def iterated_hypersurface_chain(spec: HypersurfaceConeSpec) -> list[DeltaBreakdo
 
     Step s goes from dimension n + s - 1 with slope r0 + s - 1 to dimension
     n + s with slope r0 + s. Every step's value is exact (see
-    assemble_breakdown), so knowledge never degrades along the chain. The
+    DeltaBreakdown), so knowledge never degrades along the chain. The
     last value is checked against iterated_hypersurface_closed_form by
     agree, so a mismatch raises InternalCheckError rather than trusting
     either route. The value is always < 1: coning strictly destabilizes.
@@ -264,7 +255,7 @@ def branched_cone_delta(
                 "delta_pair is required when d <= n: no automatic semistability "
                 f"guarantee for d={spec.d}, n={spec.n}"
             )
-    return cone_delta(
-        FanoBase(spec.n, rational(spec.r), delta_pair),
+    return replace(
+        cone_delta(FanoBase(spec.n, rational(spec.r), delta_pair)),
         side_conditions=spec.side_conditions(),
     )

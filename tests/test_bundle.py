@@ -1,6 +1,7 @@
 """Projectivized-bundle delta invariants: frozen values, domain guards, and
 structural properties of the three-branch minimum."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from fanodelta import (
     centroid_phi,
     smooth_threshold_relation,
 )
-from fanodelta.bundle import boundary_interval
+from fanodelta.bundle import DeltaBreakdown, boundary_interval
 
 # Strategy pieces reused across property tests. Slopes and boundary
 # coefficients are kept small so the exact arithmetic stays readable in
@@ -325,6 +326,35 @@ class TestBranchStructure:
         b = bundle_delta(FanoBase(n, r, DeltaKnowledge.exact(1)))
         assert b.v0_branch <= b.vinf_branch
         assert "Vinf" not in b.minimizers or b.v0_branch == b.vinf_branch
+
+
+class TestBreakdownFromBranches:
+    @pytest.mark.parametrize(
+        "branches,value,minimizers",
+        [
+            ((None, 1, 1), 1, ("V0", "Vinf")),
+            ((Fraction(1, 2), 1, 3), Fraction(1, 2), ("BaseDivisor",)),
+            ((1, 1, 2), 1, ("BaseDivisor", "V0")),
+        ],
+    )
+    def test_value_and_minimizers_follow_from_the_branches(
+        self, branches, value, minimizers
+    ):
+        b = DeltaBreakdown(*branches)
+        assert b.value == value
+        assert b.minimizers == minimizers
+
+    @pytest.mark.parametrize("derived", ["value", "minimizers"])
+    def test_derived_fields_cannot_be_passed(self, derived):
+        with pytest.raises(TypeError):
+            DeltaBreakdown(1, 2, 3, **{derived: 99})
+
+    def test_replacing_a_branch_recomputes_both(self):
+        b = DeltaBreakdown(1, 2, 3)
+        assert (b.value, b.minimizers) == (1, ("BaseDivisor",))
+        moved = dataclasses.replace(b, v0_branch=Fraction(1, 2))
+        assert moved.value == Fraction(1, 2)
+        assert moved.minimizers == ("V0",)
 
 
 class TestSmoothThresholdRelation:

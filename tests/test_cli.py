@@ -198,9 +198,9 @@ class TestCalabiCommand:
         assert target.read_bytes() == _reference_calabi_csv(n, r, 1001).encode("utf-8")
 
     def test_unwritable_csv_path_is_a_parse_error(self, capsys, tmp_path):
-        # A missing directory fails to open; /dev/full opens but fails to
-        # write.
-        targets = [tmp_path / "nodir" / "profile.csv"]
+        # A missing directory or an empty path fails to open; /dev/full
+        # opens but fails to write.
+        targets = [tmp_path / "nodir" / "profile.csv", ""]
         if os.path.exists("/dev/full"):
             targets.append("/dev/full")
         for target in targets:
@@ -210,6 +210,19 @@ class TestCalabiCommand:
             assert code == EXIT_PARSE, target
             assert len(err.splitlines()) == 1
             assert out == ""
+
+    @pytest.mark.parametrize("samples", ["1", "0", "-3"])
+    def test_too_few_samples_is_a_domain_error_with_or_without_csv(
+        self, samples, capsys, tmp_path
+    ):
+        target = tmp_path / "profile.csv"
+        argv = ["calabi", "--n", "1", "--r", "2", "--samples", samples]
+        for extra in ([], ["--csv", str(target)]):
+            code, out, err = run_cli(argv + extra, capsys)
+            assert code == EXIT_DOMAIN
+            assert err == f"domain error: samples must be >= 2, got {samples}\n"
+            assert out == ""
+        assert not target.exists()
 
 
 class TestExitCodes:
@@ -347,12 +360,14 @@ class TestCheckRoundTrip:
         assert out == ""
 
     def test_unreadable_check_file_is_a_parse_error(self, capsys, tmp_path):
-        code, out, err = run_cli(["--check", str(tmp_path / "missing.json")], capsys)
-        assert code == EXIT_PARSE
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
-        code, out, err = run_cli(["--check", str(bad)], capsys)
-        assert code == EXIT_PARSE
+        for target in (str(tmp_path / "missing.json"), str(bad), ""):
+            code, out, err = run_cli(["--check", target], capsys)
+            assert code == EXIT_PARSE, target
+            assert err.startswith("error: cannot read check file")
+            assert len(err.splitlines()) == 1
+            assert out == ""
 
     def _tampered(self, capsys, tmp_path, edit):
         code, out, err = run_cli(
@@ -548,11 +563,11 @@ class TestVerifyCommand:
             raise AssertionError("the suite ran before the path was refused")
 
         monkeypatch.setattr("fanodelta.cli.run_verification", must_not_run)
-        target = tmp_path / "nodir" / "report.json"
-        code, out, err = run_cli(["verify", "--json", str(target)], capsys)
-        assert code == EXIT_PARSE
-        assert len(err.splitlines()) == 1
-        assert out == ""
+        for target in (str(tmp_path / "nodir" / "report.json"), ""):
+            code, out, err = run_cli(["verify", "--json", target], capsys)
+            assert code == EXIT_PARSE, target
+            assert len(err.splitlines()) == 1
+            assert out == ""
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_report_write_failure_is_a_parse_error(self, capsys):

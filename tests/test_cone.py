@@ -21,7 +21,7 @@ from fanodelta import (
     cone_delta,
     iterated_hypersurface_chain,
 )
-from fanodelta.bundle import assemble_breakdown
+from fanodelta.bundle import DeltaBreakdown
 from fanodelta.cone import (
     PROOF_FULL,
     PROOF_UPPER_BOUND,
@@ -323,14 +323,16 @@ class TestBranchedCones:
 
 def _reference_cone_delta(base, bdry):
     """cone_delta as it was first computed: the branches in Fraction
-    arithmetic, then the metadata copied onto the assembled breakdown."""
+    arithmetic, with the base branch the V0 branch times delta(V)."""
     n, r, c = base.n, base.r, bdry.c
     B = r + 1 - c
     v0_branch = Fraction(n + 2, n + 1) * r / B
     vinf_branch = (n + 2) * (1 - c) / B
-    breakdown = assemble_breakdown(v0_branch, v0_branch, vinf_branch, base.delta_v)
-    return dataclasses.replace(
-        breakdown,
+    delta = base.delta_v.value
+    return DeltaBreakdown(
+        None if delta is None else v0_branch * delta,
+        v0_branch,
+        vinf_branch,
         r_effective=r,
         proof_coverage=PROOF_FULL if r <= n + 1 else PROOF_UPPER_BOUND,
     )
