@@ -302,15 +302,13 @@ def _calabi_result(values: dict) -> dict:
     profile = solve_profile(n, r, values["beta"])
     beta1, beta2 = edge_angles(profile)
     margin = ricci_bound_margin(profile, mu)
-    hermite = hermite_admissible_profile(n, r)
+    futaki = futaki_invariant(hermite_admissible_profile(n, r))
+    agree("futaki invariant: integral vs closed form", futaki, futaki_closed_form(n, r))
     return {
         "beta0": format_rational(beta_zero(n, r)),
         "c1": format_rational(profile.c1),
         "c2": format_rational(profile.c2),
-        "numerator_coefficients": [
-            format_rational(profile.numerator.coefficient(k))
-            for k in range(profile.numerator.degree + 1)
-        ],
+        "numerator_coefficients": [format_rational(c) for c in profile.numerator.coefficients],
         "beta1": format_rational(beta1),
         "beta2": format_rational(beta2),
         "ricci_margin": format_rational(margin),
@@ -318,8 +316,8 @@ def _calabi_result(values: dict) -> dict:
         "ode_residual_zero": ode_residual(profile).is_zero,
         "ricci_pointwise_constant": ricci_pointwise_residual(profile, mu).is_zero,
         "phi_positive_on_interior": verify_positive_interior(profile),
-        "futaki_invariant": format_rational(futaki_invariant(hermite)),
-        "futaki_closed_form": format_rational(futaki_closed_form(n, r)),
+        "futaki_invariant": format_rational(futaki),
+        "futaki_closed_form": format_rational(futaki),
     }
 
 
@@ -490,12 +488,23 @@ def _open_output(path: str):
 _GRID_WIDTHS = {"bundle": 5, "cone": 4}
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict, refusing a repeated key: json.load would keep
+    only its last copy and silently drop the rows of the others."""
+    data: dict = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"repeated key {key!r}")
+        data[key] = value
+    return data
+
+
 def _load_grid_file(path: str) -> list[tuple]:
     """The rows of a --grid file, each (kind, n, *rationals, delta text).
     Only the format is checked here; _grid_case refuses a row outside the
     domain."""
     with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+        data = json.load(handle, object_pairs_hook=_unique_keys)
     if not isinstance(data, dict):
         raise ValueError("the top level must be a JSON object")
     unknown = sorted(set(data) - set(_GRID_WIDTHS))
@@ -572,6 +581,8 @@ def run_check(path: str) -> int:
             f"check file {path} is not a JSON object with command and inputs"
         )
     command, inputs = payload["command"], payload["inputs"]
+    if not isinstance(inputs, dict):
+        raise CliParseError(f"check file {path}: inputs must be a JSON object")
     spec = COMMANDS.get(command) if isinstance(command, str) else None
     if spec is None:
         raise CliParseError(f"cannot re-check command {command!r}")

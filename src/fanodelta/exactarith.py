@@ -8,6 +8,10 @@ The scalar type is ``Rational``, an alias of :class:`fractions.Fraction`:
 always in lowest terms with positive denominator, exact under sums, products
 and integer powers, and rendered by ``str()`` as ``"p/q"`` (or ``"p"`` when
 the denominator is 1), which is exactly the serialization this library uses.
+
+A ``Polynomial`` stores one exact form: its integer coefficients over one
+common denominator, in lowest terms. Its arithmetic and its evaluation both
+run on those integers.
 """
 
 from __future__ import annotations
@@ -64,31 +68,38 @@ def format_rational(value: Rational) -> str:
         ) from None
 
 
-def _as_coeff_tuple(coefficients: Iterable[RationalLike]) -> tuple[Rational, ...]:
-    coeffs = [rational(c) for c in coefficients]
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
+def _of(lcm: int, ints: list[int]) -> "Polynomial":
+    """The polynomial sum_k (ints[k]/lcm) t^k, for lcm > 0, in reduced form:
+    trailing zeros dropped, then one division by gcd(lcm, ints)."""
+    while ints and not ints[-1]:
+        ints.pop()
+    g = math.gcd(lcm, *ints)
+    poly = object.__new__(Polynomial)
+    object.__setattr__(poly, "cleared", (lcm // g, tuple([a // g for a in ints])))
+    return poly
 
 
 class Polynomial:
     """Dense univariate polynomial over Rational, indexed by degree.
 
-    Immutable. The zero polynomial stores no coefficients; any other
-    polynomial stores coefficients up to a nonzero leading one. Evaluation,
-    differentiation, antidifferentiation, and definite integration are all
-    exact.
-
-    Evaluation runs in integers: the coefficients are cleared to
-    L*c_k over their least common denominator L once, on first use, and
-    each value is one reduced fraction.
+    Immutable. It stores one exact form, read as ``cleared``: the integer
+    coefficients a_k = L*c_k over one denominator L, in lowest terms (L > 0,
+    gcd(L, a_0, ..., a_deg) = 1, a nonzero leading a_deg; the zero
+    polynomial is (1, ())). Arithmetic, differentiation, antidifferentiation
+    and evaluation all run on these integers, and each result is reduced
+    once; the Fraction coefficients are built only when asked for.
     """
 
-    __slots__ = ("_coeffs", "_cleared")
+    __slots__ = ("cleared",)
 
     def __init__(self, coefficients: Iterable[RationalLike] = ()) -> None:
-        object.__setattr__(self, "_coeffs", _as_coeff_tuple(coefficients))
-        object.__setattr__(self, "_cleared", None)
+        # Reduced fractions over their lcm are in lowest terms already.
+        coeffs = [rational(c) for c in coefficients]
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        lcm = math.lcm(*[c.denominator for c in coeffs])
+        ints = tuple([c.numerator * (lcm // c.denominator) for c in coeffs])
+        object.__setattr__(self, "cleared", (lcm, ints))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Polynomial is immutable")
@@ -110,43 +121,26 @@ class Polynomial:
 
     @property
     def coefficients(self) -> tuple[Rational, ...]:
-        return self._coeffs
+        """The coefficients c_0, ..., c_deg as Fractions, built on each call."""
+        lcm, ints = self.cleared
+        return tuple([Fraction(a, lcm) for a in ints])
 
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self._coeffs) - 1
+        return len(self.cleared[1]) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def coefficient(self, degree: int) -> Rational:
-        if 0 <= degree < len(self._coeffs):
-            return self._coeffs[degree]
-        return Fraction(0)
+        return not self.cleared[1]
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Polynomial):
-            return self._coeffs == other._coeffs
+            return self.cleared == other.cleared
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
-
-    @property
-    def cleared(self) -> tuple[int, tuple[int, ...]]:
-        """(L, (L*c_0, ..., L*c_deg)): the least common denominator L of the
-        coefficients and the integer coefficients over it; (1, ()) for the
-        zero polynomial. Computed on first use and kept."""
-        if self._cleared is None:
-            # Lists, not generators: tuple() of a generator allocates ten
-            # slots and shrinks, which strands small tuples on the
-            # interpreter's free lists.
-            lcm = math.lcm(*[c.denominator for c in self._coeffs])
-            ints = tuple([c.numerator * (lcm // c.denominator) for c in self._coeffs])
-            object.__setattr__(self, "_cleared", (lcm, ints))
-        return self._cleared
+        return hash(self.cleared)
 
     def cleared_value(self, point: RationalLike) -> tuple[int, int]:
         """The value at point = p/q as an unreduced integer pair
@@ -170,40 +164,34 @@ class Polynomial:
         return Fraction(*self.cleared_value(point))
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(-c for c in self._coeffs)
+        return self * -1
 
     def __add__(self, other: "Polynomial | RationalLike") -> "Polynomial":
         if not isinstance(other, Polynomial):
             other = Polynomial.constant(other)
-        a, b = self._coeffs, other._coeffs
+        (la, a), (lb, b) = self.cleared, other.cleared
+        lcm = math.lcm(la, lb)
+        a, b = [x * (lcm // la) for x in a], [y * (lcm // lb) for y in b]
         if len(a) < len(b):
             a, b = b, a
-        summed = list(a)
-        for i, c in enumerate(b):
-            summed[i] += c
-        return Polynomial(summed)
-
-    __radd__ = __add__
+        for i, y in enumerate(b):
+            a[i] += y
+        return _of(lcm, a)
 
     def __sub__(self, other: "Polynomial | RationalLike") -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            other = Polynomial.constant(other)
-        return self + (-other)
-
-    def __rsub__(self, other: RationalLike) -> "Polynomial":
-        return Polynomial.constant(other) - self
+        return self + Polynomial.constant(-1) * other
 
     def __mul__(self, other: "Polynomial | RationalLike") -> "Polynomial":
+        lcm, a = self.cleared
         if not isinstance(other, Polynomial):
             scalar = rational(other)
-            return Polynomial(scalar * c for c in self._coeffs)
-        if self.is_zero or other.is_zero:
-            return Polynomial.zero()
-        out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
-        for i, a in enumerate(self._coeffs):
-            for j, b in enumerate(other._coeffs):
-                out[i + j] += a * b
-        return Polynomial(out)
+            return _of(lcm * scalar.denominator, [x * scalar.numerator for x in a])
+        other_lcm, b = other.cleared
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return _of(lcm * other_lcm, out)
 
     __rmul__ = __mul__
 
@@ -217,15 +205,15 @@ class Polynomial:
 
     def derivative(self) -> "Polynomial":
         """Exact formal derivative; degree drops by exactly one."""
-        return Polynomial(k * c for k, c in enumerate(self._coeffs) if k >= 1)
+        lcm, ints = self.cleared
+        return _of(lcm, [k * ints[k] for k in range(1, len(ints))])
 
     def antiderivative(self) -> "Polynomial":
-        """Exact antiderivative with zero constant term; degree rises by one."""
-        if self.is_zero:
-            return Polynomial.zero()
-        return Polynomial(
-            [Fraction(0)] + [c / (k + 1) for k, c in enumerate(self._coeffs)]
-        )
+        """Exact antiderivative with zero constant term; degree rises by one.
+        The new denominator is L times the lcm of the reduced (k+1)/gcd(a_k, k+1)."""
+        lcm, ints = self.cleared
+        m = math.lcm(*[(k + 1) // math.gcd(a, k + 1) for k, a in enumerate(ints)])
+        return _of(lcm * m, [0] + [a * m // (k + 1) for k, a in enumerate(ints)])
 
     def integrate(self, lo: RationalLike, hi: RationalLike) -> Rational:
         """Exact definite integral over [lo, hi]; requires lo <= hi.
@@ -246,8 +234,7 @@ class Polynomial:
         if self.is_zero:
             return "0"
         parts: list[str] = []
-        for k in range(self.degree, -1, -1):
-            c = self._coeffs[k]
+        for k, c in reversed(list(enumerate(self.coefficients))):
             if c == 0:
                 continue
             sign = "-" if c < 0 else ("+" if parts else "")

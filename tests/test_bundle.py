@@ -26,7 +26,7 @@ from fanodelta.bundle import DeltaBreakdown, boundary_interval
 
 dims = st.integers(min_value=1, max_value=6)
 slopes = st.fractions(min_value=Fraction(1, 4), max_value=6, max_denominator=8)
-unit_coeffs = st.fractions(min_value=0, max_value=Fraction(9, 10), max_denominator=10)
+unit_coefficients = st.fractions(min_value=0, max_value=Fraction(9, 10), max_denominator=10)
 delta_values = st.fractions(
     min_value=Fraction(1, 10), max_value=3, max_denominator=12
 )
@@ -239,7 +239,7 @@ class TestSectionAreas:
         assert B - centroid_phi(A, B, 1) == Fraction(5, 6)
 
     @settings(max_examples=150)
-    @given(dims, slopes, unit_coeffs, unit_coeffs)
+    @given(dims, slopes, unit_coefficients, unit_coefficients)
     def test_areas_sum_to_interval_length(self, n, r, a, b):
         if not valid_boundary(n, r, a, b):
             return
@@ -252,7 +252,7 @@ class TestSectionAreas:
 
 class TestBranchStructure:
     @settings(max_examples=200)
-    @given(dims, slopes, unit_coeffs, unit_coeffs, delta_values)
+    @given(dims, slopes, unit_coefficients, unit_coefficients, delta_values)
     def test_value_is_the_minimum_of_the_reported_branches(self, n, r, a, b, dv):
         if not valid_boundary(n, r, a, b):
             return
@@ -268,7 +268,7 @@ class TestBranchStructure:
         assert breakdown.to_json_dict()["lower_bound_only"] is False
 
     @settings(max_examples=200)
-    @given(dims, slopes, unit_coeffs, unit_coeffs)
+    @given(dims, slopes, unit_coefficients, unit_coefficients)
     def test_fiber_branches_dominate_base_when_delta_is_one(self, n, r, a, b):
         # The centroid always separates one section branch below the base
         # branch at delta(V) = 1, so a lower-bound-only base still pins the
@@ -287,7 +287,7 @@ class TestBranchStructure:
         assert "BaseDivisor" not in bound_only.minimizers
 
     @settings(max_examples=120)
-    @given(dims, slopes, unit_coeffs, unit_coeffs, delta_values, delta_values)
+    @given(dims, slopes, unit_coefficients, unit_coefficients, delta_values, delta_values)
     def test_value_is_monotone_in_base_delta(self, n, r, a, b, d1, d2):
         if not valid_boundary(n, r, a, b):
             return
@@ -301,7 +301,7 @@ class TestBranchStructure:
         assert v_lo <= v_hi
 
     @settings(max_examples=150)
-    @given(dims, slopes, unit_coeffs, unit_coeffs)
+    @given(dims, slopes, unit_coefficients, unit_coefficients)
     def test_zero_section_branch_equals_simplified_form(self, n, r, a, b):
         # r*delta/Phi rewrites as r*delta*beta' / (1 - a + A*beta') with
         # beta' = (1-a)/(Phi - A); the two must agree as exact rationals.

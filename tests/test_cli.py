@@ -312,6 +312,21 @@ class TestExitCodes:
         (line,) = err.splitlines()
         assert line == f"internal check failed: iterated cone: {label}: 1/2 != 3/2"
 
+    def test_disagreeing_futaki_routes_are_an_internal_error(self, capsys, monkeypatch):
+        # calabi computes the Futaki invariant as an exact integral and in
+        # closed form; a closed form off by one stops it with exit 4.
+        true_route = importlib.import_module("fanodelta.cli").futaki_closed_form
+        monkeypatch.setattr(
+            "fanodelta.cli.futaki_closed_form", lambda n, r: true_route(n, r) + 1
+        )
+        code, out, err = run_cli(["calabi", "--n", "1", "--r", "2"], capsys)
+        assert code == EXIT_INTERNAL
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line == (
+            "internal check failed: futaki invariant: integral vs closed form: 4/3 != 7/3"
+        )
+
 
 class TestCheckRoundTrip:
     COMMANDS = [
@@ -420,10 +435,13 @@ class TestCheckRoundTrip:
             "bad-delta",
         ],
     )
-    def test_malformed_payload_is_a_parse_error(self, capsys, tmp_path, edit):
+    def test_malformed_payload_is_a_parse_error(self, capsys, tmp_path, edit, request):
         code, out, err = self._tampered(capsys, tmp_path, edit)
         assert code == EXIT_PARSE
         assert len(err.splitlines()) == 1
+        if request.node.callspec.id == "inputs-array":
+            target = tmp_path / "payload.json"
+            assert err == f"error: check file {target}: inputs must be a JSON object\n"
 
 
 class TestVerifyCommand:
@@ -477,6 +495,10 @@ class TestVerifyCommand:
             {"cone": [[1, "2", "0", "abc"]]},
             {"bundle": [[1, 2, "0", "0", "1"]]},
             {"bundle": [[1, "2", "0", "0", 1]]},
+            # Raw text: json.dumps cannot write a repeated key, and json.load
+            # alone would keep only the last copy and drop two rows.
+            '{"bundle": [[1, "2", "0", "0", "1"], [2, "2", "0", "0", "1"]], '
+            '"bundle": [[1, "2", "0", "0", "2"]]}',
         ],
         ids=[
             "array",
@@ -494,11 +516,12 @@ class TestVerifyCommand:
             "malformed-delta",
             "number-rational",
             "number-delta",
+            "repeated-key",
         ],
     )
     def test_malformed_grid_file_is_a_parse_error(self, capsys, tmp_path, grid):
         path = tmp_path / "grid.json"
-        path.write_text(json.dumps(grid))
+        path.write_text(grid if isinstance(grid, str) else json.dumps(grid))
         code, out, err = run_cli(["verify", "--grid", str(path)], capsys)
         assert code == EXIT_PARSE
         assert len(err.splitlines()) == 1

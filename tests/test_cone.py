@@ -31,7 +31,7 @@ from fanodelta.cone import (
 
 dims = st.integers(min_value=1, max_value=6)
 slopes = st.fractions(min_value=Fraction(1, 4), max_value=6, max_denominator=8)
-cone_coeffs = st.fractions(min_value=0, max_value=Fraction(9, 10), max_denominator=10)
+cone_coefficients = st.fractions(min_value=0, max_value=Fraction(9, 10), max_denominator=10)
 delta_values = st.fractions(min_value=Fraction(1, 10), max_value=3, max_denominator=12)
 
 
@@ -86,7 +86,7 @@ class TestFrozenConeValues:
 
 class TestConeStructure:
     @settings(max_examples=200)
-    @given(dims, slopes, cone_coeffs, delta_values)
+    @given(dims, slopes, cone_coefficients, delta_values)
     @example(n=3, r=Fraction(2), c=Fraction(1, 2), dv=Fraction(1))
     def test_value_at_most_one_for_semistable_base(self, n, r, c, dv):
         # With delta(V) <= 1 and r <= n+1, the cone can never beat delta = 1.
@@ -100,7 +100,7 @@ class TestConeStructure:
         assert (b.value == 1) == (dv == 1 and r == (n + 1) * (1 - c))
 
     @settings(max_examples=200)
-    @given(dims, slopes, cone_coeffs)
+    @given(dims, slopes, cone_coefficients)
     def test_infinity_branch_matches_centroid_form(self, n, r, c):
         # The Vinf branch is (1-c)/(B - Phi(0, B, n)) with B = r+1-c.
         b = cone_delta(FanoBase(n, r, DeltaKnowledge.at_least_one()), ConeBoundary(c))
@@ -108,7 +108,7 @@ class TestConeStructure:
         assert b.vinf_branch == (1 - c) / (B - centroid_phi(0, B, n))
 
     @settings(max_examples=200)
-    @given(dims, slopes, cone_coeffs, delta_values)
+    @given(dims, slopes, cone_coefficients, delta_values)
     def test_base_branch_is_delta_times_the_vertex_branch(self, n, r, c, dv):
         # Scaling delta(V) moves only the base-divisor branch; the vertex
         # branch (log discrepancy over S of the vertex blowup) is fixed.
@@ -151,7 +151,7 @@ class TestConeBundleConsistency:
                     assert bundle_route == cone_route, (n, r, c)
 
     @settings(max_examples=150)
-    @given(dims, slopes, cone_coeffs, delta_values)
+    @given(dims, slopes, cone_coefficients, delta_values)
     def test_exact_match_generically(self, n, r, c, dv):
         bundle_route, cone_route = cone_bundle_consistency(
             FanoBase(n, r, DeltaKnowledge.exact(dv)), c

@@ -1,6 +1,7 @@
 """Exact rational and polynomial arithmetic: frozen values and algebraic
 invariants."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,10 +13,8 @@ from fanodelta.exactarith import Polynomial, format_rational, parse_rational, ra
 
 nonzero_fractions = st.fractions().filter(lambda q: q != 0)
 
-small_polys = st.builds(
-    Polynomial,
-    st.lists(st.fractions(max_denominator=50), min_size=0, max_size=6),
-)
+coefficient_lists = st.lists(st.fractions(max_denominator=50), min_size=0, max_size=6)
+small_polys = st.builds(Polynomial, coefficient_lists)
 
 
 class TestRationalHelpers:
@@ -129,6 +128,38 @@ class TestPolynomialBasics:
         assert (p**k).coefficients == expected.coefficients
 
 
+class TestArithmeticMatchesTheFractionReference:
+    """Each operation on the integer form against the same operation on
+    plain Fraction coefficient lists: the arithmetic route the integer form
+    replaced. Every result is also in reduced form."""
+
+    @given(coefficient_lists, coefficient_lists, st.fractions(max_denominator=50))
+    def test_ring_operations(self, a, b, c):
+        p, q = Polynomial(a), Polynomial(b)
+        cases = [
+            (-p, [-x for x in a]),
+            (p + q, _reference_sum(a, b)),
+            (p - q, _reference_sum(a, [-y for y in b])),
+            (p * q, _reference_product(a, b)),
+            (p * c, [x * c for x in a]),
+            (c * p, [c * x for x in a]),
+        ]
+        for result, expected in cases:
+            assert result.coefficients == _trimmed(expected)
+            _assert_reduced(result)
+
+    @given(coefficient_lists)
+    def test_calculus(self, a):
+        p = Polynomial(a)
+        cases = [
+            (p.derivative(), [k * x for k, x in enumerate(a)][1:]),
+            (p.antiderivative(), [Fraction(0)] + [x / (k + 1) for k, x in enumerate(a)]),
+        ]
+        for result, expected in cases:
+            assert result.coefficients == _trimmed(expected)
+            _assert_reduced(result)
+
+
 class TestCalculus:
     def test_derivative_of_cubic(self):
         p = Polynomial([Fraction(-9, 14), 0, Fraction(13, 14), Fraction(-2, 7)])
@@ -197,3 +228,34 @@ def _reference_horner(coefficients, x):
     for c in reversed(coefficients):
         acc = acc * x + c
     return acc
+
+
+def _trimmed(coefficients):
+    coefficients = list(coefficients)
+    while coefficients and coefficients[-1] == 0:
+        coefficients.pop()
+    return tuple(coefficients)
+
+
+def _reference_sum(a, b):
+    out = [Fraction(0)] * max(len(a), len(b))
+    for coefficients in (a, b):
+        for k, c in enumerate(coefficients):
+            out[k] += c
+    return out
+
+
+def _reference_product(a, b):
+    out = [Fraction(0)] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _assert_reduced(p):
+    """L > 0, gcd(L, a_0, ..., a_deg) = 1 and a nonzero leading a_deg."""
+    lcm, ints = p.cleared
+    assert lcm > 0
+    assert math.gcd(lcm, *ints) == 1
+    assert not ints or ints[-1] != 0
