@@ -27,6 +27,8 @@ MINIMIZER_BASE = "BaseDivisor"
 MINIMIZER_V0 = "V0"
 MINIMIZER_VINF = "Vinf"
 
+GE1 = "ge1"
+
 
 @dataclass(frozen=True)
 class DeltaKnowledge:
@@ -58,7 +60,7 @@ class DeltaKnowledge:
     @classmethod
     def parse(cls, text: str) -> "DeltaKnowledge":
         """Parse "ge1" (K-semistable, delta >= 1) or an exact rational."""
-        if text.strip().lower() == "ge1":
+        if text.strip().lower() == GE1:
             return cls.at_least_one()
         return cls.exact(parse_rational(text))
 

@@ -8,7 +8,10 @@ violated constraint.
 
 Each computing subcommand is one entry of COMMANDS: its input flags, one
 result function and one text renderer over that result. Text output, --json
-and --check all run the same computation once.
+and --check all run the same computation once. An input is declared by its
+converter alone; its canonical payload form follows from the converted value:
+a rational renders as "p/q" text, and an integer, a delta text or None stays
+as it is.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import IO, Callable, NamedTuple, Optional
 
 from .angle import optimal_angle_interval, semistable_range_lambda_ge_1
 from .bundle import (
-    BundleBoundary, DeltaKnowledge, FanoBase, beta_zero, boundary_interval, bundle_delta,
+    GE1, BundleBoundary, DeltaKnowledge, FanoBase, beta_zero, boundary_interval, bundle_delta,
 )
 from .calabi import (
     CalabiProfile,
@@ -58,8 +61,6 @@ EXIT_INTERNAL = 4
 
 SCHEMA_VERSION = "1"
 
-GE1 = "ge1"
-
 
 class CliParseError(Exception):
     """Malformed input: an unparseable flag (raised instead of argparse's
@@ -85,10 +86,11 @@ class _Parser(argparse.ArgumentParser):
 # Input converters: each takes a flag's text or a --check payload's input
 # value and raises ValueError or TypeError when it is malformed (exit 2).
 # Range checks are left to the computation, so a well-formed but
-# out-of-domain value exits 3.
+# out-of-domain value exits 3. argparse names the converter in its
+# diagnostics ("invalid rational value: 'x'").
 
 
-def _integer(value: object) -> int:
+def integer(value: object) -> int:
     if isinstance(value, str):
         return int(value)
     if isinstance(value, int) and not isinstance(value, bool):
@@ -96,37 +98,38 @@ def _integer(value: object) -> int:
     raise TypeError(f"not an integer: {value!r}")
 
 
-def _rational(value: object) -> Fraction:
+def rational(value: object) -> Fraction:
     if not isinstance(value, str):
         raise TypeError(f"not a rational string: {value!r}")
     return parse_rational(value)
 
 
-def _delta(value: object) -> str:
+def delta(value: object) -> str:
     """Canonical text of a delta input: "ge1" or an exact rational."""
     if isinstance(value, str) and value.strip().lower() == GE1:
         return GE1
-    return format_rational(_rational(value))
+    return format_rational(rational(value))
 
 
-# argparse embeds the converter's __name__ in its diagnostics; keep those
-# readable.
-_integer.__name__ = "integer"
-_rational.__name__ = "rational"
-_delta.__name__ = "delta"
+_DELTA_HELP = 'exact rational or "ge1"'
 
 _REQUIRED = object()
 
 
+def _canonical(value: object) -> object:
+    """The payload form of a converted input: a rational renders as text."""
+    return format_rational(value) if isinstance(value, Fraction) else value
+
+
 class _Flag(NamedTuple):
     """One input of a command, keyed as in the payload's inputs. convert
-    parses it; canonical renders the parsed value for the payload. default
-    is _REQUIRED, a constant (text is converted, as argparse does), or a
-    function of the inputs before it."""
+    parses it, and the payload holds _canonical of the parsed value: a
+    rational as "p/q" text, an integer, a delta text or None as it is.
+    default is _REQUIRED, a constant (text is converted, as argparse does),
+    or a function of the inputs before it."""
 
     key: str
     convert: Callable[[object], object]
-    canonical: Callable[[object], object]
     default: object = _REQUIRED
     help: Optional[str] = None
 
@@ -135,26 +138,6 @@ class _Flag(NamedTuple):
         if value is None and self.default is None:
             return None
         return self.convert(value)
-
-
-class _Kind(NamedTuple):
-    """A converter and the canonical payload form of its values; calling a
-    kind declares an input of that kind."""
-
-    convert: Callable[[object], object]
-    canonical: Callable[[object], object]
-    help: Optional[str] = None
-
-    def __call__(
-        self, key: str, default: object = _REQUIRED, help: Optional[str] = None
-    ) -> _Flag:
-        return _Flag(key, self.convert, self.canonical, default, help or self.help)
-
-
-INTEGER = _Kind(_integer, int)
-RATIONAL = _Kind(_rational, format_rational)
-# _delta already returns the canonical text, and a None default stays None.
-DELTA = _Kind(_delta, lambda text: text, 'exact rational or "ge1"')
 
 
 class _Command(NamedTuple):
@@ -380,7 +363,8 @@ def _calabi_csv(args: argparse.Namespace, values: dict, result: dict) -> list[st
 COMMANDS: dict[str, _Command] = {
     "bundle": _Command(
         "projectivized-bundle delta invariant",
-        (INTEGER("n"), RATIONAL("r"), DELTA("delta_v"), RATIONAL("a", "0"), RATIONAL("b", "0")),
+        (_Flag("n", integer), _Flag("r", rational), _Flag("delta_v", delta, help=_DELTA_HELP),
+         _Flag("a", rational, "0"), _Flag("b", rational, "0")),
         _bundle_result,
         _breakdown_text(
             "delta invariant of the projectivized bundle over a base with n={n}, "
@@ -389,7 +373,8 @@ COMMANDS: dict[str, _Command] = {
     ),
     "cone": _Command(
         "projective-cone delta invariant",
-        (INTEGER("n"), RATIONAL("r"), DELTA("delta_v"), RATIONAL("c", "0")),
+        (_Flag("n", integer), _Flag("r", rational), _Flag("delta_v", delta, help=_DELTA_HELP),
+         _Flag("c", rational, "0")),
         _cone_result,
         _breakdown_text(
             "delta invariant of the projective cone over a base with n={n}, "
@@ -398,16 +383,17 @@ COMMANDS: dict[str, _Command] = {
     ),
     "cone-iterate": _Command(
         "iterated cones over a smooth hypersurface",
-        (INTEGER("n"), INTEGER("d"), INTEGER("i"), DELTA("delta0", GE1)),
+        (_Flag("n", integer), _Flag("d", integer), _Flag("i", integer),
+         _Flag("delta0", delta, GE1, _DELTA_HELP)),
         _cone_iterate_result,
         _cone_iterate_text,
     ),
     "branched-cone": _Command(
         "cone attached to a branched hypersurface",
         (
-            INTEGER("n"), INTEGER("k"), INTEGER("d"), INTEGER("l"),
-            DELTA("delta_pair", None, 'delta of the underlying pair: exact rational or "ge1" '
-                  "(defaults to the large-degree guarantee when applicable)"),
+            _Flag("n", integer), _Flag("k", integer), _Flag("d", integer), _Flag("l", integer),
+            _Flag("delta_pair", delta, None, "delta of the underlying pair: exact rational or "
+                  '"ge1" (defaults to the large-degree guarantee when applicable)'),
         ),
         _branched_result,
         _breakdown_text(
@@ -417,22 +403,22 @@ COMMANDS: dict[str, _Command] = {
     ),
     "angle": _Command(
         "K-semistability angle range for (V, a*S)",
-        (INTEGER("n"), RATIONAL("lambda")),
+        (_Flag("n", integer), _Flag("lambda", rational)),
         _angle_result,
         _angle_text,
     ),
     "calabi": _Command(
         "momentum profile and its invariants",
         (
-            INTEGER("n"), RATIONAL("r"),
-            RATIONAL("beta", lambda v: beta_zero(v["n"], v["r"]), "twist (default: beta0)"),
-            RATIONAL("mu", "1"),
+            _Flag("n", integer), _Flag("r", rational),
+            _Flag("beta", rational, lambda v: beta_zero(v["n"], v["r"]), "twist (default: beta0)"),
+            _Flag("mu", rational, "1"),
         ),
         _calabi_result,
         _calabi_text,
         options=(
             (("--csv",), {"metavar": "PATH", "help": "write (tau, phi) samples"}),
-            (("--samples",), {"type": _integer, "default": 33}),
+            (("--samples",), {"type": integer, "default": 33}),
         ),
         emit=_calabi_csv,
     ),
@@ -446,7 +432,7 @@ def _compute(command: _Command, values: dict) -> tuple[dict, dict]:
         if values[flag.key] is None and callable(flag.default):
             values[flag.key] = flag.default(values)
     result = command.result(values)
-    inputs = {flag.key: flag.canonical(values[flag.key]) for flag in command.flags}
+    inputs = {flag.key: _canonical(values[flag.key]) for flag in command.flags}
     return inputs, result
 
 
@@ -490,7 +476,8 @@ _GRID_WIDTHS = {"bundle": 5, "cone": 4}
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     """A JSON object as a dict, refusing a repeated key: json.load would keep
-    only its last copy and silently drop the rows of the others."""
+    only its last copy and silently drop the others (grid rows, or inputs of
+    a --check payload)."""
     data: dict = {}
     for key, value in pairs:
         if key in data:
@@ -518,8 +505,8 @@ def _load_grid_file(path: str) -> list[tuple]:
         for row in kind_rows:
             if not isinstance(row, list) or len(row) != width:
                 raise ValueError(f"a {kind} row must be an array of {width} entries, got {row!r}")
-            n, *rationals, delta = row
-            rows.append((kind, _integer(n), *map(_rational, rationals), _delta(delta)))
+            n, *rationals, delta_text = row
+            rows.append((kind, integer(n), *map(rational, rationals), delta(delta_text)))
     if not rows:
         raise ValueError("the grid has no rows")
     return rows
@@ -528,8 +515,8 @@ def _load_grid_file(path: str) -> list[tuple]:
 def _grid_case(row: tuple) -> BranchCase:
     """The branch case of a --grid row, or a DomainError for a row outside
     the domain."""
-    kind, n, r, *boundary, delta = row
-    base = FanoBase(n, r, DeltaKnowledge.parse(delta))
+    kind, n, r, *boundary, delta_text = row
+    base = FanoBase(n, r, DeltaKnowledge.parse(delta_text))
     if kind == "cone":
         return base, ConeBoundary(*boundary)
     bdry = BundleBoundary(*boundary)
@@ -573,12 +560,16 @@ def run_check(path: str) -> int:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw = handle.read()
-        payload = json.loads(raw)
+        payload = json.loads(raw, object_pairs_hook=_unique_keys)
     except (OSError, ValueError) as exc:
         raise CliParseError(f"cannot read check file {path}: {exc}") from None
     if not isinstance(payload, dict) or "command" not in payload or "inputs" not in payload:
         raise CliParseError(
             f"check file {path} is not a JSON object with command and inputs"
+        )
+    if payload.get("schema") != SCHEMA_VERSION:
+        raise CliParseError(
+            f"check file {path}: schema must be {SCHEMA_VERSION!r}, got {payload.get('schema')!r}"
         )
     command, inputs = payload["command"], payload["inputs"]
     if not isinstance(inputs, dict):

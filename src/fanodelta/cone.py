@@ -84,16 +84,16 @@ def cone_delta(base: FanoBase, bdry: ConeBoundary = ConeBoundary()) -> DeltaBrea
 
 def cone_bundle_consistency(
     base: FanoBase, c: RationalLike = 0
-) -> tuple[tuple[Rational, Rational, Rational], tuple[Rational, Rational, Rational]]:
-    """Branch coefficients (base, v0, vinf) of the cone formula computed two
-    ways, as the pair (bundle_route, cone_route); they must be equal.
+) -> tuple[tuple[Rational, Rational], tuple[Rational, Rational]]:
+    """Branch coefficients (v0, vinf) of the cone formula computed two ways,
+    as the pair (bundle_route, cone_route); they must be equal.
 
     bundle_route substitutes a = 1 - r and b = c into the bundle support
-    interval, which gives A = 0 and B = r + 1 - c; the base coefficient
-    becomes r / Phi(0, B, n), the vertex branch r / (Phi - 0), and the
-    infinity branch (1 - c) / (B - Phi), with the cone log discrepancies r
-    for V0 and 1 - c for Vinf. cone_route reads the same triple off
-    cone_delta(base, c), whose base coefficient is its V0 branch. Since
+    interval, which gives A = 0 and B = r + 1 - c; the vertex branch
+    becomes r / (Phi - 0) and the infinity branch (1 - c) / (B - Phi), with
+    the cone log discrepancies r for V0 and 1 - c for Vinf. cone_route reads
+    the same pair off cone_delta(base, c). The base coefficient r / Phi(0, B, n)
+    is the V0 branch by construction, so it is not compared again. Since
     Phi(0, B, n) = (n+1)*B/(n+2), the two must agree exactly. The
     coefficients do not depend on delta(V), so any knowledge of it will do.
     """
@@ -101,9 +101,9 @@ def cone_bundle_consistency(
     n, r, cc = base.n, base.r, bdry.c
     B = r + 1 - cc
     phi = centroid_phi(0, B, n)
-    bundle_route = (r / phi, r / phi, (1 - cc) / (B - phi))
+    bundle_route = (r / phi, (1 - cc) / (B - phi))
     cone = cone_delta(base, bdry)
-    return bundle_route, (cone.v0_branch, cone.v0_branch, cone.vinf_branch)
+    return bundle_route, (cone.v0_branch, cone.vinf_branch)
 
 
 @dataclass(frozen=True)
@@ -252,7 +252,7 @@ def branched_cone_delta(
             delta_pair = DeltaKnowledge.at_least_one()
         else:
             raise DomainError(
-                "delta_pair is required when d <= n: no automatic semistability "
+                "delta_pair is required outside n+1 <= d <= n+2: no automatic semistability "
                 f"guarantee for d={spec.d}, n={spec.n}"
             )
     return replace(

@@ -564,8 +564,8 @@ def run_verification(
                 reports.append(
                     OracleReport(
                         target=f"cone/bundle consistency (n={n}, r={r}, c={c})",
-                        closed_form=cone_route[1],
-                        approximation=bundle_route[1],
+                        closed_form=cone_route[0],
+                        approximation=bundle_route[0],
                         agrees=bundle_route == cone_route,
                     )
                 )

@@ -270,6 +270,38 @@ class TestExitCodes:
         assert code == EXIT_DOMAIN
         assert "gcd" in err
 
+    def test_branched_spec_above_the_degree_window_is_a_domain_error(self, capsys):
+        # A valid spec (r = 1) with d = 5 > n+2 and no --delta-pair.
+        code, out, err = run_cli(
+            ["branched-cone", "--n", "2", "--k", "2", "--d", "5", "--l", "1"], capsys
+        )
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert err == (
+            "domain error: delta_pair is required outside n+1 <= d <= n+2: "
+            "no automatic semistability guarantee for d=5, n=2\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["bundle", "--n", "x", "--r", "1", "--delta-v", "1"],
+             "argument --n: invalid integer value: 'x'"),
+            (["bundle", "--n", "1", "--r", "x", "--delta-v", "1"],
+             "argument --r: invalid rational value: 'x'"),
+            (["bundle", "--n", "1", "--r", "1", "--delta-v", "x"],
+             "argument --delta-v: invalid delta value: 'x'"),
+            (["calabi", "--n", "1", "--r", "2", "--samples", "x"],
+             "argument --samples: invalid integer value: 'x'"),
+        ],
+        ids=["integer", "rational", "delta", "samples"],
+    )
+    def test_a_malformed_flag_names_its_converter(self, argv, line, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err == f"error: {line}\n"
+
     def test_degenerate_angle_is_a_domain_error(self, capsys):
         code, out, err = run_cli(["angle", "--n", "2", "--lambda", "1/5"], capsys)
         assert code == EXIT_DOMAIN
@@ -385,11 +417,15 @@ class TestCheckRoundTrip:
             assert out == ""
 
     def _tampered(self, capsys, tmp_path, edit):
-        code, out, err = run_cli(
-            ["bundle", "--n", "1", "--r", "2", "--delta-v", "1", "--json"], capsys
-        )
+        """--check of a bundle payload changed by edit, or of edit itself when
+        it is raw text (json.dumps cannot write a repeated key)."""
+        if not isinstance(edit, str):
+            code, out, err = run_cli(
+                ["bundle", "--n", "1", "--r", "2", "--delta-v", "1", "--json"], capsys
+            )
+            edit = json.dumps(edit(json.loads(out)), indent=2) + "\n"
         target = tmp_path / "payload.json"
-        target.write_text(json.dumps(edit(json.loads(out)), indent=2) + "\n")
+        target.write_text(edit)
         return run_cli(["--check", str(target)], capsys)
 
     def test_out_of_domain_embedded_inputs_are_a_domain_error(self, capsys, tmp_path):
@@ -423,6 +459,11 @@ class TestCheckRoundTrip:
             lambda payload: dict(payload, command=["bundle"]),
             lambda payload: dict(payload, inputs=dict(payload["inputs"], r="abc")),
             lambda payload: dict(payload, inputs=dict(payload["inputs"], delta_v="zz")),
+            lambda payload: dict(payload, schema="2"),
+            lambda payload: {key: payload[key] for key in ("command", "inputs", "result")},
+            # json.loads alone would keep the last "r" and recompute r = 3.
+            '{"schema": "1", "command": "bundle", "inputs": {"n": 1, "r": "2", "r": "3", '
+            '"delta_v": "1", "a": "0", "b": "0"}, "result": {}}',
         ],
         ids=[
             "array",
@@ -433,15 +474,24 @@ class TestCheckRoundTrip:
             "bad-command",
             "bad-rational",
             "bad-delta",
+            "schema-2",
+            "no-schema",
+            "repeated-key",
         ],
     )
     def test_malformed_payload_is_a_parse_error(self, capsys, tmp_path, edit, request):
         code, out, err = self._tampered(capsys, tmp_path, edit)
         assert code == EXIT_PARSE
         assert len(err.splitlines()) == 1
-        if request.node.callspec.id == "inputs-array":
-            target = tmp_path / "payload.json"
-            assert err == f"error: check file {target}: inputs must be a JSON object\n"
+        target = tmp_path / "payload.json"
+        line = {
+            "inputs-array": f"check file {target}: inputs must be a JSON object",
+            "schema-2": f"check file {target}: schema must be '1', got '2'",
+            "no-schema": f"check file {target}: schema must be '1', got None",
+            "repeated-key": f"cannot read check file {target}: repeated key 'r'",
+        }.get(request.node.callspec.id)
+        if line is not None:
+            assert err == f"error: {line}\n"
 
 
 class TestVerifyCommand:
@@ -686,6 +736,23 @@ class TestBeyondTheFloatRange:
         assert len(done.stderr.splitlines()) == 1
         assert done.stdout == ""
         assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("bundle", '--delta-v DELTA_V exact rational or "ge1"'),
+        ("cone", '--delta-v DELTA_V exact rational or "ge1"'),
+        ("cone-iterate", '--delta0 DELTA0 exact rational or "ge1"'),
+        ("calabi", "--beta BETA twist (default: beta0)"),
+    ],
+)
+def test_help_says_what_an_input_takes(command, text, capsys):
+    # Whitespace is collapsed, so argparse's line wrapping cannot matter.
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    assert text in " ".join(capsys.readouterr().out.split())
 
 
 class TestParserReuse:

@@ -260,12 +260,18 @@ class TestBranchedCones:
         assert b.value == Fraction(1, 2)
 
     def test_default_requires_the_degree_window(self):
-        # d outside [n+1, n+2] has no default semistability guarantee.
-        spec = BranchedConeSpec(3, 3, 2, 2)
-        assert spec.r == 8
-        with pytest.raises(DomainError, match="delta_pair"):
-            branched_cone_delta(spec)
-        b = branched_cone_delta(spec, DeltaKnowledge.at_least_one())
+        # d outside [n+1, n+2] has no default semistability guarantee, on
+        # either side of the window, and the refusal names the window.
+        below, above = BranchedConeSpec(3, 3, 2, 2), BranchedConeSpec(2, 2, 5, 1)
+        assert (below.r, above.r) == (8, 1)
+        for spec in (below, above):
+            with pytest.raises(
+                DomainError,
+                match=rf"^delta_pair is required outside n\+1 <= d <= n\+2: .* "
+                rf"for d={spec.d}, n={spec.n}$",
+            ):
+                branched_cone_delta(spec)
+        b = branched_cone_delta(below, DeltaKnowledge.at_least_one())
         assert b.proof_coverage == PROOF_UPPER_BOUND
 
     def test_side_condition_failures_are_reported_individually(self):
