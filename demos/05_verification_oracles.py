@@ -3,10 +3,11 @@ Independent oracles: trusting the closed forms
 ==============================================
 
 Every closed form in the package is double-checked by a route that shares
-no code with it: finite Riemann sums with provable error bounds, midpoint
-quadratures, brute-force branch minima, and a telescoped recursion for the
-iterated cones. This script runs each oracle by hand and then the whole
-suite.
+no code with it. The suite has six oracle families: finite Riemann sums
+with provable error bounds, midpoint quadratures, brute-force branch
+minima, Futaki quadratures against the closed form, a telescoped recursion
+for the iterated cones, and the cone formula against the bundle formula.
+This script runs some oracles by hand and then the whole suite.
 """
 
 from fractions import Fraction

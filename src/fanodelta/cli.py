@@ -577,6 +577,10 @@ def run_check(path: str) -> int:
     spec = COMMANDS.get(command) if isinstance(command, str) else None
     if spec is None:
         raise CliParseError(f"cannot re-check command {command!r}")
+    unknown = [key for key in payload if key not in ("schema", "command", "inputs", "result")]
+    unknown += sorted(inputs.keys() - {flag.key for flag in spec.flags})
+    if unknown:
+        raise CliParseError(f"check file {path}: unknown key {unknown[0]!r}")
     try:
         values = {flag.key: flag.read(inputs[flag.key]) for flag in spec.flags}
     except KeyError as exc:

@@ -1,12 +1,13 @@
 """Independent finite-scale oracles for the closed forms.
 
-Each oracle recomputes a closed-form quantity from first principles at a
-finite resolution: Riemann sums for the section-threshold limits, midpoint
-quadrature for the volume integrals, naive three-branch comparison for the
-minimizer logic, quadrature for the Futaki integral, and the telescoped
-recursion for iterated cones. Accumulation is exact rational arithmetic
-throughout, so "error" always means discretization distance to the limit,
-never rounding, and each report carries a provable bound for it.
+Six oracle families recompute the closed forms from first principles:
+Riemann sums for the section-threshold limits, midpoint quadrature for the
+volume integrals, naive three-branch comparison for the minimizer logic,
+quadrature for the Futaki integral, the telescoped recursion for iterated
+cones, and the bundle formula specialized to the cone. Accumulation is
+exact rational arithmetic throughout, so "error" always means
+discretization distance to the limit, never rounding, and each report
+carries a provable bound for it.
 
 Every finite-level sum is still the exact discrete sum over all m sample
 points, but one kernel, _progression_sum, evaluates it in closed form: the
@@ -16,7 +17,8 @@ a recurrence. So every kernel, the Futaki quadrature included, costs
 O(k^2) big-integer operations whatever m is. The midpoint oracles share
 one midpoint rule and one error bound on top of it.
 
-Reports are generated in a fixed grid order, so output is reproducible.
+Reports come in that family order, each family over its own fixed grid,
+so output is reproducible.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 from .bundle import (
     BundleBoundary,
@@ -399,188 +401,140 @@ class VerificationRun:
         }
 
     def summary_lines(self) -> list[str]:
-        lines = []
-        counts = {"pass": 0, "fail": 0}
-        for report in self.reports:
-            counts[report.status] += 1
-        for report in self.reports:
-            if report.status == "fail":
-                lines.append(
-                    f"FAIL {report.target}: closed form {report.closed_form}, "
-                    f"got {report.approximation} (bound {report.bound})"
-                )
+        failed = [report for report in self.reports if report.status == "fail"]
+        lines = [
+            f"FAIL {report.target}: closed form {report.closed_form}, "
+            f"got {report.approximation} (bound {report.bound})"
+            for report in failed
+        ]
         lines.append(
-            f"{counts['pass']} of {len(self.reports)} oracle checks passed "
+            f"{len(self.reports) - len(failed)} of {len(self.reports)} oracle checks passed "
             f"({self.mode} mode)"
         )
-        for note in self.notes:
-            lines.append(f"note: {note}")
+        lines.extend(f"note: {note}" for note in self.notes)
         return lines
 
 
-RIEMANN_GRID: Sequence[tuple[int, Fraction, Fraction]] = (
-    (1, Fraction(1), Fraction(3)),
-    (2, Fraction(0), Fraction(2)),
-    (2, Fraction(1), Fraction(3)),
-    (3, Fraction(1, 2), Fraction(5, 2)),
-)
-
-QUADRATURE_GRID: Sequence[tuple[int, Fraction, Fraction, Fraction]] = (
-    # (n, a, b, r) on the bundle domain
-    (1, Fraction(0), Fraction(0), Fraction(2)),
-    (2, Fraction(1, 2), Fraction(1, 4), Fraction(3)),
-    (3, Fraction(0), Fraction(1, 2), Fraction(2)),
-)
-
-QUADRATURE_CONE_GRID: Sequence[tuple[int, Fraction]] = (
-    # (n, B) for the cone substitution interval [0, B]
-    (2, Fraction(2)),
-    (1, Fraction(3, 2)),
-)
-
-FUTAKI_GRID: Sequence[tuple[int, Fraction]] = (
-    (1, Fraction(2)),
-    (2, Fraction(2)),
-    (2, Fraction(3)),
-)
-
-CONSISTENCY_R_GRID = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3))
-CONSISTENCY_C_GRID = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
+def _riemann_family(resolution: int) -> Iterator[OracleReport]:
+    for n, A, B in ((1, 1, 3), (2, 0, 2), (2, 1, 3), (3, Fraction(1, 2), Fraction(5, 2))):
+        m = resolution * (B - A).denominator
+        yield OracleReport(
+            target=f"riemann_s_limit(n={n}, A={A}, B={B})",
+            closed_form=centroid_phi(A, B, n) - A,
+            approximation=riemann_s_limit(n, A, B, m),
+            m_or_steps=m,
+            bound=riemann_error_bound(n, A, B, m),
+        )
 
 
-def _iter_telescoping_grid() -> Iterator[tuple[int, int, int]]:
+def _midpoint_family(resolution: int) -> Iterator[OracleReport]:
+    # The support intervals of three bundles (n, a, b, r), then two cone
+    # substitution intervals [0, B].
+    unknown = DeltaKnowledge.at_least_one()
+    intervals = [
+        (f"quadrature_s_v0(n={n}, a={a}, b={b}, r={r})", n,
+         *boundary_interval(FanoBase(n, r, unknown), BundleBoundary(a, b)))
+        for n, a, b, r in (
+            (1, 0, 0, 2), (2, Fraction(1, 2), Fraction(1, 4), 3), (3, 0, Fraction(1, 2), 2)
+        )
+    ] + [
+        (f"quadrature cone interval (n={n}, A=0, B={B})", n, 0, B)
+        for n, B in ((2, 2), (1, Fraction(3, 2)))
+    ]
+    for target, n, lo, hi in intervals:
+        yield OracleReport(
+            target=target,
+            closed_form=centroid_phi(lo, hi, n) - lo,
+            approximation=midpoint_centroid_offset(n, lo, hi, resolution),
+            m_or_steps=resolution,
+            bound=midpoint_centroid_bound(n, lo, hi, resolution),
+        )
+
+
+def _futaki_family(resolution: int) -> Iterator[OracleReport]:
+    for n, r in ((1, 2), (2, 2), (2, 3)):
+        hermite = hermite_admissible_profile(n, r)
+        exact = futaki_invariant(hermite)
+        yield OracleReport(
+            target=f"futaki closed form vs integral (n={n}, r={r})",
+            closed_form=futaki_closed_form(n, r),
+            approximation=exact,
+        )
+        bump = perturbed_admissible_profile(hermite, Fraction(1, 10))
+        linear = perturbed_admissible_profile(hermite, Fraction(1, 7), Polynomial([0, 1]))
+        for label, profile in (("hermite", hermite), ("bump", bump), ("bump-linear", linear)):
+            yield OracleReport(
+                target=f"futaki quadrature (n={n}, r={r}, profile={label})",
+                closed_form=exact,
+                approximation=futaki_quadrature(profile, resolution),
+                m_or_steps=resolution,
+                bound=futaki_quadrature_bound(profile, resolution),
+            )
+            if profile is not hermite:
+                yield OracleReport(
+                    target=f"futaki profile-independence (n={n}, r={r}, profile={label})",
+                    closed_form=exact,
+                    approximation=futaki_invariant(profile),
+                )
+
+
+def _telescoping_family() -> Iterator[OracleReport]:
     for n in range(1, 5):
         for d in range(2, n + 2):
             for i in range(1, 5):
-                yield n, d, i
+                spec = HypersurfaceConeSpec(n, d, i, DeltaKnowledge.at_least_one())
+                yield OracleReport(
+                    target=f"telescoping vs composition (n={n}, d={d}, i={i})",
+                    closed_form=iterated_hypersurface_chain(spec)[-1].value,
+                    approximation=telescoping_iterated_cone(spec),
+                    m_or_steps=i,
+                )
+
+
+def _consistency_family() -> Iterator[OracleReport]:
+    for n in range(1, 7):
+        for r in (Fraction(1, 2), 1, Fraction(3, 2), 2, 3):
+            base = FanoBase(n, r, DeltaKnowledge.at_least_one())
+            for c in (Fraction(k, 4) for k in range(4)):
+                bundle_route, cone_route = cone_bundle_consistency(base, c)
+                yield OracleReport(
+                    target=f"cone/bundle consistency (n={n}, r={r}, c={c})",
+                    closed_form=cone_route[0],
+                    approximation=bundle_route[0],
+                    agrees=bundle_route == cone_route,
+                )
+
+
+# iterated_hypersurface_chain checks its last value against the closed form
+# by agree, so the telescoping reports cover the closed form too.
+_ITERATED_CONE_NOTE = (
+    "iterated-cone finding: the telescoped per-step recursion agrees exactly "
+    "with both the step-wise composition and the closed form "
+    "(n+2-d)(n+1+i)/((n+1)(n+2+i-d)) on the full grid n<=4, d in [2,n+1], "
+    "i<=4; per-step capping at 1 never binds after the first step"
+)
 
 
 def run_verification(
     deep: bool = False, grid: Optional[Iterable[BranchCase]] = None
 ) -> VerificationRun:
-    """Run every oracle against its closed form and aggregate the reports.
-
-    deep raises the Riemann/quadrature resolution from 10^3 to 10^5. grid,
-    a list of (FanoBase, boundary) branch cases, replaces only the default
-    branch-minimum cases; all other grids are fixed.
+    """Run the six oracle families and aggregate their reports in family
+    order: Riemann, midpoint, branch minimum, Futaki, telescoping and
+    cone/bundle consistency. deep raises the Riemann, midpoint and Futaki
+    resolution from 10^3 to 10^5. grid, a list of (FanoBase, boundary)
+    branch cases, replaces only the default branch-minimum cases.
     """
     resolution = DEEP_RESOLUTION if deep else DEFAULT_RESOLUTION
-    reports: list[OracleReport] = []
-
-    for n, A, B in RIEMANN_GRID:
-        m = resolution * (B - A).denominator
-        reports.append(
-            OracleReport(
-                target=f"riemann_s_limit(n={n}, A={A}, B={B})",
-                closed_form=centroid_phi(A, B, n) - A,
-                approximation=riemann_s_limit(n, A, B, m),
-                m_or_steps=m,
-                bound=riemann_error_bound(n, A, B, m),
-            )
-        )
-
-    for n, a, b, r in QUADRATURE_GRID:
-        base = FanoBase(n, r, DeltaKnowledge.at_least_one())
-        lo, hi = boundary_interval(base, BundleBoundary(a, b))
-        reports.append(
-            OracleReport(
-                target=f"quadrature_s_v0(n={n}, a={a}, b={b}, r={r})",
-                closed_form=centroid_phi(lo, hi, n) - lo,
-                approximation=midpoint_centroid_offset(n, lo, hi, resolution),
-                m_or_steps=resolution,
-                bound=midpoint_centroid_bound(n, lo, hi, resolution),
-            )
-        )
-    for n, B in QUADRATURE_CONE_GRID:
-        reports.append(
-            OracleReport(
-                target=f"quadrature cone interval (n={n}, A=0, B={B})",
-                closed_form=centroid_phi(0, B, n),
-                approximation=midpoint_centroid_offset(n, 0, B, resolution),
-                m_or_steps=resolution,
-                bound=midpoint_centroid_bound(n, 0, B, resolution),
-            )
-        )
-
-    reports.extend(branch_min_bruteforce(default_branch_grid() if grid is None else grid))
-
-    for n, r in FUTAKI_GRID:
-        base_profile = hermite_admissible_profile(n, r)
-        exact = futaki_invariant(base_profile)
-        reports.append(
-            OracleReport(
-                target=f"futaki closed form vs integral (n={n}, r={r})",
-                closed_form=futaki_closed_form(n, r),
-                approximation=exact,
-            )
-        )
-        for label, profile in (
-            ("hermite", base_profile),
-            ("bump", perturbed_admissible_profile(base_profile, Fraction(1, 10))),
-            (
-                "bump-linear",
-                perturbed_admissible_profile(
-                    base_profile, Fraction(1, 7), Polynomial([0, 1])
-                ),
-            ),
-        ):
-            reports.append(
-                OracleReport(
-                    target=f"futaki quadrature (n={n}, r={r}, profile={label})",
-                    closed_form=exact,
-                    approximation=futaki_quadrature(profile, resolution),
-                    m_or_steps=resolution,
-                    bound=futaki_quadrature_bound(profile, resolution),
-                )
-            )
-            if label != "hermite":
-                reports.append(
-                    OracleReport(
-                        target=f"futaki profile-independence (n={n}, r={r}, profile={label})",
-                        closed_form=exact,
-                        approximation=futaki_invariant(profile),
-                    )
-                )
-
-    for n, d, i in _iter_telescoping_grid():
-        spec = HypersurfaceConeSpec(n, d, i, DeltaKnowledge.at_least_one())
-        telescoped = telescoping_iterated_cone(spec)
-        chain_value = iterated_hypersurface_chain(spec)[-1].value
-        reports.append(
-            OracleReport(
-                target=f"telescoping vs composition (n={n}, d={d}, i={i})",
-                closed_form=chain_value,
-                approximation=telescoped,
-                m_or_steps=i,
-            )
-        )
-
-    unknown = DeltaKnowledge.at_least_one()
-    for n in range(1, 7):
-        for r in CONSISTENCY_R_GRID:
-            base = FanoBase(n, r, unknown)
-            for c in CONSISTENCY_C_GRID:
-                bundle_route, cone_route = cone_bundle_consistency(base, c)
-                reports.append(
-                    OracleReport(
-                        target=f"cone/bundle consistency (n={n}, r={r}, c={c})",
-                        closed_form=cone_route[0],
-                        approximation=bundle_route[0],
-                        agrees=bundle_route == cone_route,
-                    )
-                )
-
-    # iterated_hypersurface_chain checks its last value against the closed
-    # form by agree, so the telescoping reports above cover the closed form
-    # too.
-    notes = (
-        "iterated-cone finding: the telescoped per-step recursion agrees exactly "
-        "with both the step-wise composition and the closed form "
-        "(n+2-d)(n+1+i)/((n+1)(n+2+i-d)) on the full grid n<=4, d in [2,n+1], "
-        "i<=4; per-step capping at 1 never binds after the first step",
+    families = (
+        _riemann_family(resolution),
+        _midpoint_family(resolution),
+        branch_min_bruteforce(default_branch_grid() if grid is None else grid),
+        _futaki_family(resolution),
+        _telescoping_family(),
+        _consistency_family(),
     )
     return VerificationRun(
         mode="deep" if deep else "default",
-        reports=tuple(reports),
-        notes=notes,
+        reports=tuple(report for family in families for report in family),
+        notes=(_ITERATED_CONE_NOTE,),
     )

@@ -461,6 +461,8 @@ class TestCheckRoundTrip:
             lambda payload: dict(payload, inputs=dict(payload["inputs"], delta_v="zz")),
             lambda payload: dict(payload, schema="2"),
             lambda payload: {key: payload[key] for key in ("command", "inputs", "result")},
+            lambda payload: dict(payload, inputs=dict(payload["inputs"], extra=5)),
+            lambda payload: dict(payload, note="x"),
             # json.loads alone would keep the last "r" and recompute r = 3.
             '{"schema": "1", "command": "bundle", "inputs": {"n": 1, "r": "2", "r": "3", '
             '"delta_v": "1", "a": "0", "b": "0"}, "result": {}}',
@@ -476,6 +478,8 @@ class TestCheckRoundTrip:
             "bad-delta",
             "schema-2",
             "no-schema",
+            "extra-input",
+            "extra-top-level",
             "repeated-key",
         ],
     )
@@ -488,6 +492,8 @@ class TestCheckRoundTrip:
             "inputs-array": f"check file {target}: inputs must be a JSON object",
             "schema-2": f"check file {target}: schema must be '1', got '2'",
             "no-schema": f"check file {target}: schema must be '1', got None",
+            "extra-input": f"check file {target}: unknown key 'extra'",
+            "extra-top-level": f"check file {target}: unknown key 'note'",
             "repeated-key": f"cannot read check file {target}: repeated key 'r'",
         }.get(request.node.callspec.id)
         if line is not None:
@@ -499,6 +505,25 @@ class TestVerifyCommand:
         code, out, err = run_cli(["verify"], capsys)
         assert code == EXIT_OK
         assert "passed" in out
+
+    def test_a_failing_oracle_is_an_internal_error(self, capsys, monkeypatch):
+        # The Riemann family looks its kernel up by name on each call, so a
+        # kernel off by one fails exactly the four Riemann reports.
+        true_kernel = importlib.import_module("fanodelta.oracles").riemann_s_limit
+        monkeypatch.setattr(
+            "fanodelta.oracles.riemann_s_limit", lambda *args: true_kernel(*args) + 1
+        )
+        code, out, err = run_cli(["verify"], capsys)
+        assert code == EXIT_INTERNAL
+        lines = out.splitlines()
+        assert len(lines) == 6
+        assert all(line.startswith("FAIL riemann_s_limit(") for line in lines[:4])
+        assert lines[0] == (
+            "FAIL riemann_s_limit(n=1, A=1, B=3): closed form 7/6, got 13001/6000 "
+            "(bound 19/4002)"
+        )
+        assert lines[4] == "471 of 475 oracle checks passed (default mode)"
+        assert lines[5].startswith("note: iterated-cone finding:")
 
     def test_json_report(self, capsys, tmp_path):
         target = tmp_path / "report.json"

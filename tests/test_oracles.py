@@ -339,6 +339,16 @@ class TestVerificationRun:
             if report.target.startswith(("bundle_delta", "cone_delta"))
         ]
         assert branch_targets == ["bundle_delta(n=1, r=2, a=0, b=0, delta=1)"]
+        # Every other family keeps its default grid, reports and order.
+        def others(reports):
+            return [
+                report.to_json_dict() for report in reports
+                if not report.target.startswith(("bundle_delta", "cone_delta"))
+            ]
+
+        default = run_verification()
+        assert len(run.reports) == 188 and len(others(default.reports)) == 187
+        assert others(run.reports) == others(default.reports)
 
     def test_a_report_derives_its_status(self):
         # Exact comparisons pass on the defaults (one step, bound 0) when
