@@ -574,6 +574,8 @@ def run_check(path: str) -> int:
     command, inputs = payload["command"], payload["inputs"]
     if not isinstance(inputs, dict):
         raise CliParseError(f"check file {path}: inputs must be a JSON object")
+    if not isinstance(payload.get("result"), dict):
+        raise CliParseError(f"check file {path}: result must be a JSON object")
     spec = COMMANDS.get(command) if isinstance(command, str) else None
     if spec is None:
         raise CliParseError(f"cannot re-check command {command!r}")

@@ -396,6 +396,10 @@ class TestDomainGuards:
         with pytest.raises(DomainError):
             FanoBase(1, Fraction(-3, 2), DeltaKnowledge.exact(1))
 
+    def test_delta_must_be_a_delta_knowledge(self):
+        with pytest.raises(TypeError, match="delta_v must be a DeltaKnowledge"):
+            FanoBase(1, 2, Fraction(1))
+
 
 def _reference_centroid_phi(A, B, n):
     """The centroid as it was first computed: the closed form in Fraction

@@ -89,8 +89,11 @@ class TestSolveProfile:
 
     @pytest.mark.parametrize("tau", [0, Fraction(-1, 2), -3])
     def test_phi_refuses_nonpositive_tau(self, tau):
+        profile = solve_profile(1, 2, beta_zero(1, 2))
         with pytest.raises(DomainError, match="tau > 0"):
-            solve_profile(1, 2, beta_zero(1, 2)).phi(tau)
+            profile.phi(tau)
+        with pytest.raises(DomainError, match="tau > 0"):
+            profile.phi_prime(tau)
 
     def test_requires_slope_above_one(self):
         with pytest.raises(DomainError):
@@ -166,6 +169,14 @@ class TestPositivity:
         for n, r, beta in PROFILE_GRID:
             assert verify_positive_interior(solve_profile(n, r, beta)), (n, r, beta)
 
+    def test_a_profile_that_is_not_unimodal_is_refused(self):
+        # Negating every coefficient keeps the ODE's shape but turns the
+        # interior maximum of N into a minimum.
+        p = solve_profile(1, 2, beta_zero(1, 2))
+        negated = CalabiProfile(p.n, p.r, -p.beta, -p.c1, -p.c2, -p.numerator)
+        with pytest.raises(InternalCheckError, match="not unimodal"):
+            verify_positive_interior(negated)
+
 
 class TestAdmissibleProfiles:
     def test_hermite_profile_is_admissible(self):
@@ -187,6 +198,10 @@ class TestAdmissibleProfiles:
         bad = Polynomial.monomial(2)
         failures = admissibility_failures(1, 2, bad)
         assert len(failures) >= 3
+
+    def test_requires_slope_above_one(self):
+        with pytest.raises(DomainError, match="r must satisfy r > 1, got 1"):
+            AdmissibleProfile(1, 1, Polynomial.zero())
 
     def test_perturbation_preserves_admissibility(self):
         base = hermite_admissible_profile(2, 2)

@@ -270,6 +270,14 @@ class TestExitCodes:
         assert code == EXIT_DOMAIN
         assert "gcd" in err
 
+    def test_branched_order_below_two_is_a_domain_error(self, capsys):
+        code, out, err = run_cli(
+            ["branched-cone", "--n", "2", "--k", "1", "--d", "3", "--l", "1"], capsys
+        )
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert err == "domain error: k must satisfy k >= 2, got 1\n"
+
     def test_branched_spec_above_the_degree_window_is_a_domain_error(self, capsys):
         # A valid spec (r = 1) with d = 5 > n+2 and no --delta-pair.
         code, out, err = run_cli(
@@ -380,6 +388,7 @@ class TestCheckRoundTrip:
             code, out2, err2 = run_cli(["--check", str(target)], capsys)
             assert code == EXIT_OK, (argv, err2)
             assert "check ok" in out2
+            assert err2 == ""
 
     def test_tampered_payload_is_detected(self, capsys, tmp_path):
         code, out, err = run_cli(
@@ -463,6 +472,8 @@ class TestCheckRoundTrip:
             lambda payload: {key: payload[key] for key in ("command", "inputs", "result")},
             lambda payload: dict(payload, inputs=dict(payload["inputs"], extra=5)),
             lambda payload: dict(payload, note="x"),
+            lambda payload: {key: payload[key] for key in ("schema", "command", "inputs")},
+            lambda payload: dict(payload, result=None),
             # json.loads alone would keep the last "r" and recompute r = 3.
             '{"schema": "1", "command": "bundle", "inputs": {"n": 1, "r": "2", "r": "3", '
             '"delta_v": "1", "a": "0", "b": "0"}, "result": {}}',
@@ -480,12 +491,15 @@ class TestCheckRoundTrip:
             "no-schema",
             "extra-input",
             "extra-top-level",
+            "no-result",
+            "result-null",
             "repeated-key",
         ],
     )
     def test_malformed_payload_is_a_parse_error(self, capsys, tmp_path, edit, request):
         code, out, err = self._tampered(capsys, tmp_path, edit)
         assert code == EXIT_PARSE
+        assert out == ""
         assert len(err.splitlines()) == 1
         target = tmp_path / "payload.json"
         line = {
@@ -494,6 +508,8 @@ class TestCheckRoundTrip:
             "no-schema": f"check file {target}: schema must be '1', got None",
             "extra-input": f"check file {target}: unknown key 'extra'",
             "extra-top-level": f"check file {target}: unknown key 'note'",
+            "no-result": f"check file {target}: result must be a JSON object",
+            "result-null": f"check file {target}: result must be a JSON object",
             "repeated-key": f"cannot read check file {target}: repeated key 'r'",
         }.get(request.node.callspec.id)
         if line is not None:
@@ -545,6 +561,7 @@ class TestVerifyCommand:
         )
         code, out, err = run_cli(["verify", "--grid", str(grid)], capsys)
         assert code == EXIT_OK
+        assert err == ""
 
     def test_missing_grid_file_is_a_parse_error(self, capsys, tmp_path):
         code, out, err = run_cli(
@@ -691,6 +708,34 @@ def _run_module(argv, **kwargs):
         [sys.executable, "-m", "fanodelta.cli", *argv],
         stderr=subprocess.PIPE, text=True, env=env, timeout=120, **kwargs,
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "bundle --n 2 --r 3 --delta-v ge1 --a 1/2 --b 1/4",
+        "cone --n 2 --r 3 --delta-v 1 --c 1/2",
+        "cone-iterate --n 2 --d 3 --i 4",
+        "branched-cone --n 2 --k 2 --d 3 --l 1",
+        "angle --n 2 --lambda 2/3",
+        "calabi --n 2 --r 3 --beta 1/2",
+        "verify --deep",
+    ],
+)
+def test_module_entry_point_in_a_process(argv, tmp_path):
+    """Each computing command's --json payload passes --check, and the deep
+    suite passes, with every step its own python -m fanodelta.cli process."""
+    if argv == "verify --deep":
+        final, line = argv.split(), "475 of 475 oracle checks passed (deep mode)"
+    else:
+        payload = tmp_path / "payload.json"
+        with payload.open("w") as handle:
+            assert _run_module(argv.split() + ["--json"], stdout=handle).returncode == EXIT_OK
+        final, line = ["--check", str(payload)], f"check ok: {payload} reproduces byte-for-byte"
+    done = _run_module(final, stdout=subprocess.PIPE)
+    assert done.returncode == EXIT_OK
+    assert done.stderr == ""
+    assert line in done.stdout.splitlines()
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

@@ -230,6 +230,10 @@ class TestIteratedHypersurfaceCones:
         with pytest.raises(DomainError, match="i must be an integer >= 1"):
             HypersurfaceConeSpec(2, 3, 0, DeltaKnowledge.at_least_one())
 
+    def test_starting_delta_must_be_a_delta_knowledge(self):
+        with pytest.raises(TypeError, match="delta_v0 must be a DeltaKnowledge"):
+            HypersurfaceConeSpec(2, 3, 1, Fraction(1))
+
 
 class TestBranchedCones:
     def test_double_cover_of_the_cubic(self):
@@ -287,6 +291,8 @@ class TestBranchedCones:
             BranchedConeSpec(2, 2, 3, 3)  # l >= k
         with pytest.raises(DomainError):
             BranchedConeSpec(2, 3, 3, 1)  # k does not divide d*l-1 = 2
+        with pytest.raises(DomainError, match="k must satisfy k >= 2, got 1"):
+            BranchedConeSpec(2, 1, 3, 1)
 
     def test_breakdown_is_the_cone_breakdown_with_its_side_conditions(self):
         for spec, pair in (

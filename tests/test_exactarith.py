@@ -80,6 +80,15 @@ class TestPolynomialBasics:
         assert Polynomial.monomial(2, Fraction(1, 2))(4) == 8
         assert Polynomial.constant(Fraction(7, 3)).degree == 0
 
+    def test_refuses_mutation_and_negative_degrees(self):
+        p = Polynomial([1, 2])
+        with pytest.raises(AttributeError, match="immutable"):
+            p.cleared = (1, ())
+        with pytest.raises(ValueError, match="nonnegative"):
+            Polynomial.monomial(-1)
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            p ** -1
+
     def test_evaluation_uses_exact_arithmetic(self):
         p = Polynomial([Fraction(1, 3), Fraction(-1, 7), Fraction(2, 11)])
         x = Fraction(5, 13)
