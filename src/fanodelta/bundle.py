@@ -26,6 +26,7 @@ from .exactarith import Rational, RationalLike, format_rational, parse_rational,
 MINIMIZER_BASE = "BaseDivisor"
 MINIMIZER_V0 = "V0"
 MINIMIZER_VINF = "Vinf"
+_TAGS = (MINIMIZER_BASE, MINIMIZER_V0, MINIMIZER_VINF)
 
 GE1 = "ge1"
 
@@ -224,13 +225,19 @@ class DeltaBreakdown:
     side_conditions: Optional[tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
-        base, v0, vinf = self.base_branch, self.v0_branch, self.vinf_branch
-        value = min(v0, vinf) if base is None else min(base, v0, vinf)
-        tags = [MINIMIZER_BASE] if base is not None and base == value else []
-        if v0 == value:
-            tags.append(MINIMIZER_V0)
-        if vinf == value:
-            tags.append(MINIMIZER_VINF)
+        # One pass in integers: p/q < s/t exactly when p*t < s*q, since every
+        # denominator is positive. A tie keeps the earlier branch, as min does.
+        value, tags = None, []
+        for tag, branch in zip(_TAGS, (self.base_branch, self.v0_branch, self.vinf_branch)):
+            if branch is None:
+                continue
+            sign = -1 if value is None else (
+                branch.numerator * value.denominator - value.numerator * branch.denominator
+            )
+            if sign < 0:
+                value, tags = branch, [tag]
+            elif sign == 0:
+                tags.append(tag)
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "minimizers", tuple(tags))
 

@@ -168,7 +168,8 @@ def _show(text: str) -> str:
 
 
 def render_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    # Every payload is a fresh tree from _payload: no cycle to look for.
+    return json.dumps(payload, indent=2, check_circular=False) + "\n"
 
 
 def _payload(command: str, inputs: dict, result: dict) -> dict:
@@ -589,6 +590,11 @@ def run_check(path: str) -> int:
         raise CliParseError(f"check file {path}: inputs lack the key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise CliParseError(f"check file {path}: malformed inputs: {exc}") from None
+    for key, value in values.items():
+        if _canonical(value) != inputs[key]:
+            raise CliParseError(
+                f"check file {path}: input {key!r} is not in canonical form: {inputs[key]!r}"
+            )
     inputs, result = _compute(spec, values)
     regenerated = render_json(_payload(command, inputs, result))
     if regenerated != raw:

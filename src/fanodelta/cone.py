@@ -67,18 +67,24 @@ def cone_delta(base: FanoBase, bdry: ConeBoundary = ConeBoundary()) -> DeltaBrea
     there the closed form is only known to bound the delta invariant from
     above. For r <= n + 1 it is an equality and the flag says "full".
     """
-    n, r, c = base.n, base.r, bdry.c
+    return _cone_breakdown(base.n, base.r, bdry.c, base.delta_v.value)
+
+
+def _cone_breakdown(
+    n: int, r: Rational, c: Rational, delta: Optional[Rational]
+) -> DeltaBreakdown:
+    """cone_delta's formula on inputs the caller has validated: n >= 1, r > 0,
+    0 <= c < 1 (an int will do), and delta >= 0 or None (only >= 1 known)."""
     p, q = r.numerator, r.denominator
     s, t = c.numerator, c.denominator
     b = p * t + q * t - s * q
-    v0_branch = Fraction((n + 2) * p * t, (n + 1) * b)
-    delta = base.delta_v.value
     return DeltaBreakdown(
-        None if delta is None else v0_branch * delta,
-        v0_branch,
+        None if delta is None
+        else Fraction((n + 2) * p * t * delta.numerator, (n + 1) * b * delta.denominator),
+        Fraction((n + 2) * p * t, (n + 1) * b),
         Fraction((n + 2) * (t - s) * q, b),
         r_effective=r,
-        proof_coverage=PROOF_FULL if r <= n + 1 else PROOF_UPPER_BOUND,
+        proof_coverage=PROOF_FULL if p <= (n + 1) * q else PROOF_UPPER_BOUND,
     )
 
 
@@ -150,19 +156,20 @@ def iterated_hypersurface_chain(spec: HypersurfaceConeSpec) -> list[DeltaBreakdo
 
     Step s goes from dimension n + s - 1 with slope r0 + s - 1 to dimension
     n + s with slope r0 + s. Every step's value is exact (see
-    DeltaBreakdown), so knowledge never degrades along the chain. The
-    last value is checked against iterated_hypersurface_closed_form by
-    agree, so a mismatch raises InternalCheckError rather than trusting
-    either route. The value is always < 1: coning strictly destabilizes.
+    DeltaBreakdown), so knowledge never degrades along the chain. Each step
+    runs the cone kernel on inputs valid by construction: the spec has
+    checked n, d, i and delta0 >= 0, r0 >= 1, c = 0, and every later delta
+    is a minimum of positive branches. The last value is checked against
+    iterated_hypersurface_closed_form by agree, so a mismatch raises
+    InternalCheckError rather than trusting either route. The value is
+    always < 1: coning strictly destabilizes.
     """
     chain: list[DeltaBreakdown] = []
-    knowledge = spec.delta_v0
+    delta = spec.delta_v0.value
     for step in range(spec.i):
-        dim = spec.n + step
-        slope = rational(spec.r0 + step)
-        breakdown = cone_delta(FanoBase(dim, slope, knowledge))
+        breakdown = _cone_breakdown(spec.n + step, Fraction(spec.r0 + step), 0, delta)
         chain.append(breakdown)
-        knowledge = DeltaKnowledge.exact(breakdown.value)
+        delta = breakdown.value
     agree(
         "iterated cone: composition vs closed form",
         chain[-1].value,

@@ -31,6 +31,12 @@ delta_values = st.fractions(
     min_value=Fraction(1, 10), max_value=3, max_denominator=12
 )
 
+# A small pool of branch values, so that ties occur, with ints beside equal
+# Fractions.
+tie_prone_branches = st.sampled_from(
+    [Fraction(1, 3), Fraction(1, 2), 1, Fraction(1), Fraction(3, 2), 2]
+)
+
 
 def valid_boundary(n, r, a, b):
     """Mirror the domain rule: a is free in [0,1) for r>1 but pinched to
@@ -343,6 +349,16 @@ class TestBreakdownFromBranches:
         b = DeltaBreakdown(*branches)
         assert b.value == value
         assert b.minimizers == minimizers
+
+    @settings(deadline=None)
+    @given(st.one_of(st.none(), tie_prone_branches), tie_prone_branches, tie_prone_branches)
+    def test_value_and_minimizers_are_the_fraction_min_and_its_tie_set(self, base, v0, vinf):
+        tagged = [("BaseDivisor", base), ("V0", v0), ("Vinf", vinf)]
+        present = [(tag, branch) for tag, branch in tagged if branch is not None]
+        expected = min(branch for _, branch in present)
+        b = DeltaBreakdown(base, v0, vinf)
+        assert b.value is expected
+        assert b.minimizers == tuple(tag for tag, branch in present if branch == expected)
 
     @pytest.mark.parametrize("derived", ["value", "minimizers"])
     def test_derived_fields_cannot_be_passed(self, derived):

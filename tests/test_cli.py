@@ -477,6 +477,11 @@ class TestCheckRoundTrip:
             # json.loads alone would keep the last "r" and recompute r = 3.
             '{"schema": "1", "command": "bundle", "inputs": {"n": 1, "r": "2", "r": "3", '
             '"delta_v": "1", "a": "0", "b": "0"}, "result": {}}',
+            # Forms the converters accept but the program never writes.
+            lambda payload: dict(payload, inputs=dict(payload["inputs"], n="2")),
+            lambda payload: dict(payload, inputs=dict(payload["inputs"], r=" 3")),
+            lambda payload: dict(payload, inputs=dict(payload["inputs"], delta_v="GE1")),
+            lambda payload: dict(payload, inputs=dict(payload["inputs"], delta_v=" 1")),
         ],
         ids=[
             "array",
@@ -494,6 +499,10 @@ class TestCheckRoundTrip:
             "no-result",
             "result-null",
             "repeated-key",
+            "integer-as-text",
+            "padded-rational",
+            "upper-case-ge1",
+            "padded-delta",
         ],
     )
     def test_malformed_payload_is_a_parse_error(self, capsys, tmp_path, edit, request):
@@ -511,6 +520,11 @@ class TestCheckRoundTrip:
             "no-result": f"check file {target}: result must be a JSON object",
             "result-null": f"check file {target}: result must be a JSON object",
             "repeated-key": f"cannot read check file {target}: repeated key 'r'",
+            "integer-as-text": f"check file {target}: input 'n' is not in canonical form: '2'",
+            "padded-rational": f"check file {target}: input 'r' is not in canonical form: ' 3'",
+            "upper-case-ge1":
+                f"check file {target}: input 'delta_v' is not in canonical form: 'GE1'",
+            "padded-delta": f"check file {target}: input 'delta_v' is not in canonical form: ' 1'",
         }.get(request.node.callspec.id)
         if line is not None:
             assert err == f"error: {line}\n"

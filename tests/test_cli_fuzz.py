@@ -125,12 +125,13 @@ def test_a_mutated_payload_ends_in_a_documented_exit(
     assert code in (EXIT_OK, EXIT_PARSE, EXIT_DOMAIN, EXIT_INTERNAL), err
     if code != EXIT_OK:
         assert_one_line_failure(out, err)
-    # A missing or unknown key, and any change of a top-level value, is a
-    # payload the program never writes: malformed input. Any change inside
-    # the result is a disagreement with the recomputed one.
+    # A missing or unknown key, any change of a top-level value and an input
+    # of another type is a payload the program never writes: malformed
+    # input. Any change inside the result is a disagreement with the
+    # recomputed one.
     if level == "result":
         assert code == EXIT_INTERNAL, (action, key, err)
-    elif level == "top" or action != "retype":
+    else:
         assert code == EXIT_PARSE, (level, action, key, err)
 
 

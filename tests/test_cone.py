@@ -219,6 +219,28 @@ class TestIteratedHypersurfaceCones:
                     )
                     assert value == closed, (n, d, i)
 
+    def test_chain_is_the_step_by_step_public_composition(self):
+        # Each step equals cone_delta on a FanoBase built from the previous
+        # value, whole breakdown included, and cone_delta equals the
+        # Fraction formula, so a fault in the shared kernel shows too.
+        starts = [DeltaKnowledge.at_least_one()] + [
+            DeltaKnowledge.exact(dv) for dv in (Fraction(1, 2), Fraction(3, 4), 1, 2)
+        ]
+        for n in range(1, 5):
+            for d in range(2, n + 2):
+                for i in range(1, 7):
+                    for start in starts:
+                        spec = HypersurfaceConeSpec(n, d, i, start)
+                        bases, composed, known = [], [], start
+                        for s in range(i):
+                            bases.append(FanoBase(n + s, spec.r0 + s, known))
+                            composed.append(cone_delta(bases[-1]))
+                            known = DeltaKnowledge.exact(composed[-1].value)
+                        assert iterated_hypersurface_chain(spec) == composed, (n, d, i, start)
+                        assert composed == [
+                            _reference_cone_delta(base, ConeBoundary()) for base in bases
+                        ]
+
     def test_degree_window_guard(self):
         with pytest.raises(DomainError):
             HypersurfaceConeSpec(2, 4, 1, DeltaKnowledge.at_least_one())
