@@ -21,9 +21,10 @@ dropped, so every identity is an identity of rationals.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Iterator, Union
 
 from .bundle import beta_zero, check_integer
 from .errors import DomainError, InternalCheckError, agree
@@ -61,6 +62,52 @@ class CalabiProfile:
             raise DomainError(f"phi is defined for tau > 0, got {t}")
         h, d = self.numerator.cleared_value(t)
         return Fraction(h * q**self.n, d * p**self.n)
+
+    def phi_samples(self, count: int) -> Iterator[tuple[int, int, int, int]]:
+        """phi at count >= 2 evenly spaced points of [r-1, r+1], in order, as
+        reduced integer quadruples (tau numerator, tau denominator, phi
+        numerator, phi denominator), each denominator positive.
+
+        The points tau_k = (r-1) + 2k/(count-1) are one integer progression
+        u_k / D over a common D. With N's cleared form (L, a) homogenised once
+        to b_j = a_j D^(deg-j), Horner on u_k gives h_k = L D^deg N(tau_k),
+        so phi_k = h_k D^n / (L D^deg u_k^n), and each value is reduced by
+        one gcd. The middle sample is checked by agree against phi, the
+        reference route.
+        """
+        if count < 2:
+            raise DomainError(f"samples must be >= 2, got {count}")
+        lo = self.r - 1
+        if lo <= 0:
+            raise DomainError(f"phi is defined for tau > 0, got {lo}")
+        den = lo.denominator * (count - 1)
+        u, du = lo.numerator * (count - 1), 2 * lo.denominator
+        lcm, ints = self.numerator.cleared
+        ints = ints or (0,)
+        deg = len(ints) - 1
+        coefficients = [a * den ** (deg - j) for j, a in reversed(list(enumerate(ints)))]
+        top, bottom = den**self.n, lcm * den**deg
+        g = math.gcd(top, bottom)
+        top, bottom = top // g, bottom // g
+        lead, rest = coefficients[0], coefficients[1:]
+        for k in range(count):
+            h = lead
+            for b in rest:
+                h = h * u + b
+            g = math.gcd(u, den)
+            phi_num, phi_den = h * top, bottom * u**self.n
+            g_phi = math.gcd(phi_num, phi_den)
+            sample = (u // g, den // g, phi_num // g_phi, phi_den // g_phi)
+            if k == count // 2:
+                tau = Fraction(u, den)
+                phi = self.phi(tau)
+                agree(
+                    "phi sample by integer progression vs phi",
+                    sample,
+                    (tau.numerator, tau.denominator, phi.numerator, phi.denominator),
+                )
+            yield sample
+            u += du
 
     def phi_prime(self, tau: RationalLike) -> Rational:
         """Exact derivative phi'(tau) = (tau*N'(tau) - n*N(tau)) / tau^(n+1)."""

@@ -51,13 +51,16 @@ from .cone import (
     iterated_hypersurface_chain,
 )
 from .errors import DomainError, InternalCheckError, agree
-from .exactarith import Polynomial, format_rational, parse_rational
+from .exactarith import Polynomial, format_ratio, format_rational, parse_rational
 from .oracles import BranchCase, run_verification, telescoping_iterated_cone
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 EXIT_INTERNAL = 4
+
+# --samples above this is refused: 10^5 samples at n = 5 take under 1 s.
+MAX_SAMPLES = 100_000
 
 SCHEMA_VERSION = "1"
 
@@ -330,30 +333,26 @@ def _calabi_csv(args: argparse.Namespace, values: dict, result: dict) -> list[st
     coefficients rather than solved again."""
     if args.samples < 2:
         raise DomainError(f"samples must be >= 2, got {args.samples}")
+    if args.samples > MAX_SAMPLES:
+        raise DomainError(f"samples must be <= {MAX_SAMPLES}, got {args.samples}")
     if args.csv is None:
         return []
     numerator = Polynomial(result["numerator_coefficients"])
     profile = CalabiProfile(
         values["n"], values["r"], values["beta"], result["c1"], result["c2"], numerator
     )
-    # tau_k = (r-1) + 2k/(samples-1) = (u0 + k*du) / D over one integer
-    # denominator; solve_profile refused r <= 1, so every tau_k is positive.
-    lo = profile.r - 1
-    den = lo.denominator * (args.samples - 1)
-    u0, du = lo.numerator * (args.samples - 1), 2 * lo.denominator
     rows = ["tau,phi,tau_decimal,phi_decimal"]
-    for k in range(args.samples):
-        tau = Fraction(u0 + k * du, den)
-        phi = profile.phi(tau)
+    for k, (tau_num, tau_den, phi_num, phi_den) in enumerate(profile.phi_samples(args.samples)):
         try:
-            decimals = f"{float(tau):.9f},{float(phi):.9f}"
+            decimals = f"{tau_num / tau_den:.9f},{phi_num / phi_den:.9f}"
         except OverflowError:
             raise DomainError(
                 "--csv writes decimal columns, so every sampled tau and phi must "
                 f"fit a float (magnitude at most {sys.float_info.max:.6g}); "
                 f"the sample at k={k} does not"
             ) from None
-        rows.append(f"{format_rational(tau)},{format_rational(phi)},{decimals}")
+        tau, phi = format_ratio(tau_num, tau_den), format_ratio(phi_num, phi_den)
+        rows.append(f"{tau},{phi},{decimals}")
     # Every row is built before the file is opened, so a refused sample
     # leaves no file behind.
     with _open_output(args.csv) as handle:

@@ -54,6 +54,13 @@ def parse_rational(text: str) -> Rational:
         raise DomainError(f"not a rational: {text!r}") from exc
 
 
+def _too_many_digits() -> DomainError:
+    return DomainError(
+        f"exact value has more than {sys.get_int_max_str_digits()} digits, "
+        "the interpreter's int-to-str conversion limit"
+    )
+
+
 def format_rational(value: Rational) -> str:
     """Render a Rational as "p/q", or "p" when the denominator is 1. Digits
     beyond the interpreter's int-to-str limit raise DomainError."""
@@ -62,10 +69,16 @@ def format_rational(value: Rational) -> str:
     try:
         return str(value)
     except ValueError:
-        raise DomainError(
-            f"exact value has more than {sys.get_int_max_str_digits()} digits, "
-            "the interpreter's int-to-str conversion limit"
-        ) from None
+        raise _too_many_digits() from None
+
+
+def format_ratio(numerator: int, denominator: int) -> str:
+    """format_rational of numerator/denominator for a pair already in lowest
+    terms with denominator > 0, without building the Fraction."""
+    try:
+        return f"{numerator}/{denominator}" if denominator != 1 else str(numerator)
+    except ValueError:
+        raise _too_many_digits() from None
 
 
 def _of(lcm: int, ints: list[int]) -> "Polynomial":

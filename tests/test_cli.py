@@ -10,8 +10,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fanodelta import ConeBoundary, beta_zero, solve_profile
+from fanodelta.calabi import CalabiProfile
 from fanodelta.cli import (
     EXIT_DOMAIN,
     EXIT_INTERNAL,
@@ -197,6 +200,64 @@ class TestCalabiCommand:
         assert code == EXIT_OK
         assert target.read_bytes() == _reference_calabi_csv(n, r, 1001).encode("utf-8")
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 5),
+        r=st.integers(1, 60).flatmap(
+            lambda q: st.integers(q + 1, 5 * q).map(lambda p: Fraction(p, q))
+        ),
+        beta=st.sampled_from([None, Fraction(1, 2), Fraction(1), Fraction(7, 3)]),
+        samples=st.integers(2, 400),
+    )
+    def test_csv_bytes_equal_the_fraction_loop_for_any_input(
+        self, n, r, beta, samples, tmp_path_factory
+    ):
+        target = tmp_path_factory.mktemp("csv") / "profile.csv"
+        argv = ["calabi", "--n", str(n), "--r", str(r), "--csv", str(target),
+                "--samples", str(samples)]
+        if beta is not None:
+            argv += ["--beta", str(beta)]
+        assert main(argv) == EXIT_OK
+        assert target.read_bytes() == _reference_calabi_csv(n, r, samples, beta).encode("utf-8")
+
+    def test_a_sample_that_disagrees_with_phi_is_an_internal_error(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        phi = CalabiProfile.phi
+        monkeypatch.setattr(CalabiProfile, "phi", lambda self, tau: phi(self, tau) + 1)
+        target = tmp_path / "profile.csv"
+        code, out, err = run_cli(
+            ["calabi", "--n", "2", "--r", "3", "--csv", str(target), "--samples", "9"], capsys
+        )
+        assert code == EXIT_INTERNAL
+        assert err.startswith(
+            "internal check failed: phi sample by integer progression vs phi: "
+        )
+        assert len(err.splitlines()) == 1
+        assert out == ""
+        assert not target.exists()
+
+    def test_a_row_over_the_digit_limit_is_a_domain_error(self, capsys, tmp_path):
+        # At n = 200, r = 7/3 the payload's longest integer has 262 digits and
+        # the CSV's has 685, so only the rows exceed the lowest allowed limit.
+        target = tmp_path / "profile.csv"
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, err = run_cli(
+                ["calabi", "--n", "200", "--r", "7/3", "--csv", str(target), "--samples", "101"],
+                capsys,
+            )
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == EXIT_DOMAIN
+        assert err == (
+            "domain error: exact value has more than 640 digits, "
+            "the interpreter's int-to-str conversion limit\n"
+        )
+        assert out == ""
+        assert not target.exists()
+
     def test_unwritable_csv_path_is_a_parse_error(self, capsys, tmp_path):
         # A missing directory or an empty path fails to open; /dev/full
         # opens but fails to write.
@@ -221,6 +282,16 @@ class TestCalabiCommand:
             code, out, err = run_cli(argv + extra, capsys)
             assert code == EXIT_DOMAIN
             assert err == f"domain error: samples must be >= 2, got {samples}\n"
+            assert out == ""
+        assert not target.exists()
+
+    def test_too_many_samples_is_a_domain_error_with_or_without_csv(self, capsys, tmp_path):
+        target = tmp_path / "profile.csv"
+        argv = ["calabi", "--n", "1", "--r", "2", "--samples", "100001"]
+        for extra in ([], ["--csv", str(target)]):
+            code, out, err = run_cli(argv + extra, capsys)
+            assert code == EXIT_DOMAIN
+            assert err == "domain error: samples must be <= 100000, got 100001\n"
             assert out == ""
         assert not target.exists()
 
@@ -886,11 +957,11 @@ class TestParserReuse:
         ]
 
 
-def _reference_calabi_csv(n, r, samples):
+def _reference_calabi_csv(n, r, samples, beta=None):
     """The CSV as calabi --csv first wrote it: tau stepped in Fraction
     arithmetic, phi by a Fraction Horner over tau^n, each value copied into
-    a new Fraction before str."""
-    profile = solve_profile(n, r, beta_zero(n, r))
+    a new Fraction before str. beta None is the default twist beta0."""
+    profile = solve_profile(n, r, beta_zero(n, r) if beta is None else beta)
     lo, hi = profile.r - 1, profile.r + 1
     rows = ["tau,phi,tau_decimal,phi_decimal"]
     for k in range(samples):
