@@ -46,17 +46,18 @@ bundle_route, cone_route = cone_bundle_consistency(
 print("cone/bundle substitution matches:", bundle_route == cone_route)
 
 # Iterating the cone over a degree-d hypersurface drops the delta by a
-# fixed factor each step; the chain records each stage.
+# fixed factor each step; the chain records each stage, its delta as an
+# exact (numerator, denominator) pair.
 spec = HypersurfaceConeSpec(n=2, d=3, i=4, delta_v0=DeltaKnowledge.at_least_one())
 chain = iterated_hypersurface_chain(spec)
 print("cones over the cubic surface:")
 for i, step in enumerate(chain, start=1):
-    print(f"  after {i} cone(s): delta = {step.value}")
+    print(f"  after {i} cone(s): delta = {Fraction(*step.value)}")
 
 # The product of the per-step factors telescopes to
 # (n+2-d)(n+1+i) / ((n+1)(n+2+i-d)); the chain recomputes both routes
 # and insists they agree.
-value = chain[-1].value
+value = Fraction(*chain[-1].value)
 closed = Fraction((2 + 2 - 3) * (2 + 1 + 4), (2 + 1) * (2 + 2 + 4 - 3))
 print("after 4 cones:", value, "= closed form", closed)
 

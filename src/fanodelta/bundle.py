@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import DomainError
 from .exactarith import Rational, RationalLike, format_rational, parse_rational, rational
@@ -190,7 +190,8 @@ class DeltaBreakdown:
     """The three branch values of a delta formula, their minimum (value),
     and the divisor tags attaining it (minimizers). value and minimizers are
     derived from the branches at construction and cannot be passed in, so
-    they always agree with the branches. The value is always exact.
+    they always agree with the branches (branch_minimum decides both). The
+    value is always exact.
 
     The base branch is base_coefficient * delta(V), with base_coefficient
     r/Phi for a bundle and the V0 branch for a cone. base_branch is None when
@@ -225,40 +226,70 @@ class DeltaBreakdown:
     side_conditions: Optional[tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
-        # One pass in integers: p/q < s/t exactly when p*t < s*q, since every
-        # denominator is positive. A tie keeps the earlier branch, as min does.
-        value, tags = None, []
-        for tag, branch in zip(_TAGS, (self.base_branch, self.v0_branch, self.vinf_branch)):
-            if branch is None:
-                continue
-            sign = -1 if value is None else (
-                branch.numerator * value.denominator - value.numerator * branch.denominator
-            )
-            if sign < 0:
-                value, tags = branch, [tag]
-            elif sign == 0:
-                tags.append(tag)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "minimizers", tuple(tags))
+        branches = (self.base_branch, self.v0_branch, self.vinf_branch)
+        least, minimizers = branch_minimum(
+            [None if branch is None else (branch.numerator, branch.denominator)
+             for branch in branches]
+        )
+        object.__setattr__(self, "value", branches[least])
+        object.__setattr__(self, "minimizers", minimizers)
 
     def to_json_dict(self) -> dict:
-        payload: dict = {
-            "branches": {
-                "base": None if self.base_branch is None else format_rational(self.base_branch),
-                "v0": format_rational(self.v0_branch),
-                "vinf": format_rational(self.vinf_branch),
-            },
-            "value": format_rational(self.value),
-            "lower_bound_only": False,
-            "minimizers": list(self.minimizers),
-        }
-        if self.r_effective is not None:
-            payload["r_effective"] = format_rational(self.r_effective)
-        if self.proof_coverage is not None:
-            payload["proof_coverage"] = self.proof_coverage
-        if self.side_conditions is not None:
-            payload["side_conditions"] = list(self.side_conditions)
-        return payload
+        return breakdown_payload(
+            None if self.base_branch is None else format_rational(self.base_branch),
+            format_rational(self.v0_branch),
+            format_rational(self.vinf_branch),
+            format_rational(self.value),
+            self.minimizers,
+            None if self.r_effective is None else format_rational(self.r_effective),
+            self.proof_coverage,
+            self.side_conditions,
+        )
+
+
+def branch_minimum(branches: Sequence[Optional[tuple[int, int]]]) -> tuple[int, tuple[str, ...]]:
+    """The index of the least of the (base, v0, vinf) branches and the tags
+    of every branch equal to it. Each branch is a (numerator, denominator)
+    pair with a positive denominator, or None for a base branch that is not
+    a single rational; at least one branch is a pair.
+
+    One pass in integers: p/q < s/t exactly when p*t < s*q. A tie keeps the
+    earlier branch, as min does.
+    """
+    least, tags = -1, ()
+    for index, branch in enumerate(branches):
+        if branch is None:
+            continue
+        # The sign of branch - num/den, the least pair so far.
+        sign = -1 if least < 0 else branch[0] * den - num * branch[1]
+        if sign < 0:
+            least, tags, (num, den) = index, (_TAGS[index],), branch
+        elif sign == 0:
+            tags += (_TAGS[index],)
+    return least, tags
+
+
+def breakdown_payload(
+    base: Optional[str], v0: str, vinf: str, value: str, minimizers: Sequence[str],
+    r_effective: Optional[str] = None, proof_coverage: Optional[str] = None,
+    side_conditions: Optional[Sequence[str]] = None,
+) -> dict:
+    """The schema-1 JSON form of a delta breakdown from its formatted texts:
+    the branches (base None when only delta(V) >= 1 is known), the value,
+    the minimizer tags, and each metadata field that is not None."""
+    payload: dict = {
+        "branches": {"base": base, "v0": v0, "vinf": vinf},
+        "value": value,
+        "lower_bound_only": False,
+        "minimizers": list(minimizers),
+    }
+    if r_effective is not None:
+        payload["r_effective"] = r_effective
+    if proof_coverage is not None:
+        payload["proof_coverage"] = proof_coverage
+    if side_conditions is not None:
+        payload["side_conditions"] = list(side_conditions)
+    return payload
 
 
 def bundle_delta(base: FanoBase, bdry: BundleBoundary = BundleBoundary()) -> DeltaBreakdown:

@@ -21,13 +21,15 @@ import contextlib
 import functools
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import IO, Callable, NamedTuple, Optional
 
 from .angle import optimal_angle_interval, semistable_range_lambda_ge_1
 from .bundle import (
-    GE1, BundleBoundary, DeltaKnowledge, FanoBase, beta_zero, boundary_interval, bundle_delta,
+    GE1, BundleBoundary, DeltaKnowledge, FanoBase, beta_zero, boundary_interval,
+    breakdown_payload, bundle_delta,
 )
 from .calabi import (
     CalabiProfile,
@@ -61,6 +63,9 @@ EXIT_INTERNAL = 4
 
 # --samples above this is refused: 10^5 samples at n = 5 take under 1 s.
 MAX_SAMPLES = 100_000
+# cone-iterate --i above this is refused before any step: the output grows
+# linearly in i, and 2 * 10^4 steps take under 1 s with --json.
+MAX_ITERATIONS = 20_000
 
 SCHEMA_VERSION = "1"
 
@@ -73,6 +78,13 @@ class CliParseError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # A token such as -1/2 is a flag's value, not an unknown option: no
+        # flag here starts with -<digit>, and argparse's own pattern knows
+        # only -1 and -0.5.
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message: str) -> None:  # type: ignore[override]
         raise CliParseError(message)
 
@@ -144,10 +156,12 @@ class _Flag(NamedTuple):
 
 
 class _Command(NamedTuple):
-    """A computing subcommand: result maps the parsed inputs to the JSON
-    result, and text renders the canonical inputs and that result as lines.
-    options are argparse flags that are not inputs; emit acts on them before
-    output and returns extra text lines."""
+    """A computing subcommand: result maps the parsed inputs to the result,
+    and text renders the canonical inputs and that result as lines. The
+    result is the JSON result itself, unless json_form is given: it turns
+    the result into the JSON result, possibly in place, after emit has read
+    it. options are argparse flags that are not inputs; emit acts on them
+    before output and returns extra text lines."""
 
     help: str
     flags: tuple[_Flag, ...]
@@ -155,6 +169,7 @@ class _Command(NamedTuple):
     text: Callable[[dict, dict], list[str]]
     options: tuple[tuple[tuple, dict], ...] = ()
     emit: Optional[Callable[[argparse.Namespace, dict, dict], list[str]]] = None
+    json_form: Optional[Callable[[dict], dict]] = None
 
 
 FLOAT_RANGE_MARKER = "beyond float range"
@@ -182,6 +197,12 @@ def _payload(command: str, inputs: dict, result: dict) -> dict:
         "inputs": inputs,
         "result": result,
     }
+
+
+def _command_json(name: str, inputs: dict, result: dict) -> str:
+    """The --json output of a computing command, the bytes --check compares."""
+    json_form = COMMANDS[name].json_form
+    return render_json(_payload(name, inputs, result if json_form is None else json_form(result)))
 
 
 def _verdict(result: dict) -> str:
@@ -240,17 +261,42 @@ def _branched_result(values: dict) -> dict:
 
 
 def _cone_iterate_result(values: dict) -> dict:
+    """The value and the telescoped value as text, and the chain's steps as
+    they were computed: text output formats only each step's value."""
+    if values["i"] > MAX_ITERATIONS:
+        raise DomainError(f"i must be <= {MAX_ITERATIONS}, got {values['i']}")
     spec = HypersurfaceConeSpec(
         values["n"], values["d"], values["i"], DeltaKnowledge.parse(values["delta0"])
     )
     chain = iterated_hypersurface_chain(spec)
     telescoped = telescoping_iterated_cone(spec)
-    value = agree("iterated cone: composition vs telescoping", chain[-1].value, telescoped)
+    value = agree(
+        "iterated cone: composition vs telescoping", Fraction(*chain[-1].value), telescoped
+    )
     return {
         "value": format_rational(value),
         "telescoped_value": format_rational(telescoped),
-        "steps": [step.to_json_dict() for step in chain],
+        "steps": chain,
     }
+
+
+def _cone_iterate_json(result: dict) -> dict:
+    """The JSON result: each step replaced, in place, by the payload
+    DeltaBreakdown.to_json_dict writes for it, so the chain is freed before
+    the payload is rendered."""
+    result["steps"] = [
+        breakdown_payload(
+            None if step.base is None else format_ratio(*step.base),
+            format_ratio(*step.v0),
+            format_ratio(*step.vinf),
+            format_ratio(*step.value),
+            step.minimizers,
+            format_ratio(step.slope, 1),
+            step.proof_coverage,
+        )
+        for step in result["steps"]
+    ]
+    return result
 
 
 def _cone_iterate_text(inputs: dict, result: dict) -> list[str]:
@@ -259,7 +305,7 @@ def _cone_iterate_text(inputs: dict, result: dict) -> list[str]:
         f"{inputs['n']}, {inputs['i']} iteration(s)"
     ]
     for index, step in enumerate(result["steps"], start=1):
-        lines.append(f"  after step {index}: delta = {step['value']}")
+        lines.append(f"  after step {index}: delta = {format_ratio(*step.value)}")
     lines.append(f"  value       : {_show(result['value'])}")
     lines.append("  cross-check : telescoped recursion and step composition agree exactly")
     return lines
@@ -387,6 +433,7 @@ COMMANDS: dict[str, _Command] = {
          _Flag("delta0", delta, GE1, _DELTA_HELP)),
         _cone_iterate_result,
         _cone_iterate_text,
+        json_form=_cone_iterate_json,
     ),
     "branched-cone": _Command(
         "cone attached to a branched hypersurface",
@@ -442,7 +489,7 @@ def _handle_command(args: argparse.Namespace) -> int:
     inputs, result = _compute(command, values)
     extra = command.emit(args, values, result) if command.emit else []
     if args.json:
-        _write_stdout(render_json(_payload(args.command, inputs, result)))
+        _write_stdout(_command_json(args.command, inputs, result))
     else:
         _write_stdout("\n".join(command.text(inputs, result) + extra) + "\n")
     return EXIT_OK
@@ -595,7 +642,7 @@ def run_check(path: str) -> int:
                 f"check file {path}: input {key!r} is not in canonical form: {inputs[key]!r}"
             )
     inputs, result = _compute(spec, values)
-    regenerated = render_json(_payload(command, inputs, result))
+    regenerated = _command_json(command, inputs, result)
     if regenerated != raw:
         print(
             f"check mismatch: recomputing {command} from the embedded inputs "

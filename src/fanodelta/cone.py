@@ -22,12 +22,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .bundle import (
     DeltaBreakdown,
     DeltaKnowledge,
     FanoBase,
+    branch_minimum,
     centroid_phi,
     check_integer,
 )
@@ -36,6 +37,9 @@ from .exactarith import Rational, RationalLike, rational
 
 PROOF_FULL = "full"
 PROOF_UPPER_BOUND = "upper-bound-only"
+
+# An exact rational as a reduced (numerator, denominator) pair, denominator > 0.
+Pair = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -59,33 +63,48 @@ def cone_delta(base: FanoBase, bdry: ConeBoundary = ConeBoundary()) -> DeltaBrea
     gives (n+2)*(1-c) / B. The base branch is the V0 branch times delta(V),
     or None when only delta(V) >= 1 is known.
 
-    Evaluated in integers: with r = p/q and c = s/t, B = b/(qt) for
-    b = pt + qt - sq > 0, so V0 gives (n+2)pt / ((n+1)b) and Vinf gives
-    (n+2)(t-s)q / b, one Fraction each.
+    Evaluated in integers by the kernel _cone_branches, which the iterated
+    chain shares; each branch becomes one Fraction here.
 
     The value is flagged proof_coverage="upper-bound-only" when r > n + 1:
     there the closed form is only known to bound the delta invariant from
     above. For r <= n + 1 it is an equality and the flag says "full".
     """
-    return _cone_breakdown(base.n, base.r, bdry.c, base.delta_v.value)
+    delta = base.delta_v.value
+    branches, coverage = _cone_branches(
+        base.n, base.r, bdry.c, None if delta is None else (delta.numerator, delta.denominator)
+    )
+    return DeltaBreakdown(
+        *[None if pair is None else Fraction(*pair) for pair in branches],
+        r_effective=base.r,
+        proof_coverage=coverage,
+    )
 
 
-def _cone_breakdown(
-    n: int, r: Rational, c: Rational, delta: Optional[Rational]
-) -> DeltaBreakdown:
-    """cone_delta's formula on inputs the caller has validated: n >= 1, r > 0,
-    0 <= c < 1 (an int will do), and delta >= 0 or None (only >= 1 known)."""
+def _reduced(numerator: int, denominator: int) -> Pair:
+    g = math.gcd(numerator, denominator)
+    return numerator // g, denominator // g
+
+
+def _cone_branches(
+    n: int, r: Rational, c: Rational, delta: Optional[Pair]
+) -> tuple[tuple[Optional[Pair], Pair, Pair], str]:
+    """cone_delta's formula in integers, on inputs the caller has validated:
+    n >= 1, r > 0, 0 <= c < 1 (an int will do for either), and delta a pair
+    >= 0 or None (only >= 1 known).
+
+    With r = p/q and c = s/t, B = r + 1 - c = b/(qt) for b = pt + qt - sq > 0,
+    so V0 gives (n+2)pt / ((n+1)b), Vinf gives (n+2)(t-s)q / b, and the base
+    branch is V0 times delta. Returns the branches (base, v0, vinf) as
+    reduced pairs, base None when delta is, and the proof coverage of r.
+    """
     p, q = r.numerator, r.denominator
     s, t = c.numerator, c.denominator
     b = p * t + q * t - s * q
-    return DeltaBreakdown(
-        None if delta is None
-        else Fraction((n + 2) * p * t * delta.numerator, (n + 1) * b * delta.denominator),
-        Fraction((n + 2) * p * t, (n + 1) * b),
-        Fraction((n + 2) * (t - s) * q, b),
-        r_effective=r,
-        proof_coverage=PROOF_FULL if p <= (n + 1) * q else PROOF_UPPER_BOUND,
-    )
+    v0 = _reduced((n + 2) * p * t, (n + 1) * b)
+    vinf = _reduced((n + 2) * (t - s) * q, b)
+    base = None if delta is None else _reduced(v0[0] * delta[0], v0[1] * delta[1])
+    return (base, v0, vinf), PROOF_FULL if p <= (n + 1) * q else PROOF_UPPER_BOUND
 
 
 def cone_bundle_consistency(
@@ -150,29 +169,50 @@ def iterated_hypersurface_closed_form(spec: HypersurfaceConeSpec) -> Rational:
     return Fraction((n + 2 - d) * (n + 1 + i), (n + 1) * (n + 2 + i - d)) * capped
 
 
-def iterated_hypersurface_chain(spec: HypersurfaceConeSpec) -> list[DeltaBreakdown]:
+class ChainStep(NamedTuple):
+    """One step of iterated_hypersurface_chain: the integer slope of the
+    step's base, its cone branches (base None when only delta >= 1 is
+    known), their minimum (value, the very pair of the least branch) and
+    the tags attaining it, and the proof coverage. Every branch and the
+    value is a reduced (numerator, denominator) pair with a positive
+    denominator; Fraction(*step.value) is the step's delta."""
+
+    slope: int
+    base: Optional[Pair]
+    v0: Pair
+    vinf: Pair
+    value: Pair
+    minimizers: tuple[str, ...]
+    proof_coverage: str
+
+
+def iterated_hypersurface_chain(spec: HypersurfaceConeSpec) -> list[ChainStep]:
     """Step-wise composition: cone once per iteration, feeding each exact
     delta value into the next step's base.
 
     Step s goes from dimension n + s - 1 with slope r0 + s - 1 to dimension
     n + s with slope r0 + s. Every step's value is exact (see
     DeltaBreakdown), so knowledge never degrades along the chain. Each step
-    runs the cone kernel on inputs valid by construction: the spec has
-    checked n, d, i and delta0 >= 0, r0 >= 1, c = 0, and every later delta
-    is a minimum of positive branches. The last value is checked against
+    runs cone_delta's kernel and DeltaBreakdown's minimum on reduced integer
+    pairs, on inputs valid by construction: the spec has checked n, d, i and
+    delta0 >= 0, r0 >= 1, c = 0, and every later delta is a minimum of
+    positive branches. The last value is checked against
     iterated_hypersurface_closed_form by agree, so a mismatch raises
     InternalCheckError rather than trusting either route. The value is
     always < 1: coning strictly destabilizes.
     """
-    chain: list[DeltaBreakdown] = []
-    delta = spec.delta_v0.value
+    chain: list[ChainStep] = []
+    start = spec.delta_v0.value
+    delta = None if start is None else (start.numerator, start.denominator)
     for step in range(spec.i):
-        breakdown = _cone_breakdown(spec.n + step, Fraction(spec.r0 + step), 0, delta)
-        chain.append(breakdown)
-        delta = breakdown.value
+        slope = spec.r0 + step
+        branches, coverage = _cone_branches(spec.n + step, slope, 0, delta)
+        least, minimizers = branch_minimum(branches)
+        delta = branches[least]
+        chain.append(ChainStep(slope, *branches, delta, minimizers, coverage))
     agree(
         "iterated cone: composition vs closed form",
-        chain[-1].value,
+        Fraction(*chain[-1].value),
         iterated_hypersurface_closed_form(spec),
     )
     return chain

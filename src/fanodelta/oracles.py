@@ -485,7 +485,7 @@ def _telescoping_family() -> Iterator[OracleReport]:
                 spec = HypersurfaceConeSpec(n, d, i, DeltaKnowledge.at_least_one())
                 yield OracleReport(
                     target=f"telescoping vs composition (n={n}, d={d}, i={i})",
-                    closed_form=iterated_hypersurface_chain(spec)[-1].value,
+                    closed_form=Fraction(*iterated_hypersurface_chain(spec)[-1].value),
                     approximation=telescoping_iterated_cone(spec),
                     m_or_steps=i,
                 )

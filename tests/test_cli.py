@@ -1,7 +1,9 @@
 """Command-line interface: subcommands, JSON payloads, exit codes, the
 --check round trip, and reuse of the one parser across calls."""
 
+import contextlib
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -10,10 +12,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fanodelta import ConeBoundary, beta_zero, solve_profile
+from fanodelta import (
+    ConeBoundary, DeltaKnowledge, FanoBase, beta_zero, cone_delta, solve_profile,
+)
 from fanodelta.calabi import CalabiProfile
 from fanodelta.cli import (
     EXIT_DOMAIN,
@@ -21,6 +25,7 @@ from fanodelta.cli import (
     EXIT_OK,
     EXIT_PARSE,
     FLOAT_RANGE_MARKER,
+    MAX_ITERATIONS,
     build_parser,
     main,
 )
@@ -112,6 +117,39 @@ class TestConeCommands:
         assert payload["result"]["value"] == "5/9"
         assert payload["result"]["telescoped_value"] == "5/9"
         assert len(payload["result"]["steps"]) == 2
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        nd=st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), st.integers(2, n + 1))),
+        i=st.integers(1, 60),
+        delta0=st.sampled_from(["ge1", "1", "0", "3/4", "2"]),
+    )
+    @example(nd=(3, 2), i=2200, delta0="ge1")
+    def test_cone_iterate_bytes_equal_the_fraction_reference(self, nd, i, delta0):
+        # delta0 = 1 ties the base and V0 branches at the first step.
+        n, d = nd
+        argv = ["cone-iterate", "--n", str(n), "--d", str(d), "--i", str(i), "--delta0", delta0]
+        text, payload = _reference_cone_iterate(n, d, i, delta0)
+        assert _stdout_of(argv) == text
+        assert _stdout_of(argv + ["--json"]) == payload
+
+    def test_too_many_iterations_are_refused_before_any_step(self, capsys, monkeypatch):
+        def no_step(spec):
+            raise AssertionError("a chain step ran")
+
+        monkeypatch.setattr("fanodelta.cli.iterated_hypersurface_chain", no_step)
+        argv = ["cone-iterate", "--n", "2", "--d", "3", "--i", str(MAX_ITERATIONS + 1)]
+        assert run_cli(argv, capsys) == (
+            EXIT_DOMAIN, "",
+            f"domain error: i must be <= {MAX_ITERATIONS}, got {MAX_ITERATIONS + 1}\n",
+        )
+
+    def test_the_iteration_limit_itself_is_accepted(self, capsys):
+        code, out, err = run_cli(
+            ["cone-iterate", "--n", "2", "--d", "3", "--i", str(MAX_ITERATIONS)], capsys
+        )
+        assert (code, err) == (EXIT_OK, "")
+        assert out.count("  after step ") == MAX_ITERATIONS
 
     def test_branched_cone(self, capsys):
         code, out, err = run_cli(
@@ -380,6 +418,22 @@ class TestExitCodes:
         assert code == EXIT_PARSE
         assert out == ""
         assert err == f"error: {line}\n"
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["calabi", "--n", "2", "--r", "3", "--beta", "-1/2"],
+             "beta must satisfy beta > 0, got -1/2"),
+            (["cone", "--n", "2", "--r", "-3/2", "--delta-v", "1"],
+             "r must satisfy r > 0, got -3/2"),
+            (["bundle", "--n", "1", "--r", "2", "--delta-v", "-1/2"],
+             "delta(V) must be >= 0, got -1/2"),
+        ],
+        ids=["beta", "r", "delta-v"],
+    )
+    def test_a_negative_fraction_is_read_as_the_flag_value(self, argv, line, capsys):
+        # A separate "-1/2" token is the value, not an unknown option.
+        assert run_cli(argv, capsys) == (EXIT_DOMAIN, "", f"domain error: {line}\n")
 
     def test_degenerate_angle_is_a_domain_error(self, capsys):
         code, out, err = run_cli(["angle", "--n", "2", "--lambda", "1/5"], capsys)
@@ -955,6 +1009,41 @@ class TestParserReuse:
             EXIT_OK, EXIT_PARSE, EXIT_OK, EXIT_PARSE, EXIT_DOMAIN,
             0, EXIT_OK, EXIT_DOMAIN, 0, EXIT_PARSE,
         ]
+
+
+def _stdout_of(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == EXIT_OK, argv
+    return out.getvalue()
+
+
+def _reference_cone_iterate(n, d, i, delta0):
+    """cone-iterate's text and --json output built from the public Fraction
+    route: cone_delta per step on a FanoBase that carries the previous
+    value, each step's to_json_dict, and json.dumps(indent=2)."""
+    known = DeltaKnowledge.parse(delta0)
+    steps = []
+    for s in range(i):
+        breakdown = cone_delta(FanoBase(n + s, n + 2 - d + s, known))
+        steps.append(breakdown.to_json_dict())
+        known = DeltaKnowledge.exact(breakdown.value)
+    value = known.value
+    lines = [f"iterated cone over a degree-{d} hypersurface of dimension {n}, {i} iteration(s)"]
+    lines += [f"  after step {k}: delta = {step['value']}" for k, step in enumerate(steps, 1)]
+    lines += [
+        f"  value       : {value} ({float(value):.6f})",
+        "  cross-check : telescoped recursion and step composition agree exactly",
+    ]
+    payload = {
+        "schema": "1",
+        "command": "cone-iterate",
+        "inputs": {
+            "n": n, "d": d, "i": i, "delta0": delta0 if delta0 == "ge1" else str(Fraction(delta0)),
+        },
+        "result": {"value": str(value), "telescoped_value": str(value), "steps": steps},
+    }
+    return "\n".join(lines) + "\n", json.dumps(payload, indent=2) + "\n"
 
 
 def _reference_calabi_csv(n, r, samples, beta=None):

@@ -4,7 +4,9 @@ stderr line and no stdout on failure.
 
 Every generated integer is at most 6 in size and --csv is left out, so each
 call stays cheap: the contract says what an input ends in, not how long a
-large one takes to get there."""
+large one takes to get there. The exception is cone-iterate's --i, whose
+cost is bounded by MAX_ITERATIONS: it reaches a few thousand, and one value
+above the limit, which must exit 3."""
 
 import contextlib
 import io
@@ -19,6 +21,7 @@ from fanodelta.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_PARSE,
+    MAX_ITERATIONS,
     delta,
     integer,
     main,
@@ -45,34 +48,46 @@ rational_texts = st.builds("{}/{}".format, positive_ints, positive_ints)
 delta_texts = rational_texts | st.just("ge1")
 garbage = st.sampled_from(["", "x", "1e3", "1/0", "0.5", "-3", "-1/2", "ge1"])
 FLAG_VALUES = {integer: positive_ints.map(str), rational: rational_texts, delta: delta_texts}
+iterations = st.integers(min_value=1, max_value=4000) | st.just(MAX_ITERATIONS + 1)
 
 
 @st.composite
 def command_argvs(draw):
     """A computing command with every input well typed, except at most one
-    that is dropped or spoiled."""
+    that is dropped or spoiled; and whether the command must be refused for
+    its iteration count alone (every input well typed, --i above the limit)."""
     name = draw(st.sampled_from(sorted(COMMANDS)))
     flags = COMMANDS[name].flags
     spoiled = draw(st.sampled_from([None, None, *flags]))
-    argv = [name]
+    argv, too_long = [name], False
     for flag in flags:
         if flag is spoiled and draw(st.booleans()):
             continue
-        value = draw(garbage if flag is spoiled else FLAG_VALUES[flag.convert])
-        # The = form keeps argparse from reading "-1/2" as an option.
-        argv.append(f"--{flag.key.replace('_', '-')}={value}")
+        if flag is spoiled:
+            value = draw(garbage)
+        elif (name, flag.key) == ("cone-iterate", "i"):
+            value = draw(iterations)
+            too_long = spoiled is None and value > MAX_ITERATIONS
+        else:
+            value = draw(FLAG_VALUES[flag.convert])
+        # A value such as "-1/2" is read as the value in either form.
+        option = f"--{flag.key.replace('_', '-')}"
+        argv += [f"{option}={value}"] if draw(st.booleans()) else [option, str(value)]
     if name == "calabi" and draw(st.booleans()):
         argv.append(f"--samples={draw(small_ints)}")
     if draw(st.booleans()):
         argv.append("--json")
-    return argv
+    return argv, too_long
 
 
 @settings(max_examples=150, deadline=None)
-@given(argv=command_argvs())
-def test_a_computing_command_ends_in_a_documented_exit(argv, tmp_path_factory):
+@given(case=command_argvs())
+def test_a_computing_command_ends_in_a_documented_exit(case, tmp_path_factory):
+    argv, too_long = case
     code, out, err = run_main(argv)
     assert code in (EXIT_OK, EXIT_PARSE, EXIT_DOMAIN), (argv, err)
+    if too_long:
+        assert err == f"domain error: i must be <= {MAX_ITERATIONS}, got {MAX_ITERATIONS + 1}\n"
     if code != EXIT_OK:
         assert_one_line_failure(out, err)
         return

@@ -163,11 +163,20 @@ class TestConeBundleConsistency:
         ) == (bundle_route, cone_route)
 
 
+def last_value(spec):
+    return Fraction(*iterated_hypersurface_chain(spec)[-1].value)
+
+
+def pair(value):
+    """A Fraction as the reduced (numerator, denominator) pair of a chain step."""
+    return None if value is None else (value.numerator, value.denominator)
+
+
 class TestIteratedHypersurfaceCones:
     def test_single_step_equals_cone_delta(self):
         spec = HypersurfaceConeSpec(2, 3, 1, DeltaKnowledge.at_least_one())
         base = FanoBase(2, spec.r0, DeltaKnowledge.at_least_one())
-        assert iterated_hypersurface_chain(spec)[-1].value == cone_delta(base).value
+        assert last_value(spec) == cone_delta(base).value
 
     def test_cubic_surface_tower(self):
         expected = {
@@ -178,13 +187,13 @@ class TestIteratedHypersurfaceCones:
         }
         for i, value in expected.items():
             spec = HypersurfaceConeSpec(2, 3, i, DeltaKnowledge.at_least_one())
-            assert iterated_hypersurface_chain(spec)[-1].value == value, i
+            assert last_value(spec) == value, i
 
     def test_quadric_towers(self):
         spec = HypersurfaceConeSpec(2, 2, 1, DeltaKnowledge.at_least_one())
-        assert iterated_hypersurface_chain(spec)[-1].value == Fraction(8, 9)
+        assert last_value(spec) == Fraction(8, 9)
         spec = HypersurfaceConeSpec(3, 2, 1, DeltaKnowledge.at_least_one())
-        assert iterated_hypersurface_chain(spec)[-1].value == Fraction(15, 16)
+        assert last_value(spec) == Fraction(15, 16)
 
     def test_negative_starting_delta_is_refused_at_construction(self):
         # Neither route may start from it: the telescoped recursion would
@@ -196,12 +205,12 @@ class TestIteratedHypersurfaceCones:
     def test_low_starting_delta_propagates(self):
         spec = HypersurfaceConeSpec(2, 3, 1, DeltaKnowledge.exact(Fraction(1, 2)))
         # first factor is min(delta0, 1) * (n+2) r0 / ((n+1)(r0+1)) with r0 = 1
-        assert iterated_hypersurface_chain(spec)[-1].value == Fraction(1, 3)
+        assert last_value(spec) == Fraction(1, 3)
 
     def test_chain_records_each_step(self):
         spec = HypersurfaceConeSpec(2, 3, 3, DeltaKnowledge.at_least_one())
         chain = iterated_hypersurface_chain(spec)
-        assert [step.value for step in chain] == [
+        assert [Fraction(*step.value) for step in chain] == [
             Fraction(2, 3),
             Fraction(5, 9),
             Fraction(1, 2),
@@ -213,7 +222,7 @@ class TestIteratedHypersurfaceCones:
             for d in range(2, n + 2):
                 for i in range(1, 5):
                     spec = HypersurfaceConeSpec(n, d, i, DeltaKnowledge.at_least_one())
-                    value = iterated_hypersurface_chain(spec)[-1].value
+                    value = last_value(spec)
                     closed = (
                         Fraction((n + 2 - d) * (n + 1 + i), (n + 1) * (n + 2 + i - d))
                     )
@@ -221,8 +230,10 @@ class TestIteratedHypersurfaceCones:
 
     def test_chain_is_the_step_by_step_public_composition(self):
         # Each step equals cone_delta on a FanoBase built from the previous
-        # value, whole breakdown included, and cone_delta equals the
-        # Fraction formula, so a fault in the shared kernel shows too.
+        # value, whole breakdown included: the slope, each branch and the
+        # value as reduced pairs, the tie set and the coverage. cone_delta
+        # equals the Fraction formula, so a fault in the shared kernel shows
+        # too.
         starts = [DeltaKnowledge.at_least_one()] + [
             DeltaKnowledge.exact(dv) for dv in (Fraction(1, 2), Fraction(3, 4), 1, 2)
         ]
@@ -236,7 +247,12 @@ class TestIteratedHypersurfaceCones:
                             bases.append(FanoBase(n + s, spec.r0 + s, known))
                             composed.append(cone_delta(bases[-1]))
                             known = DeltaKnowledge.exact(composed[-1].value)
-                        assert iterated_hypersurface_chain(spec) == composed, (n, d, i, start)
+                        assert iterated_hypersurface_chain(spec) == [
+                            (base.r, pair(breakdown.base_branch), pair(breakdown.v0_branch),
+                             pair(breakdown.vinf_branch), pair(breakdown.value),
+                             breakdown.minimizers, breakdown.proof_coverage)
+                            for base, breakdown in zip(bases, composed)
+                        ], (n, d, i, start)
                         assert composed == [
                             _reference_cone_delta(base, ConeBoundary()) for base in bases
                         ]
