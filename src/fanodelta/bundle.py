@@ -21,14 +21,12 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DomainError
-from .exactarith import Rational, RationalLike, format_rational, parse_rational, rational
+from .exactarith import Rational, RationalLike, format_rational, rational
 
 MINIMIZER_BASE = "BaseDivisor"
 MINIMIZER_V0 = "V0"
 MINIMIZER_VINF = "Vinf"
 _TAGS = (MINIMIZER_BASE, MINIMIZER_V0, MINIMIZER_VINF)
-
-GE1 = "ge1"
 
 
 @dataclass(frozen=True)
@@ -57,13 +55,6 @@ class DeltaKnowledge:
     @classmethod
     def at_least_one(cls) -> "DeltaKnowledge":
         return cls(None)
-
-    @classmethod
-    def parse(cls, text: str) -> "DeltaKnowledge":
-        """Parse "ge1" (K-semistable, delta >= 1) or an exact rational."""
-        if text.strip().lower() == GE1:
-            return cls.at_least_one()
-        return cls.exact(parse_rational(text))
 
     @property
     def is_exact(self) -> bool:

@@ -6,12 +6,15 @@ disagreement (a failed verification run, a --check mismatch, or two exact
 routes diverging). Diagnostics are single lines on stderr naming the
 violated constraint.
 
-Each computing subcommand is one entry of COMMANDS: its input flags, one
-result function and one text renderer over that result. Text output, --json
-and --check all run the same computation once. An input is declared by its
-converter alone; its canonical payload form follows from the converted value:
-a rational renders as "p/q" text, and an integer, a delta text or None stays
-as it is.
+Each computing subcommand is one entry of COMMANDS: its input flags, a
+result function returning what it computed in exact values (a
+DeltaBreakdown, an AngleInterval, the chain's ChainStep rows, or the solved
+CalabiProfile with its invariants), and a payload function and a text
+renderer that each format that result, never each other's text. Text
+output, --json and --check all run the same computation once. An input is
+declared by its converter alone; its canonical payload form follows from the
+converted value: a rational renders as "p/q" text, and an integer, a delta
+text or None stays as it is.
 """
 
 from __future__ import annotations
@@ -24,27 +27,21 @@ import os
 import re
 import sys
 from fractions import Fraction
+from operator import methodcaller
 from typing import IO, Callable, NamedTuple, Optional
 
-from .angle import optimal_angle_interval, semistable_range_lambda_ge_1
+from .angle import AngleInterval, optimal_angle_interval, semistable_range_lambda_ge_1
 from .bundle import (
-    GE1, BundleBoundary, DeltaKnowledge, FanoBase, beta_zero, boundary_interval,
+    BundleBoundary, DeltaBreakdown, DeltaKnowledge, FanoBase, beta_zero, boundary_interval,
     breakdown_payload, bundle_delta,
 )
 from .calabi import (
-    CalabiProfile,
-    edge_angles,
-    futaki_closed_form,
-    futaki_invariant,
-    hermite_admissible_profile,
-    ode_residual,
-    ricci_bound_margin,
-    ricci_pointwise_residual,
-    solve_profile,
-    verify_positive_interior,
+    edge_angles, futaki_closed_form, futaki_invariant, hermite_admissible_profile, ode_residual,
+    ricci_bound_margin, ricci_pointwise_residual, solve_profile, verify_positive_interior,
 )
 from .cone import (
     BranchedConeSpec,
+    ChainStep,
     ConeBoundary,
     HypersurfaceConeSpec,
     PROOF_UPPER_BOUND,
@@ -53,7 +50,7 @@ from .cone import (
     iterated_hypersurface_chain,
 )
 from .errors import DomainError, InternalCheckError, agree
-from .exactarith import Polynomial, format_ratio, format_rational, parse_rational
+from .exactarith import format_ratio, format_rational, parse_rational
 from .oracles import BranchCase, run_verification, telescoping_iterated_cone
 
 EXIT_OK = 0
@@ -68,6 +65,7 @@ MAX_SAMPLES = 100_000
 MAX_ITERATIONS = 20_000
 
 SCHEMA_VERSION = "1"
+GE1 = "ge1"  # the delta text for a base known only to have delta >= 1
 
 
 class CliParseError(Exception):
@@ -126,13 +124,21 @@ def delta(value: object) -> str:
     return format_rational(rational(value))
 
 
+def _knowledge(text: str) -> DeltaKnowledge:
+    """The DeltaKnowledge of a delta converter's canonical text."""
+    return DeltaKnowledge(None if text == GE1 else text)
+
+
 _DELTA_HELP = 'exact rational or "ge1"'
 
 _REQUIRED = object()
 
 
 def _canonical(value: object) -> object:
-    """The payload form of a converted input: a rational renders as text."""
+    """The payload form of an input or a computed value: a rational renders
+    as text, a tuple as a list, and anything else stays as it is."""
+    if isinstance(value, tuple):
+        return [_canonical(item) for item in value]
     return format_rational(value) if isinstance(value, Fraction) else value
 
 
@@ -156,33 +162,34 @@ class _Flag(NamedTuple):
 
 
 class _Command(NamedTuple):
-    """A computing subcommand: result maps the parsed inputs to the result,
-    and text renders the canonical inputs and that result as lines. The
-    result is the JSON result itself, unless json_form is given: it turns
-    the result into the JSON result, possibly in place, after emit has read
-    it. options are argparse flags that are not inputs; emit acts on them
-    before output and returns extra text lines."""
+    """A computing subcommand. result maps the parsed inputs to what the
+    command computed, in exact values. payload formats that result as the
+    JSON result, by default through its to_json_dict, and may take apart
+    what emit does not read. text formats the canonical inputs and the
+    values of the result it prints as lines. options are argparse flags
+    that are not inputs; emit acts on them once the output is formatted and
+    returns extra text lines."""
 
     help: str
     flags: tuple[_Flag, ...]
-    result: Callable[[dict], dict]
-    text: Callable[[dict, dict], list[str]]
+    result: Callable[[dict], object]
+    text: Callable[[dict, object], list[str]]
+    payload: Callable[[object], dict] = methodcaller("to_json_dict")
     options: tuple[tuple[tuple, dict], ...] = ()
-    emit: Optional[Callable[[argparse.Namespace, dict, dict], list[str]]] = None
-    json_form: Optional[Callable[[dict], dict]] = None
+    emit: Optional[Callable[[argparse.Namespace, object], list[str]]] = None
 
 
 FLOAT_RANGE_MARKER = "beyond float range"
 
 
-def _show(text: str) -> str:
-    """Exact value with a 6-place decimal approximation for human output,
-    or FLOAT_RANGE_MARKER in its place when the value does not fit a float."""
+def _show(value: Fraction) -> str:
+    """Exact text of value with a 6-place decimal approximation for human
+    output, or FLOAT_RANGE_MARKER in its place when it does not fit a float."""
     try:
-        decimal = f"{float(parse_rational(text)):.6f}"
+        decimal = f"{float(value):.6f}"
     except OverflowError:
         decimal = FLOAT_RANGE_MARKER
-    return f"{text} ({decimal})"
+    return f"{format_rational(value)} ({decimal})"
 
 
 def render_json(payload: dict) -> str:
@@ -191,101 +198,88 @@ def render_json(payload: dict) -> str:
 
 
 def _payload(command: str, inputs: dict, result: dict) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "command": command,
-        "inputs": inputs,
-        "result": result,
-    }
+    return {"schema": SCHEMA_VERSION, "command": command, "inputs": inputs, "result": result}
 
 
-def _command_json(name: str, inputs: dict, result: dict) -> str:
+def _command_json(name: str, inputs: dict, result: object) -> str:
     """The --json output of a computing command, the bytes --check compares."""
-    json_form = COMMANDS[name].json_form
-    return render_json(_payload(name, inputs, result if json_form is None else json_form(result)))
+    return render_json(_payload(name, inputs, COMMANDS[name].payload(result)))
 
 
-def _verdict(result: dict) -> str:
+def _verdict(breakdown: DeltaBreakdown) -> str:
     # An upper-bound-only value (a cone with r > n+1) is always below 1:
     # there vinf = (n+2)(1-c)/(r+1-c) < 1.
-    if parse_rational(result["value"]) >= 1:
+    if breakdown.value >= 1:
         return "K-semistable (delta >= 1)"
-    if result.get("proof_coverage") == PROOF_UPPER_BOUND:
+    if breakdown.proof_coverage == PROOF_UPPER_BOUND:
         return "K-unstable (upper bound below 1)"
     return "K-unstable (delta < 1)"
 
 
-def _breakdown_text(title: str) -> Callable[[dict, dict], list[str]]:
-    """Text renderer of a DeltaBreakdown result. title is a format string
-    over the inputs (a "ge1" delta shows as ">=1") and r_effective."""
+def _breakdown_text(title: str) -> Callable[[dict, DeltaBreakdown], list[str]]:
+    """Text renderer of a DeltaBreakdown. title is a format string over the
+    inputs (a "ge1" delta shows as ">=1") and r_effective."""
 
-    def text(inputs: dict, result: dict) -> list[str]:
+    def text(inputs: dict, result: DeltaBreakdown) -> list[str]:
         shown = {key: ">=1" if value == GE1 else value for key, value in inputs.items()}
-        branches = result["branches"]
-        base = branches["base"]
+        slope = None if result.r_effective is None else format_rational(result.r_effective)
+        base = result.base_branch
         lines = [
-            title.format(r_effective=result.get("r_effective"), **shown),
+            title.format(r_effective=slope, **shown),
             f"  base branch : {'unknown (delta(V) >= 1)' if base is None else _show(base)}",
-            f"  V0 branch   : {_show(branches['v0'])}",
-            f"  Vinf branch : {_show(branches['vinf'])}",
-            f"  value       : {_show(result['value'])}",
-            f"  minimizers  : {', '.join(result['minimizers'])}",
+            f"  V0 branch   : {_show(result.v0_branch)}",
+            f"  Vinf branch : {_show(result.vinf_branch)}",
+            f"  value       : {_show(result.value)}",
+            f"  minimizers  : {', '.join(result.minimizers)}",
             f"  verdict     : {_verdict(result)}",
         ]
-        if "r_effective" in result:
-            lines.append(f"  slope r     : {result['r_effective']}")
-        if "proof_coverage" in result:
-            lines.append(f"  proof       : {result['proof_coverage']}")
-        if result.get("side_conditions"):
+        if slope is not None:
+            lines.append(f"  slope r     : {slope}")
+        if result.proof_coverage is not None:
+            lines.append(f"  proof       : {result.proof_coverage}")
+        if result.side_conditions:
             lines.append("  side conditions:")
-            lines.extend(f"    - {condition}" for condition in result["side_conditions"])
+            lines.extend(f"    - {condition}" for condition in result.side_conditions)
         return lines
 
     return text
 
 
-def _bundle_result(values: dict) -> dict:
-    base = FanoBase(values["n"], values["r"], DeltaKnowledge.parse(values["delta_v"]))
-    return bundle_delta(base, BundleBoundary(values["a"], values["b"])).to_json_dict()
+def _bundle_result(values: dict) -> DeltaBreakdown:
+    base = FanoBase(values["n"], values["r"], _knowledge(values["delta_v"]))
+    return bundle_delta(base, BundleBoundary(values["a"], values["b"]))
 
 
-def _cone_result(values: dict) -> dict:
-    base = FanoBase(values["n"], values["r"], DeltaKnowledge.parse(values["delta_v"]))
-    return cone_delta(base, ConeBoundary(values["c"])).to_json_dict()
+def _cone_result(values: dict) -> DeltaBreakdown:
+    base = FanoBase(values["n"], values["r"], _knowledge(values["delta_v"]))
+    return cone_delta(base, ConeBoundary(values["c"]))
 
 
-def _branched_result(values: dict) -> dict:
-    pair = None if values["delta_pair"] is None else DeltaKnowledge.parse(values["delta_pair"])
+def _branched_result(values: dict) -> DeltaBreakdown:
+    pair = None if values["delta_pair"] is None else _knowledge(values["delta_pair"])
     spec = BranchedConeSpec(values["n"], values["k"], values["d"], values["l"])
-    return branched_cone_delta(spec, pair).to_json_dict()
+    return branched_cone_delta(spec, pair)
 
 
-def _cone_iterate_result(values: dict) -> dict:
-    """The value and the telescoped value as text, and the chain's steps as
-    they were computed: text output formats only each step's value."""
+def _cone_iterate_result(values: dict) -> list[ChainStep]:
+    """The chain's steps as they were computed, once the last value agrees
+    with the telescoped recursion."""
     if values["i"] > MAX_ITERATIONS:
         raise DomainError(f"i must be <= {MAX_ITERATIONS}, got {values['i']}")
-    spec = HypersurfaceConeSpec(
-        values["n"], values["d"], values["i"], DeltaKnowledge.parse(values["delta0"])
-    )
+    spec = HypersurfaceConeSpec(values["n"], values["d"], values["i"], _knowledge(values["delta0"]))
     chain = iterated_hypersurface_chain(spec)
     telescoped = telescoping_iterated_cone(spec)
-    value = agree(
-        "iterated cone: composition vs telescoping", Fraction(*chain[-1].value), telescoped
-    )
-    return {
-        "value": format_rational(value),
-        "telescoped_value": format_rational(telescoped),
-        "steps": chain,
-    }
+    agree("iterated cone: composition vs telescoping", Fraction(*chain[-1].value), telescoped)
+    return chain
 
 
-def _cone_iterate_json(result: dict) -> dict:
-    """The JSON result: each step replaced, in place, by the payload
-    DeltaBreakdown.to_json_dict writes for it, so the chain is freed before
-    the payload is rendered."""
-    result["steps"] = [
-        breakdown_payload(
+def _cone_iterate_json(chain: list[ChainStep]) -> dict:
+    """The JSON result: the value, also as the telescoped value that agrees
+    with it, and the steps, each row replaced in place by the payload
+    DeltaBreakdown.to_json_dict writes for it, so the rows are freed early."""
+    value = format_ratio(*chain[-1].value)
+    for index, step in enumerate(chain):
+        chain[index] = breakdown_payload(
             None if step.base is None else format_ratio(*step.base),
             format_ratio(*step.v0),
             format_ratio(*step.vinf),
@@ -294,43 +288,43 @@ def _cone_iterate_json(result: dict) -> dict:
             format_ratio(step.slope, 1),
             step.proof_coverage,
         )
-        for step in result["steps"]
-    ]
-    return result
+    return {"value": value, "telescoped_value": value, "steps": chain}
 
 
-def _cone_iterate_text(inputs: dict, result: dict) -> list[str]:
+def _cone_iterate_text(inputs: dict, chain: list[ChainStep]) -> list[str]:
     lines = [
         f"iterated cone over a degree-{inputs['d']} hypersurface of dimension "
         f"{inputs['n']}, {inputs['i']} iteration(s)"
     ]
-    for index, step in enumerate(result["steps"], start=1):
+    for index, step in enumerate(chain, start=1):
         lines.append(f"  after step {index}: delta = {format_ratio(*step.value)}")
-    lines.append(f"  value       : {_show(result['value'])}")
+    lines.append(f"  value       : {_show(Fraction(*chain[-1].value))}")
     lines.append("  cross-check : telescoped recursion and step composition agree exactly")
     return lines
 
 
-def _angle_result(values: dict) -> dict:
+def _angle_result(values: dict) -> AngleInterval:
     n, lam = values["n"], values["lambda"]
     interval = optimal_angle_interval if lam < 1 else semistable_range_lambda_ge_1
-    return interval(n, lam).to_json_dict()
+    return interval(n, lam)
 
 
-def _angle_text(inputs: dict, result: dict) -> list[str]:
-    endpoint = result["endpoint"]
+def _angle_text(inputs: dict, result: AngleInterval) -> list[str]:
+    endpoint = format_rational(result.endpoint)
     lines = [
         f"K-semistability angle range for (V, a*S) with n={inputs['n']}, "
         f"lambda={inputs['lambda']}",
-        f"  endpoint    : {_show(endpoint)}",
-        f"  interval    : [0, {endpoint}{']' if result['semistable_closed'] else ')'}",
+        f"  endpoint    : {_show(result.endpoint)}",
+        f"  interval    : [0, {endpoint}{']' if result.closed else ')'}",
         "  hypotheses  :",
     ]
-    lines.extend(f"    - {hypothesis}" for hypothesis in result["hypotheses"])
+    lines.extend(f"    - {hypothesis}" for hypothesis in result.hypotheses)
     return lines
 
 
 def _calabi_result(values: dict) -> dict:
+    """The solved profile, then its exact invariants keyed and ordered as
+    in the JSON result (the numerator's coefficients as a tuple)."""
     n, r, mu = values["n"], values["r"], values["mu"]
     profile = solve_profile(n, r, values["beta"])
     beta1, beta2 = edge_angles(profile)
@@ -338,30 +332,36 @@ def _calabi_result(values: dict) -> dict:
     futaki = futaki_invariant(hermite_admissible_profile(n, r))
     agree("futaki invariant: integral vs closed form", futaki, futaki_closed_form(n, r))
     return {
-        "beta0": format_rational(beta_zero(n, r)),
-        "c1": format_rational(profile.c1),
-        "c2": format_rational(profile.c2),
-        "numerator_coefficients": [format_rational(c) for c in profile.numerator.coefficients],
-        "beta1": format_rational(beta1),
-        "beta2": format_rational(beta2),
-        "ricci_margin": format_rational(margin),
+        "profile": profile,
+        "beta0": beta_zero(n, r),
+        "c1": profile.c1,
+        "c2": profile.c2,
+        "numerator_coefficients": profile.numerator.coefficients,
+        "beta1": beta1,
+        "beta2": beta2,
+        "ricci_margin": margin,
         "ricci_bound_holds": margin >= 0,
         "ode_residual_zero": ode_residual(profile).is_zero,
         "ricci_pointwise_constant": ricci_pointwise_residual(profile, mu).is_zero,
         "phi_positive_on_interior": verify_positive_interior(profile),
-        "futaki_invariant": format_rational(futaki),
-        "futaki_closed_form": format_rational(futaki),
+        "futaki_invariant": futaki,
+        "futaki_closed_form": futaki,
     }
+
+
+def _calabi_json(result: dict) -> dict:
+    """The JSON result: the payload form of every invariant of the profile."""
+    return {key: _canonical(value) for key, value in result.items() if key != "profile"}
 
 
 def _calabi_text(inputs: dict, result: dict) -> list[str]:
     return [
         f"momentum profile for n={inputs['n']}, r={inputs['r']}, "
         f"beta={inputs['beta']} (normalized units)",
-        f"  beta0        : {result['beta0']}",
-        f"  c1           : {result['c1']}",
-        f"  c2           : {result['c2']}",
-        f"  numerator    : {Polynomial(result['numerator_coefficients'])}",
+        f"  beta0        : {format_rational(result['beta0'])}",
+        f"  c1           : {format_rational(result['c1'])}",
+        f"  c2           : {format_rational(result['c2'])}",
+        f"  numerator    : {result['profile'].numerator}",
         f"  edge angle beta1 : {_show(result['beta1'])}",
         f"  edge angle beta2 : {_show(result['beta2'])}",
         f"  ricci margin at mu={inputs['mu']} : {_show(result['ricci_margin'])}"
@@ -374,21 +374,17 @@ def _calabi_text(inputs: dict, result: dict) -> list[str]:
     ]
 
 
-def _calabi_csv(args: argparse.Namespace, values: dict, result: dict) -> list[str]:
-    """Write --csv samples of the profile, rebuilt from the result's exact
-    coefficients rather than solved again."""
+def _calabi_csv(args: argparse.Namespace, result: dict) -> list[str]:
+    """Write --csv samples of the solved profile."""
     if args.samples < 2:
         raise DomainError(f"samples must be >= 2, got {args.samples}")
     if args.samples > MAX_SAMPLES:
         raise DomainError(f"samples must be <= {MAX_SAMPLES}, got {args.samples}")
     if args.csv is None:
         return []
-    numerator = Polynomial(result["numerator_coefficients"])
-    profile = CalabiProfile(
-        values["n"], values["r"], values["beta"], result["c1"], result["c2"], numerator
-    )
+    samples = result["profile"].phi_samples(args.samples)
     rows = ["tau,phi,tau_decimal,phi_decimal"]
-    for k, (tau_num, tau_den, phi_num, phi_den) in enumerate(profile.phi_samples(args.samples)):
+    for k, (tau_num, tau_den, phi_num, phi_den) in enumerate(samples):
         try:
             decimals = f"{tau_num / tau_den:.9f},{phi_num / phi_den:.9f}"
         except OverflowError:
@@ -433,7 +429,7 @@ COMMANDS: dict[str, _Command] = {
          _Flag("delta0", delta, GE1, _DELTA_HELP)),
         _cone_iterate_result,
         _cone_iterate_text,
-        json_form=_cone_iterate_json,
+        _cone_iterate_json,
     ),
     "branched-cone": _Command(
         "cone attached to a branched hypersurface",
@@ -463,6 +459,7 @@ COMMANDS: dict[str, _Command] = {
         ),
         _calabi_result,
         _calabi_text,
+        _calabi_json,
         options=(
             (("--csv",), {"metavar": "PATH", "help": "write (tau, phi) samples"}),
             (("--samples",), {"type": integer, "default": 33}),
@@ -487,11 +484,14 @@ def _handle_command(args: argparse.Namespace) -> int:
     command = COMMANDS[args.command]
     values = {flag.key: getattr(args, flag.key) for flag in command.flags}
     inputs, result = _compute(command, values)
-    extra = command.emit(args, values, result) if command.emit else []
     if args.json:
-        _write_stdout(_command_json(args.command, inputs, result))
+        output = _command_json(args.command, inputs, result)
     else:
-        _write_stdout("\n".join(command.text(inputs, result) + extra) + "\n")
+        lines = command.text(inputs, result)
+    # emit runs once the output is formatted, so a value refused as it is
+    # formatted leaves no file behind.
+    extra = command.emit(args, result) if command.emit else []
+    _write_stdout(output if args.json else "\n".join(lines + extra) + "\n")
     return EXIT_OK
 
 
@@ -563,7 +563,7 @@ def _grid_case(row: tuple) -> BranchCase:
     """The branch case of a --grid row, or a DomainError for a row outside
     the domain."""
     kind, n, r, *boundary, delta_text = row
-    base = FanoBase(n, r, DeltaKnowledge.parse(delta_text))
+    base = FanoBase(n, r, _knowledge(delta_text))
     if kind == "cone":
         return base, ConeBoundary(*boundary)
     bdry = BundleBoundary(*boundary)

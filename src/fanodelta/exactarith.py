@@ -27,6 +27,8 @@ Rational = Fraction
 
 RationalLike = Union[Rational, int, str]
 
+_RATIONAL_CHARACTERS = frozenset("0123456789+-/.")
+
 
 def rational(value: RationalLike) -> Rational:
     """Coerce an int, Fraction, or string to an exact Rational.
@@ -44,12 +46,16 @@ def rational(value: RationalLike) -> Rational:
 
 
 def parse_rational(text: str) -> Rational:
-    """Parse "p/q", "p", or an exact decimal string into a Rational.
-    Exponent notation is refused: "1e10000000" alone takes seconds to expand."""
+    """Parse "p/q", "p", or an exact decimal string into a Rational, after
+    stripping surrounding whitespace. Only ASCII digits, a sign, "/" and "."
+    may remain: Fraction's own grammar differs between Python versions ("1_0"
+    and "2 / 3" parse on some, not on others) and takes any Unicode digit,
+    and exponent notation is refused: "1e10000000" takes seconds to expand."""
+    stripped = text.strip()
     try:
-        if "e" in text.lower():
-            raise ValueError("exponent notation")
-        return Fraction(text.strip())
+        if not set(stripped) <= _RATIONAL_CHARACTERS:
+            raise ValueError("only ASCII digits, a sign, '/' and '.' are allowed")
+        return Fraction(stripped)
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"not a rational: {text!r}") from exc
 

@@ -53,11 +53,6 @@ class TestDeltaKnowledge:
         ge1 = DeltaKnowledge.at_least_one()
         assert not ge1.is_exact and ge1.value is None
 
-    def test_parse_matches_the_constructors(self):
-        assert DeltaKnowledge.parse(" GE1 ") == DeltaKnowledge.at_least_one()
-        assert DeltaKnowledge.parse("13/14") == DeltaKnowledge.exact(Fraction(13, 14))
-        assert DeltaKnowledge.parse("1").value == 1
-
     def test_negative_delta_rejected(self):
         with pytest.raises(DomainError):
             DeltaKnowledge.exact(Fraction(-1, 2))
@@ -75,10 +70,6 @@ class TestDeltaKnowledge:
         assert DeltaKnowledge(None) == DeltaKnowledge.at_least_one()
         with pytest.raises(TypeError):
             DeltaKnowledge.exact(None)
-
-    def test_parse_rejects_garbage(self):
-        with pytest.raises(DomainError):
-            DeltaKnowledge.parse("at least one")
 
 
 class TestCentroid:

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fanodelta import (
-    ConeBoundary, DeltaKnowledge, FanoBase, beta_zero, cone_delta, solve_profile,
+    ConeBoundary, DeltaKnowledge, DomainError, FanoBase, beta_zero, cone_delta, solve_profile,
 )
 from fanodelta.calabi import CalabiProfile
 from fanodelta.cli import (
@@ -26,7 +26,9 @@ from fanodelta.cli import (
     EXIT_PARSE,
     FLOAT_RANGE_MARKER,
     MAX_ITERATIONS,
+    _knowledge,
     build_parser,
+    delta,
     main,
 )
 from fanodelta.oracles import default_branch_grid
@@ -296,6 +298,26 @@ class TestCalabiCommand:
         assert out == ""
         assert not target.exists()
 
+    @pytest.mark.parametrize("form", [[], ["--json"]], ids=["text", "json"])
+    def test_a_value_over_the_digit_limit_leaves_no_csv(self, form, capsys, tmp_path):
+        # At n = 600 every row of a 2-sample CSV is short (phi is 0 at both
+        # edges), while c2 has more than 640 digits: the output is formatted,
+        # and refused, before the file is written.
+        target = tmp_path / "profile.csv"
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, err = run_cli(
+                ["calabi", "--n", "600", "--r", "7/3", "--csv", str(target), "--samples", "2",
+                 *form],
+                capsys,
+            )
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err.startswith("domain error: exact value has more than 640 digits")
+        assert not target.exists()
+
     def test_unwritable_csv_path_is_a_parse_error(self, capsys, tmp_path):
         # A missing directory or an empty path fails to open; /dev/full
         # opens but fails to write.
@@ -419,6 +441,14 @@ class TestExitCodes:
         assert out == ""
         assert err == f"error: {line}\n"
 
+    @pytest.mark.parametrize("text", ["1_0", "2 / 3", "\u0663"])
+    def test_a_rational_outside_the_ascii_grammar_is_a_parse_error(self, text, capsys):
+        # Fraction reads "1_0" and "2 / 3" on some Python versions only, and
+        # any Unicode digit; the same text exits 2 on every version.
+        code, out, err = run_cli(["bundle", "--n", "1", "--r", text, "--delta-v", "1"], capsys)
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == f"error: argument --r: invalid rational value: {text!r}\n"
+
     @pytest.mark.parametrize(
         "argv, line",
         [
@@ -491,6 +521,22 @@ class TestExitCodes:
         assert line == (
             "internal check failed: futaki invariant: integral vs closed form: 4/3 != 7/3"
         )
+
+
+class TestDeltaText:
+    """The delta converter's canonical text, and the DeltaKnowledge every
+    command builds from it."""
+
+    def test_delta_text_matches_the_constructors(self):
+        assert delta(" GE1 ") == "ge1"
+        assert _knowledge(delta(" GE1 ")) == DeltaKnowledge.at_least_one()
+        assert delta("13/14") == "13/14"
+        assert _knowledge(delta("13/14")) == DeltaKnowledge.exact(Fraction(13, 14))
+        assert _knowledge(delta("1")).value == 1
+
+    def test_delta_rejects_garbage(self):
+        with pytest.raises(DomainError):
+            delta("at least one")
 
 
 class TestCheckRoundTrip:
@@ -1022,7 +1068,7 @@ def _reference_cone_iterate(n, d, i, delta0):
     """cone-iterate's text and --json output built from the public Fraction
     route: cone_delta per step on a FanoBase that carries the previous
     value, each step's to_json_dict, and json.dumps(indent=2)."""
-    known = DeltaKnowledge.parse(delta0)
+    known = DeltaKnowledge(None if delta0 == "ge1" else delta0)
     steps = []
     for s in range(i):
         breakdown = cone_delta(FanoBase(n + s, n + 2 - d + s, known))

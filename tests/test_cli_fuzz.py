@@ -1,12 +1,14 @@
 """Property tests of the exit-code contract: every generated argv, mutated
 --check payload and --grid file ends in a documented exit code, with one
-stderr line and no stdout on failure.
+stderr line and no stdout on failure. A command that succeeds succeeds in
+its other form too (text or --json), and both show the same exact value;
+a calabi --csv run writes its samples only when it succeeds.
 
-Every generated integer is at most 6 in size and --csv is left out, so each
-call stays cheap: the contract says what an input ends in, not how long a
-large one takes to get there. The exception is cone-iterate's --i, whose
-cost is bounded by MAX_ITERATIONS: it reaches a few thousand, and one value
-above the limit, which must exit 3."""
+Every generated integer is at most 6 in size, so each call stays cheap: the
+contract says what an input ends in, not how long a large one takes to get
+there. The exception is cone-iterate's --i, whose cost is bounded by
+MAX_ITERATIONS: it reaches a few thousand, and one value above the limit,
+which must exit 3."""
 
 import contextlib
 import io
@@ -49,16 +51,20 @@ delta_texts = rational_texts | st.just("ge1")
 garbage = st.sampled_from(["", "x", "1e3", "1/0", "0.5", "-3", "-1/2", "ge1"])
 FLAG_VALUES = {integer: positive_ints.map(str), rational: rational_texts, delta: delta_texts}
 iterations = st.integers(min_value=1, max_value=4000) | st.just(MAX_ITERATIONS + 1)
+# The JSON result key whose exact text the text output must show too, on a
+# line that starts with the key; "value" for the other commands.
+SHOWN = {"angle": "endpoint", "calabi": "c1"}
 
 
 @st.composite
 def command_argvs(draw):
     """A computing command with every input well typed, except at most one
-    that is dropped or spoiled; and whether the command must be refused for
-    its iteration count alone (every input well typed, --i above the limit)."""
+    that is dropped or spoiled; whether the command must be refused for its
+    iteration count alone (every input well typed, --i above the limit); and
+    the sample count a calabi run is to write with --csv, or None."""
     name = draw(st.sampled_from(sorted(COMMANDS)))
     flags = COMMANDS[name].flags
-    spoiled = draw(st.sampled_from([None, None, *flags]))
+    spoiled = draw(st.none() | st.sampled_from(flags))
     argv, too_long = [name], False
     for flag in flags:
         if flag is spoiled and draw(st.booleans()):
@@ -73,29 +79,51 @@ def command_argvs(draw):
         # A value such as "-1/2" is read as the value in either form.
         option = f"--{flag.key.replace('_', '-')}"
         argv += [f"{option}={value}"] if draw(st.booleans()) else [option, str(value)]
+    samples = 33
     if name == "calabi" and draw(st.booleans()):
-        argv.append(f"--samples={draw(small_ints)}")
+        samples = draw(small_ints)
+        argv.append(f"--samples={samples}")
     if draw(st.booleans()):
         argv.append("--json")
-    return argv, too_long
+    csv = name == "calabi" and draw(st.booleans())
+    return argv, too_long, samples if csv else None
+
+
+def shown_exact(text, key):
+    """The exact text on the line of a command's text output that shows key."""
+    line = next(line for line in text.splitlines() if line.startswith(f"  {key} "))
+    return line.split(" : ", 1)[1].split(" (", 1)[0]
 
 
 @settings(max_examples=150, deadline=None)
 @given(case=command_argvs())
 def test_a_computing_command_ends_in_a_documented_exit(case, tmp_path_factory):
-    argv, too_long = case
+    argv, too_long, csv_samples = case
+    folder = tmp_path_factory.mktemp("run")
+    csv = folder / "p.csv"
+    if csv_samples is not None:
+        argv = argv + ["--csv", str(csv)]
     code, out, err = run_main(argv)
     assert code in (EXIT_OK, EXIT_PARSE, EXIT_DOMAIN), (argv, err)
     if too_long:
         assert err == f"domain error: i must be <= {MAX_ITERATIONS}, got {MAX_ITERATIONS + 1}\n"
     if code != EXIT_OK:
         assert_one_line_failure(out, err)
+        assert not csv.exists()
         return
     assert err == ""
-    if "--json" in argv:
-        payload = tmp_path_factory.mktemp("payload") / "payload.json"
-        payload.write_text(out, encoding="utf-8")
-        assert run_main(["--check", str(payload)])[0] == EXIT_OK, argv
+    if csv_samples is not None:
+        assert len(csv.read_text(encoding="utf-8").splitlines()) == csv_samples + 1
+    as_json = "--json" in argv
+    other = [arg for arg in argv if arg != "--json"] if as_json else argv + ["--json"]
+    other_code, other_out, other_err = run_main(other)
+    assert (other_code, other_err) == (EXIT_OK, ""), other
+    text, payload = (other_out, out) if as_json else (out, other_out)
+    key = SHOWN.get(argv[0], "value")
+    assert shown_exact(text, key) == json.loads(payload)["result"][key], argv
+    path = folder / "payload.json"
+    path.write_text(payload, encoding="utf-8")
+    assert run_main(["--check", str(path)])[0] == EXIT_OK, argv
 
 
 VALID_ARGVS = [

@@ -35,6 +35,18 @@ class TestRationalHelpers:
         with pytest.raises(DomainError, match="not a rational"):
             parse_rational(text)
 
+    def test_parse_strips_surrounding_whitespace(self):
+        assert parse_rational(" 3/4\n") == Fraction(3, 4)
+        assert parse_rational("\t-.5 ") == Fraction(-1, 2)
+        assert parse_rational("+10") == Fraction(10)
+
+    @pytest.mark.parametrize("text", ["1_0", "2 / 3", "\u0663", "1/\u0663", "1\u00a0/2", "0x10"])
+    def test_parse_refuses_text_outside_the_ascii_grammar(self, text):
+        # Fraction reads "1_0" and "2 / 3" on some Python versions and not on
+        # others, and any Unicode digit on all of them.
+        with pytest.raises(DomainError, match="not a rational"):
+            parse_rational(text)
+
     def test_format_is_plain_fraction_text(self):
         assert format_rational(Fraction(3, 4)) == "3/4"
         assert format_rational(Fraction(-2)) == "-2"
