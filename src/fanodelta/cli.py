@@ -12,9 +12,10 @@ DeltaBreakdown, an AngleInterval, the chain's ChainStep rows, or the solved
 CalabiProfile with its invariants), and a payload function and a text
 renderer that each format that result, never each other's text. Text
 output, --json and --check all run the same computation once. An input is
-declared by its converter alone; its canonical payload form follows from the
-converted value: a rational renders as "p/q" text, and an integer, a delta
-text or None stays as it is.
+declared by its converter alone, and the converters are the only code that
+reads text as a number (the library takes Fraction and int values only); its
+canonical payload form follows from the converted value: a rational renders
+as "p/q" text, and an integer, "ge1" or None stays as it is.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .cone import (
     iterated_hypersurface_chain,
 )
 from .errors import DomainError, InternalCheckError, agree
-from .exactarith import format_ratio, format_rational, parse_rational
+from .exactarith import format_ratio, format_rational
 from .oracles import BranchCase, run_verification, telescoping_iterated_cone
 
 EXIT_OK = 0
@@ -98,35 +99,49 @@ class _Parser(argparse.ArgumentParser):
 
 # Input converters: each takes a flag's text or a --check payload's input
 # value and raises ValueError or TypeError when it is malformed (exit 2).
-# Range checks are left to the computation, so a well-formed but
+# Once surrounding whitespace is stripped, only ASCII digits, a sign and, in
+# a rational, "/" and "." may remain: int and Fraction read "1_0" and any
+# Unicode digit, and Fraction expands exponent notation ("1e10000000" takes
+# seconds). Range checks are left to the computation, so a well-formed but
 # out-of-domain value exits 3. argparse names the converter in its
 # diagnostics ("invalid rational value: 'x'").
+
+_INTEGER_CHARACTERS = frozenset("0123456789+-")
+_RATIONAL_CHARACTERS = _INTEGER_CHARACTERS | frozenset("/.")
 
 
 def integer(value: object) -> int:
     if isinstance(value, str):
-        return int(value)
+        number = int(value)  # int's own message for text it cannot read
+        if not set(value.strip()) <= _INTEGER_CHARACTERS:
+            raise ValueError(f"not an integer: {value!r}")
+        return number
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise TypeError(f"not an integer: {value!r}")
 
 
 def rational(value: object) -> Fraction:
+    """The exact value of "p/q", "p" or a decimal ("0.25" is 1/4)."""
     if not isinstance(value, str):
         raise TypeError(f"not a rational string: {value!r}")
-    return parse_rational(value)
+    stripped = value.strip()
+    if set(stripped) <= _RATIONAL_CHARACTERS:
+        with contextlib.suppress(ValueError, ZeroDivisionError):
+            return Fraction(stripped)
+    raise ValueError(f"not a rational: {value!r}")
 
 
-def delta(value: object) -> str:
-    """Canonical text of a delta input: "ge1" or an exact rational."""
+def delta(value: object) -> Fraction | str:
+    """GE1 for a base known only to have delta >= 1, else the exact rational."""
     if isinstance(value, str) and value.strip().lower() == GE1:
         return GE1
-    return format_rational(rational(value))
+    return rational(value)
 
 
-def _knowledge(text: str) -> DeltaKnowledge:
-    """The DeltaKnowledge of a delta converter's canonical text."""
-    return DeltaKnowledge(None if text == GE1 else text)
+def _knowledge(value: Fraction | str) -> DeltaKnowledge:
+    """The DeltaKnowledge of a delta converter's value."""
+    return DeltaKnowledge(None if value == GE1 else value)
 
 
 _DELTA_HELP = 'exact rational or "ge1"'
@@ -145,7 +160,7 @@ def _canonical(value: object) -> object:
 class _Flag(NamedTuple):
     """One input of a command, keyed as in the payload's inputs. convert
     parses it, and the payload holds _canonical of the parsed value: a
-    rational as "p/q" text, an integer, a delta text or None as it is.
+    rational as "p/q" text, an integer, "ge1" or None as it is.
     default is _REQUIRED, a constant (text is converted, as argparse does),
     or a function of the inputs before it."""
 
@@ -510,12 +525,20 @@ def _write_stdout(text: str) -> None:
 @contextlib.contextmanager
 def _open_output(path: str):
     """The output file at path, open for writing. Failing to open, write or
-    close it (a missing directory, a full disk) is a CliParseError."""
+    close it (a missing directory, a full disk) is a CliParseError. A failure
+    once it is open removes it, if it is a regular file (not /dev/full), so a
+    refused run leaves no file behind."""
+    handle = None
     try:
         with open(path, "w", encoding="utf-8") as handle:
             yield handle
-    except OSError as exc:
-        raise CliParseError(f"cannot write output file: {exc}") from None
+    except BaseException as exc:
+        if handle is not None and os.path.isfile(path):
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        if isinstance(exc, OSError):
+            raise CliParseError(f"cannot write output file: {exc}") from None
+        raise
 
 
 _GRID_WIDTHS = {"bundle": 5, "cone": 4}
@@ -534,7 +557,7 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 
 def _load_grid_file(path: str) -> list[tuple]:
-    """The rows of a --grid file, each (kind, n, *rationals, delta text).
+    """The rows of a --grid file, each (kind, n, *rationals, delta value).
     Only the format is checked here; _grid_case refuses a row outside the
     domain."""
     with open(path, "r", encoding="utf-8") as handle:
@@ -562,8 +585,8 @@ def _load_grid_file(path: str) -> list[tuple]:
 def _grid_case(row: tuple) -> BranchCase:
     """The branch case of a --grid row, or a DomainError for a row outside
     the domain."""
-    kind, n, r, *boundary, delta_text = row
-    base = FanoBase(n, r, _knowledge(delta_text))
+    kind, n, r, *boundary, known = row
+    base = FanoBase(n, r, _knowledge(known))
     if kind == "cone":
         return base, ConeBoundary(*boundary)
     bdry = BundleBoundary(*boundary)

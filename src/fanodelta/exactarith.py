@@ -8,6 +8,9 @@ The scalar type is ``Rational``, an alias of :class:`fractions.Fraction`:
 always in lowest terms with positive denominator, exact under sums, products
 and integer powers, and rendered by ``str()`` as ``"p/q"`` (or ``"p"`` when
 the denominator is 1), which is exactly the serialization this library uses.
+Every entry point takes a ``Fraction`` or an ``int`` and refuses text as it
+refuses a float: this module writes exact values as text and never reads
+them from it.
 
 A ``Polynomial`` stores one exact form: its integer coefficients over one
 common denominator, in lowest terms. Its arithmetic and its evaluation both
@@ -25,66 +28,36 @@ from .errors import DomainError
 
 Rational = Fraction
 
-RationalLike = Union[Rational, int, str]
-
-_RATIONAL_CHARACTERS = frozenset("0123456789+-/.")
+RationalLike = Union[Rational, int]
 
 
 def rational(value: RationalLike) -> Rational:
-    """Coerce an int, Fraction, or string to an exact Rational.
-
-    Strings accept "p/q", "p", and decimal forms like "0.25"; decimal
-    conversion is exact (0.25 becomes 1/4, never a binary float).
-    """
+    """Coerce an int or a Fraction to an exact Rational; anything else, text
+    and floats included, is a TypeError."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
-        return parse_rational(value)
     raise TypeError(f"cannot coerce {type(value).__name__} to Rational")
 
 
-def parse_rational(text: str) -> Rational:
-    """Parse "p/q", "p", or an exact decimal string into a Rational, after
-    stripping surrounding whitespace. Only ASCII digits, a sign, "/" and "."
-    may remain: Fraction's own grammar differs between Python versions ("1_0"
-    and "2 / 3" parse on some, not on others) and takes any Unicode digit,
-    and exponent notation is refused: "1e10000000" takes seconds to expand."""
-    stripped = text.strip()
-    try:
-        if not set(stripped) <= _RATIONAL_CHARACTERS:
-            raise ValueError("only ASCII digits, a sign, '/' and '.' are allowed")
-        return Fraction(stripped)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"not a rational: {text!r}") from exc
-
-
-def _too_many_digits() -> DomainError:
-    return DomainError(
-        f"exact value has more than {sys.get_int_max_str_digits()} digits, "
-        "the interpreter's int-to-str conversion limit"
-    )
-
-
-def format_rational(value: Rational) -> str:
-    """Render a Rational as "p/q", or "p" when the denominator is 1. Digits
-    beyond the interpreter's int-to-str limit raise DomainError."""
-    if not isinstance(value, Fraction):
-        value = Fraction(value)  # an int or bool renders as its integer value
-    try:
-        return str(value)
-    except ValueError:
-        raise _too_many_digits() from None
+def format_rational(value: RationalLike) -> str:
+    """Render a Rational as "p/q", or "p" when the denominator is 1; an int
+    or bool renders as its integer value."""
+    return format_ratio(value.numerator, value.denominator)
 
 
 def format_ratio(numerator: int, denominator: int) -> str:
-    """format_rational of numerator/denominator for a pair already in lowest
-    terms with denominator > 0, without building the Fraction."""
+    """The text of numerator/denominator for a pair already in lowest terms
+    with denominator > 0, without building the Fraction. Digits beyond the
+    interpreter's int-to-str limit raise DomainError."""
     try:
         return f"{numerator}/{denominator}" if denominator != 1 else str(numerator)
     except ValueError:
-        raise _too_many_digits() from None
+        raise DomainError(
+            f"exact value has more than {sys.get_int_max_str_digits()} digits, "
+            "the interpreter's int-to-str conversion limit"
+        ) from None
 
 
 def _of(lcm: int, ints: list[int]) -> "Polynomial":

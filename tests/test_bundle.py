@@ -64,12 +64,29 @@ class TestDeltaKnowledge:
             bundle_delta(FanoBase(1, 2, DeltaKnowledge(Fraction(-3))))
 
     def test_constructor_coerces_like_exact(self):
-        knowledge = DeltaKnowledge("1/2")
+        knowledge = DeltaKnowledge(Fraction(1, 2))
         assert knowledge == DeltaKnowledge.exact(Fraction(1, 2))
         assert bundle_delta(FanoBase(1, 2, knowledge)).value == Fraction(6, 13)
+        assert DeltaKnowledge(1) == DeltaKnowledge.exact(1)
+        assert DeltaKnowledge(1).value == Fraction(1)
         assert DeltaKnowledge(None) == DeltaKnowledge.at_least_one()
         with pytest.raises(TypeError):
             DeltaKnowledge.exact(None)
+        for refused in ("1/2", 0.5):
+            with pytest.raises(TypeError, match="cannot coerce"):
+                DeltaKnowledge(refused)
+            with pytest.raises(TypeError, match="cannot coerce"):
+                DeltaKnowledge.exact(refused)
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: FanoBase(1, "2", DeltaKnowledge.exact(1)), lambda: BundleBoundary("1/2")],
+        ids=["FanoBase", "BundleBoundary"],
+    )
+    def test_text_is_refused_as_a_float_is(self, build):
+        # Text is read only by the command line's converters.
+        with pytest.raises(TypeError, match="cannot coerce str to Rational"):
+            build()
 
 
 class TestCentroid:

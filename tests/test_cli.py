@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fanodelta import (
-    ConeBoundary, DeltaKnowledge, DomainError, FanoBase, beta_zero, cone_delta, solve_profile,
+    ConeBoundary, DeltaKnowledge, FanoBase, beta_zero, cone_delta, solve_profile,
 )
 from fanodelta.calabi import CalabiProfile
 from fanodelta.cli import (
@@ -29,6 +29,7 @@ from fanodelta.cli import (
     _knowledge,
     build_parser,
     delta,
+    integer,
     main,
 )
 from fanodelta.oracles import default_branch_grid
@@ -372,6 +373,26 @@ class TestExitCodes:
         assert code == EXIT_PARSE
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("text", ["1_0", "\u0663", "1/2"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bundle", "--r", "2", "--delta-v", "1", "--n"],
+            ["cone-iterate", "--n", "2", "--d", "3", "--i"],
+            ["calabi", "--n", "2", "--r", "3", "--samples"],
+        ],
+        ids=["n", "i", "samples"],
+    )
+    def test_integer_text_beyond_ascii_digits_is_a_parse_error(self, argv, text, capsys):
+        # int reads "1_0" as 10 and any Unicode digit; the grammar is an
+        # optional sign and ASCII digits, as in a rational.
+        code, out, err = run_cli(argv + [text], capsys)
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == f"error: argument {argv[-1]}: invalid integer value: {text!r}\n"
+
+    def test_integer_text_may_carry_a_sign_and_surrounding_whitespace(self):
+        assert [integer(text) for text in (" 7\n", "+7", "-7")] == [7, 7, -7]
+
     def test_missing_required_flag_is_a_parse_error(self, capsys):
         code, out, err = run_cli(["bundle", "--n", "1"], capsys)
         assert code == EXIT_PARSE
@@ -524,18 +545,18 @@ class TestExitCodes:
 
 
 class TestDeltaText:
-    """The delta converter's canonical text, and the DeltaKnowledge every
-    command builds from it."""
+    """The delta converter's value for a delta text, and the DeltaKnowledge
+    every command builds from that value without reading the text again."""
 
     def test_delta_text_matches_the_constructors(self):
         assert delta(" GE1 ") == "ge1"
         assert _knowledge(delta(" GE1 ")) == DeltaKnowledge.at_least_one()
-        assert delta("13/14") == "13/14"
+        assert delta("13/14") == Fraction(13, 14)
         assert _knowledge(delta("13/14")) == DeltaKnowledge.exact(Fraction(13, 14))
         assert _knowledge(delta("1")).value == 1
 
     def test_delta_rejects_garbage(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match="not a rational: 'at least one'"):
             delta("at least one")
 
 
@@ -772,6 +793,7 @@ class TestVerifyCommand:
             {"cone": [[1, "2", "0", "abc"]]},
             {"bundle": [[1, 2, "0", "0", "1"]]},
             {"bundle": [[1, "2", "0", "0", 1]]},
+            {"bundle": [["1_0", "2", "0", "0", "1"]]},
             # Raw text: json.dumps cannot write a repeated key, and json.load
             # alone would keep only the last copy and drop two rows.
             '{"bundle": [[1, "2", "0", "0", "1"], [2, "2", "0", "0", "1"]], '
@@ -793,6 +815,7 @@ class TestVerifyCommand:
             "malformed-delta",
             "number-rational",
             "number-delta",
+            "underscored-dimension",
             "repeated-key",
         ],
     )
@@ -871,11 +894,33 @@ class TestVerifyCommand:
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_report_write_failure_is_a_parse_error(self, capsys):
-        # /dev/full opens, so the suite runs; the write then fails.
+        # /dev/full opens, so the suite runs; the write then fails. A device
+        # is not a report file: it stays.
         code, out, err = run_cli(["verify", "--json", "/dev/full"], capsys)
         assert code == EXIT_PARSE
         assert err.startswith("error: cannot write output file")
         assert len(err.splitlines()) == 1
+        assert os.path.exists("/dev/full")
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    def test_a_refused_run_leaves_no_report(self, existing, capsys, tmp_path):
+        # At n = 3000 the row computes, but its report holds a value of more
+        # than 640 digits, refused while the report file is open.
+        grid, report = tmp_path / "grid.json", tmp_path / "report.json"
+        grid.write_text(json.dumps({"bundle": [[3000, "7/3", "1/3", "0", "1"]]}))
+        if existing:
+            report.write_text("an earlier report\n")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, err = run_cli(
+                ["verify", "--grid", str(grid), "--json", str(report)], capsys
+            )
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err.startswith("domain error: exact value has more than 640 digits")
+        assert not report.exists()
 
 
 STDOUT_ARGVS = [
@@ -1068,7 +1113,7 @@ def _reference_cone_iterate(n, d, i, delta0):
     """cone-iterate's text and --json output built from the public Fraction
     route: cone_delta per step on a FanoBase that carries the previous
     value, each step's to_json_dict, and json.dumps(indent=2)."""
-    known = DeltaKnowledge(None if delta0 == "ge1" else delta0)
+    known = DeltaKnowledge(None if delta0 == "ge1" else Fraction(delta0))
     steps = []
     for s in range(i):
         breakdown = cone_delta(FanoBase(n + s, n + 2 - d + s, known))

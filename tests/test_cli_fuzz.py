@@ -8,11 +8,14 @@ Every generated integer is at most 6 in size, so each call stays cheap: the
 contract says what an input ends in, not how long a large one takes to get
 there. The exception is cone-iterate's --i, whose cost is bounded by
 MAX_ITERATIONS: it reaches a few thousand, and one value above the limit,
-which must exit 3."""
+which must exit 3. Random values rarely meet the conditions of cone-iterate
+and branched-cone, so half of their argvs take in-domain values instead."""
 
 import contextlib
 import io
+import itertools
 import json
+import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -48,9 +51,25 @@ positive_ints = st.integers(min_value=1, max_value=6)
 # Mostly inside the domain: a spoiled value supplies the rest.
 rational_texts = st.builds("{}/{}".format, positive_ints, positive_ints)
 delta_texts = rational_texts | st.just("ge1")
-garbage = st.sampled_from(["", "x", "1e3", "1/0", "0.5", "-3", "-1/2", "ge1"])
+garbage = st.sampled_from(
+    ["", "x", "1e3", "1/0", "0.5", "-3", "-1/2", "ge1", "1_0", "\u0663", "1/2"]
+)
 FLAG_VALUES = {integer: positive_ints.map(str), rational: rational_texts, delta: delta_texts}
 iterations = st.integers(min_value=1, max_value=4000) | st.just(MAX_ITERATIONS + 1)
+# In-domain inputs of the commands with conditions across their integers:
+# 2 <= d <= n+1 for cone-iterate, and for branched-cone l < k, gcd(k, l) = 1,
+# k | d*l - 1 and r = (n+1)k - (k-1)d > 0.
+BRANCHED_SPECS = [
+    {"n": n, "k": k, "d": d, "l": l}
+    for n, k, d, l in itertools.product(range(1, 7), repeat=4)
+    if l < k and math.gcd(k, l) == 1 and (d * l - 1) % k == 0 and (n + 1) * k > (k - 1) * d
+]
+IN_DOMAIN = {
+    "cone-iterate": positive_ints.flatmap(lambda n: st.fixed_dictionaries(
+        {"n": st.just(n), "d": st.integers(2, n + 1), "i": st.integers(1, 4000)}
+    )),
+    "branched-cone": st.sampled_from(BRANCHED_SPECS),
+}
 # The JSON result key whose exact text the text output must show too, on a
 # line that starts with the key; "value" for the other commands.
 SHOWN = {"angle": "endpoint", "calabi": "c1"}
@@ -59,18 +78,22 @@ SHOWN = {"angle": "endpoint", "calabi": "c1"}
 @st.composite
 def command_argvs(draw):
     """A computing command with every input well typed, except at most one
-    that is dropped or spoiled; whether the command must be refused for its
-    iteration count alone (every input well typed, --i above the limit); and
-    the sample count a calabi run is to write with --csv, or None."""
+    that is dropped or spoiled, or with the in-domain values of IN_DOMAIN;
+    whether the command must be refused for its iteration count alone (every
+    input well typed, --i above the limit); and the sample count a calabi
+    run is to write with --csv, or None."""
     name = draw(st.sampled_from(sorted(COMMANDS)))
     flags = COMMANDS[name].flags
-    spoiled = draw(st.none() | st.sampled_from(flags))
+    fixed = draw(IN_DOMAIN[name]) if name in IN_DOMAIN and draw(st.booleans()) else {}
+    spoiled = None if fixed else draw(st.none() | st.sampled_from(flags))
     argv, too_long = [name], False
     for flag in flags:
         if flag is spoiled and draw(st.booleans()):
             continue
         if flag is spoiled:
             value = draw(garbage)
+        elif flag.key in fixed:
+            value = fixed[flag.key]
         elif (name, flag.key) == ("cone-iterate", "i"):
             value = draw(iterations)
             too_long = spoiled is None and value > MAX_ITERATIONS

@@ -1,9 +1,10 @@
-"""Guards on the source of the command-line front end. Each command's result
-is a value that the text renderer and the payload function format, so no
-renderer parses payload text back into a value or rebuilds a polynomial or
-profile from it."""
+"""Guards on the command-line front end. Each input text is read once, by
+its converter, and each command's result is a value that the text renderer
+and the payload function format, so no renderer parses payload text back
+into a value or rebuilds a polynomial or profile from it."""
 
 import ast
+from fractions import Fraction
 from pathlib import Path
 
 import fanodelta.cli
@@ -43,10 +44,21 @@ def _sites(name):
     return visitor.sites
 
 
-def test_parse_rational_is_used_only_by_the_rational_converter():
-    # Text and JSON format the computed values; only flag and payload input
-    # text is parsed.
-    assert _sites("parse_rational") == ["rational"]
+def test_each_input_text_is_read_once(monkeypatch, capsys):
+    # The converters turn each flag's text into a value once; the library
+    # takes the values, and text and JSON format the computed ones.
+    read = []
+    make = Fraction.__new__
+
+    def spy(cls, *args, **kwargs):
+        read.extend(arg for arg in args if isinstance(arg, str))
+        return make(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", spy)
+    argv = ["bundle", "--n", "1", "--r", "2", "--delta-v", "1/2", "--a", "1/3", "--json"]
+    assert fanodelta.cli.main(argv) == 0
+    assert sorted(read) == ["0", "1/2", "1/3", "2"]
+    assert capsys.readouterr().err == ""
 
 
 def test_no_polynomial_or_profile_is_rebuilt_from_text():

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fanodelta import DomainError
-from fanodelta.exactarith import Polynomial, format_rational, parse_rational, rational
+from fanodelta import DomainError, cli
+from fanodelta.exactarith import Polynomial, format_rational, rational
 
 nonzero_fractions = st.fractions().filter(lambda q: q != 0)
 
@@ -18,34 +18,37 @@ small_polys = st.builds(Polynomial, coefficient_lists)
 
 
 class TestRationalHelpers:
+    """format_rational writes the text of an exact value, and the command
+    line's rational converter is its one reader."""
+
     def test_parse_simple_forms(self):
-        assert parse_rational("3/4") == Fraction(3, 4)
-        assert parse_rational("-9") == Fraction(-9)
-        assert parse_rational("0.25") == Fraction(1, 4)
+        assert cli.rational("3/4") == Fraction(3, 4)
+        assert cli.rational("-9") == Fraction(-9)
+        assert cli.rational("0.25") == Fraction(1, 4)
 
     def test_parse_rejects_non_rational_text(self):
-        with pytest.raises(DomainError, match="not a rational"):
-            parse_rational("abc")
-        with pytest.raises(DomainError):
-            parse_rational("1/0")
+        with pytest.raises(ValueError, match="not a rational"):
+            cli.rational("abc")
+        with pytest.raises(ValueError, match="not a rational"):
+            cli.rational("1/0")
 
     @pytest.mark.parametrize("text", ["1e3", "2.5E-1", " 7e0 "])
     def test_parse_refuses_exponent_notation(self, text):
         # Fraction would expand "1e10000000" into ten million digits.
-        with pytest.raises(DomainError, match="not a rational"):
-            parse_rational(text)
+        with pytest.raises(ValueError, match="not a rational"):
+            cli.rational(text)
 
     def test_parse_strips_surrounding_whitespace(self):
-        assert parse_rational(" 3/4\n") == Fraction(3, 4)
-        assert parse_rational("\t-.5 ") == Fraction(-1, 2)
-        assert parse_rational("+10") == Fraction(10)
+        assert cli.rational(" 3/4\n") == Fraction(3, 4)
+        assert cli.rational("\t-.5 ") == Fraction(-1, 2)
+        assert cli.rational("+10") == Fraction(10)
 
     @pytest.mark.parametrize("text", ["1_0", "2 / 3", "\u0663", "1/\u0663", "1\u00a0/2", "0x10"])
     def test_parse_refuses_text_outside_the_ascii_grammar(self, text):
         # Fraction reads "1_0" and "2 / 3" on some Python versions and not on
         # others, and any Unicode digit on all of them.
-        with pytest.raises(DomainError, match="not a rational"):
-            parse_rational(text)
+        with pytest.raises(ValueError, match="not a rational"):
+            cli.rational(text)
 
     def test_format_is_plain_fraction_text(self):
         assert format_rational(Fraction(3, 4)) == "3/4"
@@ -54,7 +57,7 @@ class TestRationalHelpers:
 
     @given(st.fractions())
     def test_parse_inverts_format(self, q):
-        assert parse_rational(format_rational(q)) == q
+        assert cli.rational(format_rational(q)) == q
 
     @given(nonzero_fractions, nonzero_fractions)
     def test_division_round_trip(self, a, b):
@@ -69,10 +72,12 @@ class TestRationalHelpers:
         # A Fraction is rendered as given; an int or bool as the Fraction of it.
         assert format_rational(value) == text == str(Fraction(value))
 
-    def test_rational_coerces_ints_and_strings(self):
+    def test_rational_coerces_ints_and_refuses_text(self):
         assert rational(7) == Fraction(7)
-        assert rational("5/3") == Fraction(5, 3)
         assert rational(Fraction(1, 2)) == Fraction(1, 2)
+        for value in ("5/3", 0.5, None):
+            with pytest.raises(TypeError, match="cannot coerce"):
+                rational(value)
 
 
 class TestPolynomialBasics:
