@@ -22,35 +22,56 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Union
 
 from .bundle import beta_zero, check_integer
-from .errors import DomainError, InternalCheckError, agree
+from .errors import DomainError, agree
 from .exactarith import Polynomial, Rational, RationalLike, rational
 
 
 @dataclass(frozen=True)
 class CalabiProfile:
-    """Solved momentum profile: dimension n, slope r, twist beta, the two
-    integration constants, and the numerator polynomial N = tau^n * phi.
+    """Solved momentum profile of dimension n, slope r and twist beta.
 
-    Invariants established by solve_profile and re-checkable exactly:
-    N vanishes at both endpoints r-1 and r+1, the ODE residual is the zero
-    polynomial, and phi > 0 on the open interval.
+    Building one solves the twisted momentum ODE in closed form, with the
+    constants forced by N(r-1) = N(r+1) = 0 on numerator N = tau^n * phi:
+
+        c1 = (beta/(n+2)) * ((r+1)^(n+2) - (r-1)^(n+2)) / P
+        c2 = -(2*beta/(n+2)) * (r^2 - 1)^(n+1) / P
+
+    with P = (r+1)^(n+1) - (r-1)^(n+1). Both endpoint values and the ODE
+    residual are checked exactly by agree before the profile exists.
     """
 
     n: int
     r: Rational
     beta: Rational
-    c1: Rational
-    c2: Rational
-    numerator: Polynomial
+    c1: Rational = field(init=False)
+    c2: Rational = field(init=False)
+    numerator: Polynomial = field(init=False)
 
     def __post_init__(self) -> None:
-        for field in ("r", "beta", "c1", "c2"):
-            object.__setattr__(self, field, rational(getattr(self, field)))
+        n, rr, bb = self.n, rational(self.r), rational(self.beta)
+        check_integer(n)
+        if rr <= 1:
+            raise DomainError(f"r must satisfy r > 1, got {rr}")
+        if bb <= 0:
+            raise DomainError(f"beta must satisfy beta > 0, got {bb}")
+        p_const = (rr + 1) ** (n + 1) - (rr - 1) ** (n + 1)
+        c1 = bb / (n + 2) * ((rr + 1) ** (n + 2) - (rr - 1) ** (n + 2)) / p_const
+        c2 = -2 * bb / (n + 2) * (rr * rr - 1) ** (n + 1) / p_const
+        numerator = (
+            Polynomial.monomial(n + 2, -bb / (n + 2))
+            + Polynomial.monomial(n + 1, c1)
+            + Polynomial.constant(c2)
+        )
+        for name, value in dict(r=rr, beta=bb, c1=c1, c2=c2, numerator=numerator).items():
+            object.__setattr__(self, name, value)
+        agree("profile numerator N(r-1)", numerator(rr - 1), 0)
+        agree("profile numerator N(r+1)", numerator(rr + 1), 0)
+        agree("momentum ODE residual", ode_residual(self), Polynomial.zero())
 
     def phi(self, tau: RationalLike) -> Rational:
         """Exact profile value phi(tau) = N(tau) / tau^n. With tau = p/q and
@@ -78,12 +99,9 @@ class CalabiProfile:
         if count < 2:
             raise DomainError(f"samples must be >= 2, got {count}")
         lo = self.r - 1
-        if lo <= 0:
-            raise DomainError(f"phi is defined for tau > 0, got {lo}")
         den = lo.denominator * (count - 1)
         u, du = lo.numerator * (count - 1), 2 * lo.denominator
         lcm, ints = self.numerator.cleared
-        ints = ints or (0,)
         deg = len(ints) - 1
         coefficients = [a * den ** (deg - j) for j, a in reversed(list(enumerate(ints)))]
         top, bottom = den**self.n, lcm * den**deg
@@ -120,39 +138,9 @@ class CalabiProfile:
 
 
 def solve_profile(n: int, r: RationalLike, beta: RationalLike) -> CalabiProfile:
-    """Solve the twisted momentum ODE in closed form.
-
-    The constants are forced by N(r-1) = N(r+1) = 0:
-
-        c1 = (beta/(n+2)) * ((r+1)^(n+2) - (r-1)^(n+2)) / P
-        c2 = -(2*beta/(n+2)) * (r^2 - 1)^(n+1) / P
-
-    with P = (r+1)^(n+1) - (r-1)^(n+1). Both endpoint values and the ODE
-    residual are then checked exactly by agree before the profile is
-    returned.
-    """
-    rr, bb = rational(r), rational(beta)
-    check_integer(n)
-    if rr <= 1:
-        raise DomainError(f"r must satisfy r > 1, got {rr}")
-    if bb <= 0:
-        raise DomainError(f"beta must satisfy beta > 0, got {bb}")
-
-    p_const = (rr + 1) ** (n + 1) - (rr - 1) ** (n + 1)
-    c1 = bb / (n + 2) * ((rr + 1) ** (n + 2) - (rr - 1) ** (n + 2)) / p_const
-    c2 = -2 * bb / (n + 2) * (rr * rr - 1) ** (n + 1) / p_const
-
-    numerator = (
-        Polynomial.monomial(n + 2, -bb / (n + 2))
-        + Polynomial.monomial(n + 1, c1)
-        + Polynomial.constant(c2)
-    )
-    profile = CalabiProfile(n=n, r=rr, beta=bb, c1=c1, c2=c2, numerator=numerator)
-
-    agree("profile numerator N(r-1)", numerator(rr - 1), 0)
-    agree("profile numerator N(r+1)", numerator(rr + 1), 0)
-    agree("momentum ODE residual", ode_residual(profile), Polynomial.zero())
-    return profile
+    """The profile that CalabiProfile(n, r, beta) builds: the twisted
+    momentum ODE solved in closed form and checked exactly."""
+    return CalabiProfile(n, r, beta)
 
 
 def ode_residual(profile: CalabiProfile) -> Polynomial:
@@ -233,24 +221,19 @@ def verify_positive_interior(profile: CalabiProfile) -> bool:
 
     Method (unimodality certificate, no floating point): N'(tau) factors
     exactly as tau^n * ((n+1)*c1 - beta*tau), a polynomial identity checked
-    here. The linear factor is strictly decreasing, and the sign checks
-    N'(r-1) > 0 > N'(r+1) place its unique root strictly inside the
-    interval. Hence N strictly increases then strictly decreases on
-    [r-1, r+1]; since it vanishes at both endpoints it is positive between
-    them, and phi = N/tau^n > 0 there as well.
+    here. Every CalabiProfile is built with N(r-1) = N(r+1) = 0, beta > 0
+    and r > 1, so by Rolle N' vanishes in (r-1, r+1), where tau^n > 0, and
+    the linear factor's only root (n+1)*c1/beta lies strictly inside. The
+    factor strictly decreases, so N'(r-1) > 0 > N'(r+1): N strictly rises
+    then strictly falls on [r-1, r+1], and since it vanishes at both ends
+    it is positive between them, as is phi = N/tau^n.
     """
-    n, r = profile.n, profile.r
-    n_prime = agree(
+    agree(
         "N' against its factored form",
         profile.numerator.derivative(),
-        Polynomial.monomial(n) * Polynomial([(n + 1) * profile.c1, -profile.beta]),
+        Polynomial.monomial(profile.n)
+        * Polynomial([(profile.n + 1) * profile.c1, -profile.beta]),
     )
-    if not (n_prime(r - 1) > 0 and n_prime(r + 1) < 0):
-        raise InternalCheckError(
-            "profile is not unimodal on the interval; positivity unproven"
-        )
-    agree("profile numerator N(r-1)", profile.numerator(r - 1), 0)
-    agree("profile numerator N(r+1)", profile.numerator(r + 1), 0)
     return True
 
 

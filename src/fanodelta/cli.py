@@ -64,6 +64,9 @@ MAX_SAMPLES = 100_000
 # cone-iterate --i above this is refused before any step: the output grows
 # linearly in i, and 2 * 10^4 steps take under 1 s with --json.
 MAX_ITERATIONS = 20_000
+# Every command's n above this is refused before any computation: calabi's
+# cost grows fastest in n, and at n = 2000, r = 7/3 it takes about 0.3 s.
+MAX_DIMENSION = 2_000
 
 SCHEMA_VERSION = "1"
 GE1 = "ge1"  # the delta text for a base known only to have delta >= 1
@@ -484,9 +487,16 @@ COMMANDS: dict[str, _Command] = {
 }
 
 
+def _check_dimension(n: int) -> None:
+    if n > MAX_DIMENSION:
+        raise DomainError(f"n must be <= {MAX_DIMENSION}, got {n}")
+
+
 def _compute(command: _Command, values: dict) -> tuple[dict, dict]:
-    """The one computation behind text output, --json and --check: fill the
-    computed defaults, compute the result, and render the canonical inputs."""
+    """The one computation behind text output, --json and --check: check n,
+    fill the computed defaults, compute the result, and render the canonical
+    inputs."""
+    _check_dimension(values["n"])
     for flag in command.flags:
         if values[flag.key] is None and callable(flag.default):
             values[flag.key] = flag.default(values)
@@ -576,6 +586,8 @@ def _load_grid_file(path: str) -> list[tuple]:
             if not isinstance(row, list) or len(row) != width:
                 raise ValueError(f"a {kind} row must be an array of {width} entries, got {row!r}")
             n, *rationals, delta_text = row
+            if isinstance(n, str):
+                raise ValueError(f"a {kind} row's n must be a JSON integer, got {n!r}")
             rows.append((kind, integer(n), *map(rational, rationals), delta(delta_text)))
     if not rows:
         raise ValueError("the grid has no rows")
@@ -586,6 +598,7 @@ def _grid_case(row: tuple) -> BranchCase:
     """The branch case of a --grid row, or a DomainError for a row outside
     the domain."""
     kind, n, r, *boundary, known = row
+    _check_dimension(n)
     base = FanoBase(n, r, _knowledge(known))
     if kind == "cone":
         return base, ConeBoundary(*boundary)

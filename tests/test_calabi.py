@@ -1,7 +1,9 @@
 """Momentum-profile construction: exact ODE solution, edge angles, Ricci
 margins, positivity, and the obstruction integral."""
 
+from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -104,6 +106,48 @@ class TestSolveProfile:
             solve_profile(1, 2, 0)
 
 
+class TestConstruction:
+    def test_building_a_profile_solves_it(self):
+        for n, r, beta in PROFILE_GRID:
+            assert CalabiProfile(n, r, beta) == solve_profile(n, r, beta), (n, r, beta)
+
+    def test_only_n_r_and_beta_are_given(self):
+        assert [f.name for f in fields(CalabiProfile) if f.init] == ["n", "r", "beta"]
+
+    @pytest.mark.parametrize("name", ["c1", "c2", "numerator"])
+    def test_a_derived_field_cannot_be_passed(self, name):
+        with pytest.raises(TypeError, match=name):
+            CalabiProfile(1, 2, 1, **{name: Fraction(0)})
+
+    def test_a_built_profile_cannot_be_changed(self):
+        p = CalabiProfile(1, 2, 1)
+        with pytest.raises(FrozenInstanceError):
+            p.c1 = Fraction(0)
+
+    @pytest.mark.parametrize(
+        "n, r, beta, message",
+        [
+            (0, 2, 1, "n must be an integer >= 1, got 0"),
+            (Fraction(3, 2), 2, 1, "n must be an integer >= 1, got 3/2"),
+            (1, 1, Fraction(1, 2), "r must satisfy r > 1, got 1"),
+            (1, Fraction(1, 2), 0, "r must satisfy r > 1, got 1/2"),
+            (1, 2, 0, "beta must satisfy beta > 0, got 0"),
+            (1, 2, Fraction(-1, 3), "beta must satisfy beta > 0, got -1/3"),
+        ],
+    )
+    def test_out_of_domain_input_is_refused_before_solving(self, n, r, beta, message):
+        for build in (CalabiProfile, solve_profile):
+            with pytest.raises(DomainError) as caught:
+                build(n, r, beta)
+            assert str(caught.value) == message
+
+    @pytest.mark.parametrize("count", [1, 0, -5])
+    def test_fewer_than_two_samples_are_refused(self, count):
+        samples = CalabiProfile(1, 2, 1).phi_samples(count)
+        with pytest.raises(DomainError, match=f"samples must be >= 2, got {count}$"):
+            next(samples)
+
+
 class TestEdgeAngles:
     def test_reference_values_at_the_threshold_twist(self):
         p = solve_profile(1, 2, beta_zero(1, 2))
@@ -140,16 +184,10 @@ class TestRicciMargins:
         p = solve_profile(1, 2, beta_zero(1, 2))
         assert ricci_bound_margin(p, 1) == Fraction(1, 14)
 
-    def test_zero_twist_profile_gives_back_mu(self):
-        # A handmade twist-free profile: margin reduces to mu itself.
-        p = CalabiProfile(
-            n=1,
-            r=2,
-            beta=Fraction(0),
-            c1=Fraction(0),
-            c2=Fraction(0),
-            numerator=Polynomial.zero(),
-        )
+    def test_zero_twist_gives_back_mu(self):
+        # beta = 0 is outside a CalabiProfile's domain; on a stand-in with
+        # the fields the margin reads, the formula reduces to mu itself.
+        p = SimpleNamespace(n=1, r=Fraction(2), beta=Fraction(0))
         assert ricci_bound_margin(p, Fraction(2, 3)) == Fraction(2, 3)
 
     def test_pointwise_certificate_is_identically_zero(self):
@@ -168,14 +206,6 @@ class TestPositivity:
     def test_positive_on_the_grid(self):
         for n, r, beta in PROFILE_GRID:
             assert verify_positive_interior(solve_profile(n, r, beta)), (n, r, beta)
-
-    def test_a_profile_that_is_not_unimodal_is_refused(self):
-        # Negating every coefficient keeps the ODE's shape but turns the
-        # interior maximum of N into a minimum.
-        p = solve_profile(1, 2, beta_zero(1, 2))
-        negated = CalabiProfile(p.n, p.r, -p.beta, -p.c1, -p.c2, -p.numerator)
-        with pytest.raises(InternalCheckError, match="not unimodal"):
-            verify_positive_interior(negated)
 
 
 class TestAdmissibleProfiles:
@@ -263,21 +293,17 @@ class TestFutakiInvariant:
 
 class TestInternalConsistencyGuards:
     def test_solve_profile_survives_its_own_checks_on_the_grid(self):
-        # solve_profile raises InternalCheckError if the residual or the
-        # boundary values are off; the grid pass is the guarantee.
+        # Building a profile raises InternalCheckError if the residual or
+        # the boundary values are off; the grid pass is the guarantee.
         for n, r, beta in PROFILE_GRID:
             solve_profile(n, r, beta)
 
-    def test_edge_angle_mismatch_is_detected(self):
-        # A profile with a tampered numerator must trip the dual-route check.
+    def test_edge_angle_mismatch_is_detected(self, monkeypatch):
+        # A tampered derivative must trip the dual-route check.
         p = solve_profile(1, 2, beta_zero(1, 2))
-        tampered = CalabiProfile(
-            n=p.n,
-            r=p.r,
-            beta=p.beta,
-            c1=p.c1,
-            c2=p.c2,
-            numerator=p.numerator + Polynomial.monomial(2, Fraction(1, 100)),
+        phi_prime = CalabiProfile.phi_prime
+        monkeypatch.setattr(
+            CalabiProfile, "phi_prime", lambda self, tau: phi_prime(self, tau) + Fraction(1, 100)
         )
-        with pytest.raises(InternalCheckError):
-            edge_angles(tampered)
+        with pytest.raises(InternalCheckError, match="edge angle beta1"):
+            edge_angles(p)

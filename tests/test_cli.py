@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from fanodelta.cli import (
     EXIT_OK,
     EXIT_PARSE,
     FLOAT_RANGE_MARKER,
+    MAX_DIMENSION,
     MAX_ITERATIONS,
     _knowledge,
     build_parser,
@@ -39,6 +41,17 @@ def run_cli(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@contextlib.contextmanager
+def digit_limit(limit):
+    """Lower the interpreter's int-to-str digit limit for the block."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 class TestBundleCommand:
@@ -282,15 +295,11 @@ class TestCalabiCommand:
         # At n = 200, r = 7/3 the payload's longest integer has 262 digits and
         # the CSV's has 685, so only the rows exceed the lowest allowed limit.
         target = tmp_path / "profile.csv"
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(640)
-        try:
+        with digit_limit(640):
             code, out, err = run_cli(
                 ["calabi", "--n", "200", "--r", "7/3", "--csv", str(target), "--samples", "101"],
                 capsys,
             )
-        finally:
-            sys.set_int_max_str_digits(limit)
         assert code == EXIT_DOMAIN
         assert err == (
             "domain error: exact value has more than 640 digits, "
@@ -305,16 +314,12 @@ class TestCalabiCommand:
         # edges), while c2 has more than 640 digits: the output is formatted,
         # and refused, before the file is written.
         target = tmp_path / "profile.csv"
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(640)
-        try:
+        with digit_limit(640):
             code, out, err = run_cli(
                 ["calabi", "--n", "600", "--r", "7/3", "--csv", str(target), "--samples", "2",
                  *form],
                 capsys,
             )
-        finally:
-            sys.set_int_max_str_digits(limit)
         assert (code, out) == (EXIT_DOMAIN, "")
         assert err.startswith("domain error: exact value has more than 640 digits")
         assert not target.exists()
@@ -490,17 +495,20 @@ class TestExitCodes:
         code, out, err = run_cli(["angle", "--n", "2", "--lambda", "1/5"], capsys)
         assert code == EXIT_DOMAIN
 
-    HUGE = ["bundle", "--n", "20000", "--r", "7/3", "--delta-v", "1", "--a", "1/3"]
+    # The value's numerator has about 3700 digits, below the default limit.
+    HUGE = ["bundle", "--n", "2000", "--r", "7/3", "--delta-v", "1", "--a", "1/7"]
 
     def test_value_over_the_digit_limit_is_a_domain_error(self, capsys):
-        code, out, err = run_cli(self.HUGE, capsys)
+        with digit_limit(640):
+            code, out, err = run_cli(self.HUGE, capsys)
         assert code == EXIT_DOMAIN
         assert len(err.splitlines()) == 1
         assert "digits" in err
         assert out == ""
 
     def test_json_value_over_the_digit_limit_is_a_domain_error(self, capsys):
-        code, out, err = run_cli(self.HUGE + ["--json"], capsys)
+        with digit_limit(640):
+            code, out, err = run_cli(self.HUGE + ["--json"], capsys)
         assert code == EXIT_DOMAIN
         assert len(err.splitlines()) == 1
         assert "digits" in err
@@ -542,6 +550,50 @@ class TestExitCodes:
         assert line == (
             "internal check failed: futaki invariant: integral vs closed form: 4/3 != 7/3"
         )
+
+
+DIMENSION_ARGVS = {
+    "bundle": ["--r", "2", "--delta-v", "1"],
+    "cone": ["--r", "2", "--delta-v", "1"],
+    "cone-iterate": ["--d", "3", "--i", "2"],
+    "branched-cone": ["--k", "2", "--d", "3", "--l", "1"],
+    "angle": ["--lambda", "1/2"],
+    "calabi": ["--r", "2"],
+}
+ENORMOUS = 10**20
+
+
+class TestDimensionLimit:
+    def _refused_quickly(self, argv, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(argv, capsys)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err == f"domain error: n must be <= {MAX_DIMENSION}, got {ENORMOUS}\n"
+
+    @pytest.mark.parametrize("command", sorted(DIMENSION_ARGVS))
+    def test_an_enormous_flag_is_refused_before_computing(self, command, capsys):
+        # calabi's default beta is beta0(n, r), computed after the check.
+        self._refused_quickly([command, "--n", str(ENORMOUS), *DIMENSION_ARGVS[command]], capsys)
+
+    def test_an_enormous_check_payload_is_refused_before_computing(self, capsys, tmp_path):
+        code, out, err = run_cli(["calabi", "--n", "1", "--r", "2", "--json"], capsys)
+        payload = json.loads(out)
+        payload["inputs"]["n"] = ENORMOUS
+        path = tmp_path / "payload.json"
+        path.write_text(json.dumps(payload, indent=2) + "\n")
+        self._refused_quickly(["--check", str(path)], capsys)
+
+    def test_an_enormous_grid_row_is_refused_before_computing(self, capsys, tmp_path):
+        grid, report = tmp_path / "grid.json", tmp_path / "report.json"
+        grid.write_text(json.dumps({"cone": [[ENORMOUS, "2", "0", "1"]]}))
+        self._refused_quickly(["verify", "--grid", str(grid), "--json", str(report)], capsys)
+        assert not report.exists()
+
+    @pytest.mark.parametrize("command", ["bundle", "cone", "angle"])
+    def test_the_limit_itself_is_accepted(self, command, capsys):
+        argv = [command, "--n", str(MAX_DIMENSION), *DIMENSION_ARGVS[command]]
+        assert run_cli(argv, capsys)[0] == EXIT_OK
 
 
 class TestDeltaText:
@@ -794,6 +846,7 @@ class TestVerifyCommand:
             {"bundle": [[1, 2, "0", "0", "1"]]},
             {"bundle": [[1, "2", "0", "0", 1]]},
             {"bundle": [["1_0", "2", "0", "0", "1"]]},
+            {"bundle": [["2", "2", "0", "0", "1"]]},
             # Raw text: json.dumps cannot write a repeated key, and json.load
             # alone would keep only the last copy and drop two rows.
             '{"bundle": [[1, "2", "0", "0", "1"], [2, "2", "0", "0", "1"]], '
@@ -816,6 +869,7 @@ class TestVerifyCommand:
             "number-rational",
             "number-delta",
             "underscored-dimension",
+            "text-dimension",
             "repeated-key",
         ],
     )
@@ -904,20 +958,16 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
     def test_a_refused_run_leaves_no_report(self, existing, capsys, tmp_path):
-        # At n = 3000 the row computes, but its report holds a value of more
+        # At n = 2000 the row computes, but its report holds a value of more
         # than 640 digits, refused while the report file is open.
         grid, report = tmp_path / "grid.json", tmp_path / "report.json"
-        grid.write_text(json.dumps({"bundle": [[3000, "7/3", "1/3", "0", "1"]]}))
+        grid.write_text(json.dumps({"bundle": [[2000, "7/3", "1/7", "0", "1"]]}))
         if existing:
             report.write_text("an earlier report\n")
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(640)
-        try:
+        with digit_limit(640):
             code, out, err = run_cli(
                 ["verify", "--grid", str(grid), "--json", str(report)], capsys
             )
-        finally:
-            sys.set_int_max_str_digits(limit)
         assert (code, out) == (EXIT_DOMAIN, "")
         assert err.startswith("domain error: exact value has more than 640 digits")
         assert not report.exists()

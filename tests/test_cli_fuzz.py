@@ -6,9 +6,10 @@ a calabi --csv run writes its samples only when it succeeds.
 
 Every generated integer is at most 6 in size, so each call stays cheap: the
 contract says what an input ends in, not how long a large one takes to get
-there. The exception is cone-iterate's --i, whose cost is bounded by
-MAX_ITERATIONS: it reaches a few thousand, and one value above the limit,
-which must exit 3. Random values rarely meet the conditions of cone-iterate
+there. The exceptions are the inputs with a declared limit. cone-iterate's
+--i reaches a few thousand, and one value above MAX_ITERATIONS; every
+command's n takes one value above MAX_DIMENSION. An input over its limit
+must exit 3 and name the limit. Random values rarely meet the conditions of cone-iterate
 and branched-cone, so half of their argvs take in-domain values instead."""
 
 import contextlib
@@ -26,6 +27,7 @@ from fanodelta.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_PARSE,
+    MAX_DIMENSION,
     MAX_ITERATIONS,
     delta,
     integer,
@@ -56,6 +58,8 @@ garbage = st.sampled_from(
 )
 FLAG_VALUES = {integer: positive_ints.map(str), rational: rational_texts, delta: delta_texts}
 iterations = st.integers(min_value=1, max_value=4000) | st.just(MAX_ITERATIONS + 1)
+dimensions = positive_ints | st.just(MAX_DIMENSION + 1)
+LIMITS = {"n": MAX_DIMENSION, "i": MAX_ITERATIONS}
 # In-domain inputs of the commands with conditions across their integers:
 # 2 <= d <= n+1 for cone-iterate, and for branched-cone l < k, gcd(k, l) = 1,
 # k | d*l - 1 and r = (n+1)k - (k-1)d > 0.
@@ -79,14 +83,14 @@ SHOWN = {"angle": "endpoint", "calabi": "c1"}
 def command_argvs(draw):
     """A computing command with every input well typed, except at most one
     that is dropped or spoiled, or with the in-domain values of IN_DOMAIN;
-    whether the command must be refused for its iteration count alone (every
-    input well typed, --i above the limit); and the sample count a calabi
-    run is to write with --csv, or None."""
+    the stderr a run whose inputs are all well typed must end in when one of
+    them is over its limit, or None; and the sample count a calabi run is to
+    write with --csv, or None."""
     name = draw(st.sampled_from(sorted(COMMANDS)))
     flags = COMMANDS[name].flags
     fixed = draw(IN_DOMAIN[name]) if name in IN_DOMAIN and draw(st.booleans()) else {}
     spoiled = None if fixed else draw(st.none() | st.sampled_from(flags))
-    argv, too_long = [name], False
+    argv, refusal = [name], None
     for flag in flags:
         if flag is spoiled and draw(st.booleans()):
             continue
@@ -94,11 +98,15 @@ def command_argvs(draw):
             value = draw(garbage)
         elif flag.key in fixed:
             value = fixed[flag.key]
+        elif flag.key == "n":
+            value = draw(dimensions)
         elif (name, flag.key) == ("cone-iterate", "i"):
             value = draw(iterations)
-            too_long = spoiled is None and value > MAX_ITERATIONS
         else:
             value = draw(FLAG_VALUES[flag.convert])
+        limit = LIMITS.get(flag.key)
+        if spoiled is None and refusal is None and limit is not None and value > limit:
+            refusal = f"domain error: {flag.key} must be <= {limit}, got {value}\n"
         # A value such as "-1/2" is read as the value in either form.
         option = f"--{flag.key.replace('_', '-')}"
         argv += [f"{option}={value}"] if draw(st.booleans()) else [option, str(value)]
@@ -109,7 +117,7 @@ def command_argvs(draw):
     if draw(st.booleans()):
         argv.append("--json")
     csv = name == "calabi" and draw(st.booleans())
-    return argv, too_long, samples if csv else None
+    return argv, refusal, samples if csv else None
 
 
 def shown_exact(text, key):
@@ -121,15 +129,15 @@ def shown_exact(text, key):
 @settings(max_examples=150, deadline=None)
 @given(case=command_argvs())
 def test_a_computing_command_ends_in_a_documented_exit(case, tmp_path_factory):
-    argv, too_long, csv_samples = case
+    argv, refusal, csv_samples = case
     folder = tmp_path_factory.mktemp("run")
     csv = folder / "p.csv"
     if csv_samples is not None:
         argv = argv + ["--csv", str(csv)]
     code, out, err = run_main(argv)
     assert code in (EXIT_OK, EXIT_PARSE, EXIT_DOMAIN), (argv, err)
-    if too_long:
-        assert err == f"domain error: i must be <= {MAX_ITERATIONS}, got {MAX_ITERATIONS + 1}\n"
+    if refusal is not None:
+        assert err == refusal
     if code != EXIT_OK:
         assert_one_line_failure(out, err)
         assert not csv.exists()
@@ -203,7 +211,7 @@ def test_a_mutated_payload_ends_in_a_documented_exit(
 
 def grid_rows(width):
     boundary = st.builds("{}/6".format, st.integers(min_value=0, max_value=6))
-    row = st.tuples(positive_ints, rational_texts, *[boundary] * (width - 3), delta_texts)
+    row = st.tuples(dimensions, rational_texts, *[boundary] * (width - 3), delta_texts)
     return st.lists(row.map(list), min_size=1, max_size=2)
 
 

@@ -47,13 +47,12 @@ class _RaiseSites(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def test_internal_check_error_is_raised_only_by_agree_and_the_sign_check():
+def test_internal_check_error_is_raised_only_by_agree():
     # Every exact two-route comparison goes through agree, so each one fails
-    # with the same message shape. The unimodality sign check is an
-    # inequality, not a comparison of two routes, and raises directly.
+    # with the same message shape.
     sites = []
     for path in sorted(PACKAGE.glob("*.py")):
         visitor = _RaiseSites(path.stem)
         visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
         sites.extend(visitor.sites)
-    assert sorted(sites) == [("calabi", "verify_positive_interior"), ("errors", "agree")]
+    assert sites == [("errors", "agree")]
