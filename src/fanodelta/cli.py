@@ -15,7 +15,8 @@ output, --json and --check all run the same computation once. An input is
 declared by its converter alone, and the converters are the only code that
 reads text as a number (the library takes Fraction and int values only); its
 canonical payload form follows from the converted value: a rational renders
-as "p/q" text, and an integer, "ge1" or None stays as it is.
+as "p/q" text, and an integer, "ge1" or None stays as it is. One reader,
+_read_inputs, reads a --check payload's inputs and a --grid row in that form.
 """
 
 from __future__ import annotations
@@ -100,14 +101,14 @@ class _Parser(argparse.ArgumentParser):
             super()._print_message(message, file)
 
 
-# Input converters: each takes a flag's text or a --check payload's input
-# value and raises ValueError or TypeError when it is malformed (exit 2).
-# Once surrounding whitespace is stripped, only ASCII digits, a sign and, in
-# a rational, "/" and "." may remain: int and Fraction read "1_0" and any
-# Unicode digit, and Fraction expands exponent notation ("1e10000000" takes
-# seconds). Range checks are left to the computation, so a well-formed but
-# out-of-domain value exits 3. argparse names the converter in its
-# diagnostics ("invalid rational value: 'x'").
+# Input converters: each takes a flag's text or an input value that
+# _read_inputs reads from a --check payload or a --grid row, and raises
+# ValueError or TypeError when it is malformed (exit 2). Once surrounding
+# whitespace is stripped, only ASCII digits, a sign and, in a rational, "/"
+# and "." may remain: int and Fraction read "1_0" and any Unicode digit, and
+# Fraction expands exponent notation ("1e10000000" takes seconds). Range
+# checks are left to the computation, so a well-formed but out-of-domain
+# value exits 3. argparse names the converter ("invalid rational value: 'x'").
 
 _INTEGER_CHARACTERS = frozenset("0123456789+-")
 _RATIONAL_CHARACTERS = _INTEGER_CHARACTERS | frozenset("/.")
@@ -263,14 +264,12 @@ def _breakdown_text(title: str) -> Callable[[dict, DeltaBreakdown], list[str]]:
     return text
 
 
-def _bundle_result(values: dict) -> DeltaBreakdown:
+def _branch_case(values: dict) -> BranchCase:
+    """The (FanoBase, boundary) pair of a bundle's inputs, or a cone's (with c)."""
     base = FanoBase(values["n"], values["r"], _knowledge(values["delta_v"]))
-    return bundle_delta(base, BundleBoundary(values["a"], values["b"]))
-
-
-def _cone_result(values: dict) -> DeltaBreakdown:
-    base = FanoBase(values["n"], values["r"], _knowledge(values["delta_v"]))
-    return cone_delta(base, ConeBoundary(values["c"]))
+    if "c" in values:
+        return base, ConeBoundary(values["c"])
+    return base, BundleBoundary(values["a"], values["b"])
 
 
 def _branched_result(values: dict) -> DeltaBreakdown:
@@ -425,7 +424,7 @@ COMMANDS: dict[str, _Command] = {
         "projectivized-bundle delta invariant",
         (_Flag("n", integer), _Flag("r", rational), _Flag("delta_v", delta, help=_DELTA_HELP),
          _Flag("a", rational, "0"), _Flag("b", rational, "0")),
-        _bundle_result,
+        lambda values: bundle_delta(*_branch_case(values)),
         _breakdown_text(
             "delta invariant of the projectivized bundle over a base with n={n}, "
             "r={r}, delta(V) {delta_v}, boundary a={a}, b={b}"
@@ -435,7 +434,7 @@ COMMANDS: dict[str, _Command] = {
         "projective-cone delta invariant",
         (_Flag("n", integer), _Flag("r", rational), _Flag("delta_v", delta, help=_DELTA_HELP),
          _Flag("c", rational, "0")),
-        _cone_result,
+        lambda values: cone_delta(*_branch_case(values)),
         _breakdown_text(
             "delta invariant of the projective cone over a base with n={n}, "
             "r={r}, delta(V) {delta_v}, boundary c={c}"
@@ -551,7 +550,8 @@ def _open_output(path: str):
         raise
 
 
-_GRID_WIDTHS = {"bundle": 5, "cone": 4}
+# A --grid row lists the payload inputs of its kind's command in this order.
+_GRID_KEYS = {"bundle": ("n", "r", "a", "b", "delta_v"), "cone": ("n", "r", "c", "delta_v")}
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -566,45 +566,32 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return data
 
 
-def _load_grid_file(path: str) -> list[tuple]:
-    """The rows of a --grid file, each (kind, n, *rationals, delta value).
-    Only the format is checked here; _grid_case refuses a row outside the
-    domain."""
+def _load_grid_file(path: str) -> list[dict]:
+    """The values of each row of a --grid file, read by _read_inputs as the
+    payload inputs of its kind's command. Only the format is checked here;
+    _handle_verify refuses a row outside the domain."""
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle, object_pairs_hook=_unique_keys)
     if not isinstance(data, dict):
         raise ValueError("the top level must be a JSON object")
-    unknown = sorted(set(data) - set(_GRID_WIDTHS))
+    unknown = sorted(set(data) - set(_GRID_KEYS))
     if unknown:
         raise ValueError(f"unknown grid kinds {unknown} (the kinds are bundle and cone)")
-    rows: list[tuple] = []
-    for kind, width in _GRID_WIDTHS.items():
+    rows: list[dict] = []
+    for kind, keys in _GRID_KEYS.items():
         kind_rows = data.get(kind, [])
         if not isinstance(kind_rows, list):
             raise ValueError(f"the {kind} rows must be a JSON array, got {kind_rows!r}")
-        for row in kind_rows:
-            if not isinstance(row, list) or len(row) != width:
-                raise ValueError(f"a {kind} row must be an array of {width} entries, got {row!r}")
-            n, *rationals, delta_text = row
-            if isinstance(n, str):
-                raise ValueError(f"a {kind} row's n must be a JSON integer, got {n!r}")
-            rows.append((kind, integer(n), *map(rational, rationals), delta(delta_text)))
+        for index, row in enumerate(kind_rows, start=1):
+            try:
+                if not isinstance(row, list) or len(row) != len(keys):
+                    raise ValueError(f"not an array of {len(keys)} entries: {row!r}")
+                rows.append(_read_inputs(kind, dict(zip(keys, row))))
+            except ValueError as exc:
+                raise ValueError(f"{kind} row {index}: {exc}") from None
     if not rows:
         raise ValueError("the grid has no rows")
     return rows
-
-
-def _grid_case(row: tuple) -> BranchCase:
-    """The branch case of a --grid row, or a DomainError for a row outside
-    the domain."""
-    kind, n, r, *boundary, known = row
-    _check_dimension(n)
-    base = FanoBase(n, r, _knowledge(known))
-    if kind == "cone":
-        return base, ConeBoundary(*boundary)
-    bdry = BundleBoundary(*boundary)
-    boundary_interval(base, bdry)  # the valid range of a depends on r
-    return base, bdry
 
 
 def _handle_verify(args: argparse.Namespace) -> int:
@@ -612,11 +599,17 @@ def _handle_verify(args: argparse.Namespace) -> int:
     if args.grid != "default":
         try:
             rows = _load_grid_file(args.grid)
-        except (OSError, ValueError, TypeError) as exc:
+        except (OSError, ValueError) as exc:
             raise CliParseError(f"cannot load grid file {args.grid}: {exc}") from None
         # Outside the parse-error net, and before the report file opens: an
         # out-of-domain row exits 3 and leaves no report behind.
-        grid = [_grid_case(row) for row in rows]
+        grid = []
+        for values in rows:
+            _check_dimension(values["n"])
+            base, bdry = _branch_case(values)
+            if isinstance(bdry, BundleBoundary):
+                boundary_interval(base, bdry)  # the valid range of a depends on r
+            grid.append((base, bdry))
     # The report file is opened first, so an unwritable path is refused
     # before the suite runs.
     with (
@@ -624,14 +617,29 @@ def _handle_verify(args: argparse.Namespace) -> int:
     ) as handle:
         run = run_verification(deep=args.deep, grid=grid)
         if handle is not None:
-            payload = _payload(
-                "verify",
-                {"deep": args.deep, "grid": args.grid},
-                run.to_json_dict(),
-            )
-            handle.write(render_json(payload))
+            inputs = {"deep": args.deep, "grid": args.grid}
+            handle.write(render_json(_payload("verify", inputs, run.to_json_dict())))
     _write_stdout("\n".join(run.summary_lines()) + "\n")
     return EXIT_OK if run.passed else EXIT_INTERNAL
+
+
+def _read_inputs(command: str, inputs: dict) -> dict:
+    """The values of a payload's inputs for command, each read by its flag: a
+    missing, unknown, malformed or non-canonical input is a ValueError."""
+    flags = COMMANDS[command].flags
+    unknown = sorted(inputs.keys() - {flag.key for flag in flags})
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r}")
+    try:
+        values = {flag.key: flag.read(inputs[flag.key]) for flag in flags}
+    except KeyError as exc:
+        raise ValueError(f"inputs lack the key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"malformed inputs: {exc}") from None
+    for key, value in values.items():
+        if _canonical(value) != inputs[key]:
+            raise ValueError(f"input {key!r} is not in canonical form: {inputs[key]!r}")
+    return values
 
 
 def run_check(path: str) -> int:
@@ -663,20 +671,12 @@ def run_check(path: str) -> int:
     if spec is None:
         raise CliParseError(f"cannot re-check command {command!r}")
     unknown = [key for key in payload if key not in ("schema", "command", "inputs", "result")]
-    unknown += sorted(inputs.keys() - {flag.key for flag in spec.flags})
     if unknown:
         raise CliParseError(f"check file {path}: unknown key {unknown[0]!r}")
     try:
-        values = {flag.key: flag.read(inputs[flag.key]) for flag in spec.flags}
-    except KeyError as exc:
-        raise CliParseError(f"check file {path}: inputs lack the key {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise CliParseError(f"check file {path}: malformed inputs: {exc}") from None
-    for key, value in values.items():
-        if _canonical(value) != inputs[key]:
-            raise CliParseError(
-                f"check file {path}: input {key!r} is not in canonical form: {inputs[key]!r}"
-            )
+        values = _read_inputs(command, inputs)
+    except ValueError as exc:
+        raise CliParseError(f"check file {path}: {exc}") from None
     inputs, result = _compute(spec, values)
     regenerated = _command_json(command, inputs, result)
     if regenerated != raw:

@@ -102,14 +102,15 @@ class Polynomial:
 
     @classmethod
     def constant(cls, value: RationalLike) -> "Polynomial":
-        return cls((rational(value),))
+        return cls.monomial(0, value)
 
     @classmethod
     def monomial(cls, degree: int, coefficient: RationalLike = 1) -> "Polynomial":
         """The polynomial coefficient * t**degree."""
         if degree < 0:
             raise ValueError("monomial degree must be nonnegative")
-        return cls((0,) * degree + (rational(coefficient),))
+        c = rational(coefficient)
+        return _of(c.denominator, [0] * degree + [c.numerator])
 
     @property
     def coefficients(self) -> tuple[Rational, ...]:
@@ -158,9 +159,7 @@ class Polynomial:
     def __neg__(self) -> "Polynomial":
         return self * -1
 
-    def __add__(self, other: "Polynomial | RationalLike") -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            other = Polynomial.constant(other)
+    def __add__(self, other: "Polynomial") -> "Polynomial":
         (la, a), (lb, b) = self.cleared, other.cleared
         lcm = math.lcm(la, lb)
         a, b = [x * (lcm // la) for x in a], [y * (lcm // lb) for y in b]
@@ -170,8 +169,8 @@ class Polynomial:
             a[i] += y
         return _of(lcm, a)
 
-    def __sub__(self, other: "Polynomial | RationalLike") -> "Polynomial":
-        return self + Polynomial.constant(-1) * other
+    def __sub__(self, other: "Polynomial") -> "Polynomial":
+        return self + -other
 
     def __mul__(self, other: "Polynomial | RationalLike") -> "Polynomial":
         lcm, a = self.cleared

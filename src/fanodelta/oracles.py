@@ -23,9 +23,8 @@ so output is reproducible.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
@@ -81,14 +80,14 @@ class OracleReport:
     m_or_steps: int = 1
     bound: Rational = Fraction(0)
     agrees: bool = True
+    absolute_error: Rational = field(init=False)
+    status: str = field(init=False)
 
-    @functools.cached_property
-    def absolute_error(self) -> Rational:
-        return abs(self.closed_form - self.approximation)
-
-    @functools.cached_property
-    def status(self) -> str:
-        return "pass" if self.agrees and self.absolute_error <= self.bound else "fail"
+    def __post_init__(self) -> None:
+        error = abs(self.closed_form - self.approximation)
+        passed = self.agrees and error <= self.bound
+        object.__setattr__(self, "absolute_error", error)
+        object.__setattr__(self, "status", "pass" if passed else "fail")
 
     def to_json_dict(self) -> dict:
         return {

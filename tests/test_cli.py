@@ -847,6 +847,7 @@ class TestVerifyCommand:
             {"bundle": [[1, "2", "0", "0", 1]]},
             {"bundle": [["1_0", "2", "0", "0", "1"]]},
             {"bundle": [["2", "2", "0", "0", "1"]]},
+            {"bundle": [[1, "4/2", "0", "0", "1"]]},
             # Raw text: json.dumps cannot write a repeated key, and json.load
             # alone would keep only the last copy and drop two rows.
             '{"bundle": [[1, "2", "0", "0", "1"], [2, "2", "0", "0", "1"]], '
@@ -870,6 +871,7 @@ class TestVerifyCommand:
             "number-delta",
             "underscored-dimension",
             "text-dimension",
+            "non-canonical-rational",
             "repeated-key",
         ],
     )
@@ -971,6 +973,60 @@ class TestVerifyCommand:
         assert (code, out) == (EXIT_DOMAIN, "")
         assert err.startswith("domain error: exact value has more than 640 digits")
         assert not report.exists()
+
+
+class TestOneReader:
+    """A --check payload's inputs and a --grid row are read by one reader:
+    the same value is refused the same way in both, in canonical form only."""
+
+    BUNDLE_INPUTS = {"n": 1, "r": "2", "a": "0", "b": "0", "delta_v": "1"}
+    BAD_VALUES = [
+        ("r", "4/2", "input 'r' is not in canonical form: '4/2'"),
+        ("r", "0.5", "input 'r' is not in canonical form: '0.5'"),
+        ("r", " 1/2", "input 'r' is not in canonical form: ' 1/2'"),
+        ("r", "GE1", "malformed inputs: not a rational: 'GE1'"),
+        ("delta_v", "4/2", "input 'delta_v' is not in canonical form: '4/2'"),
+        ("delta_v", "0.5", "input 'delta_v' is not in canonical form: '0.5'"),
+        ("delta_v", " 1/2", "input 'delta_v' is not in canonical form: ' 1/2'"),
+        ("delta_v", "GE1", "input 'delta_v' is not in canonical form: 'GE1'"),
+        ("n", "2", "input 'n' is not in canonical form: '2'"),
+        ("n", True, "malformed inputs: not an integer: True"),
+        ("r", 2, "malformed inputs: not a rational string: 2"),
+    ]
+
+    @pytest.mark.parametrize(
+        "key, value, reason", BAD_VALUES, ids=[f"{key}={value!r}" for key, value, _ in BAD_VALUES]
+    )
+    def test_a_bad_value_is_refused_alike_in_a_payload_and_a_grid_row(
+        self, key, value, reason, capsys, tmp_path
+    ):
+        inputs = dict(self.BUNDLE_INPUTS, **{key: value})
+        payload, grid = tmp_path / "payload.json", tmp_path / "grid.json"
+        payload.write_text(json.dumps(
+            {"schema": "1", "command": "bundle", "inputs": inputs, "result": {}}
+        ))
+        row = [inputs[name] for name in ("n", "r", "a", "b", "delta_v")]
+        grid.write_text(json.dumps({"bundle": [row]}))
+        for argv, prefix in (
+            (["--check", str(payload)], f"check file {payload}"),
+            (["verify", "--grid", str(grid)], f"cannot load grid file {grid}: bundle row 1"),
+        ):
+            assert run_cli(argv, capsys) == (EXIT_PARSE, "", f"error: {prefix}: {reason}\n")
+
+    def test_a_grid_diagnostic_names_the_kind_and_the_row(self, capsys, tmp_path):
+        path = tmp_path / "grid.json"
+        for rows, line in (
+            ({"cone": [[2, "1", "0", "ge1"], [2, "2/1", "0", "1"]]},
+             "cone row 2: input 'r' is not in canonical form: '2/1'"),
+            ({"bundle": [[1, "2", "0"]]},
+             "bundle row 1: not an array of 5 entries: [1, '2', '0']"),
+            ({"bundle": [[1, "2", "0", "0", "1"]], "cone": [[2, "1", "0", "ge1", "1"]]},
+             "cone row 1: not an array of 4 entries: [2, '1', '0', 'ge1', '1']"),
+        ):
+            path.write_text(json.dumps(rows))
+            assert run_cli(["verify", "--grid", str(path)], capsys) == (
+                EXIT_PARSE, "", f"error: cannot load grid file {path}: {line}\n"
+            )
 
 
 STDOUT_ARGVS = [

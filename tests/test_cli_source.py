@@ -61,6 +61,23 @@ def test_each_input_text_is_read_once(monkeypatch, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_one_reader_reads_every_json_input():
+    # Outside the command table and argparse a converter sees a JSON value
+    # only through _Flag.read, which only _read_inputs calls (run_check's
+    # other read is of the payload file); it reads a --check payload's
+    # inputs and each --grid row.
+    for converter in ("integer", "rational", "delta"):
+        assert set(_sites(converter)) <= {"<module>", "delta"}, converter
+    assert sorted(_sites("convert")) == ["<module>", "build_parser", "read"]
+    assert sorted(_sites("read")) == ["_read_inputs", "run_check"]
+    assert sorted(_sites("_read_inputs")) == ["_load_grid_file", "run_check"]
+    # The bundle and cone results and the grid rows build their
+    # (FanoBase, boundary) pair with one function.
+    assert sorted(_sites("_branch_case")) == ["<module>", "<module>", "_handle_verify"]
+    for name in ("FanoBase", "BundleBoundary", "ConeBoundary"):
+        assert set(_sites(name)) <= {"_branch_case", "_handle_verify"}, name
+
+
 def test_no_polynomial_or_profile_is_rebuilt_from_text():
     imported = {
         alias.asname or alias.name

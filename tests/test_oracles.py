@@ -3,6 +3,7 @@ provable error bounds, brute-force branch comparison, the full
 verification run, and exact equality of the progression-sum kernel and the
 oracles built on it with term-by-term reference loops."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -364,6 +365,19 @@ class TestVerificationRun:
         far = OracleReport("t", Fraction(1), Fraction(8, 10), 10, bound=Fraction(1, 10))
         assert (far.absolute_error, far.status) == (Fraction(1, 5), "fail")
         assert far.to_json_dict()["absolute_error"] == "1/5"
+
+    def test_a_report_fixes_its_error_and_status_at_construction(self):
+        # Both follow from the other fields: neither can be passed in, and a
+        # replaced field recomputes both.
+        for derived in ("absolute_error", "status"):
+            with pytest.raises(TypeError):
+                OracleReport("t", Fraction(1), Fraction(1), **{derived: Fraction(0)})
+        close = OracleReport("t", Fraction(1), Fraction(9, 10), 10, bound=Fraction(1, 10))
+        far = dataclasses.replace(close, approximation=Fraction(8, 10))
+        assert (far.absolute_error, far.status) == (Fraction(1, 5), "fail")
+        assert dataclasses.replace(far, bound=Fraction(1, 5)).status == "pass"
+        with pytest.raises(ValueError):
+            dataclasses.replace(close, status="fail")
 
 
 # Term-by-term reference loops: the O(m) evaluations the progression-sum
