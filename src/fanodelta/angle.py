@@ -19,15 +19,12 @@ claims.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bundle import check_integer
 from .errors import DomainError
-from .exactarith import Rational, RationalLike, format_rational, rational
+from .exactarith import Immutable, Rational, RationalLike, format_rational, rational
 
 
-@dataclass(frozen=True)
-class AngleInterval:
+class AngleInterval(Immutable):
     """A semistable angle range [0, endpoint] or [0, endpoint).
 
     closed says whether the endpoint itself is included in the K-semistable
@@ -35,9 +32,11 @@ class AngleInterval:
     hypotheses as explicit conditional statements.
     """
 
-    endpoint: Rational
-    closed: bool
-    hypotheses: tuple[str, ...]
+    __slots__ = ("endpoint", "closed", "hypotheses")
+
+    def __init__(self, endpoint: Rational, closed: bool, hypotheses: tuple[str, ...]) -> None:
+        for name, value in zip(self.__slots__, (endpoint, closed, hypotheses)):
+            object.__setattr__(self, name, value)
 
     def to_json_dict(self) -> dict:
         return {

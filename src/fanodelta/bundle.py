@@ -16,12 +16,11 @@ an exact rational computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DomainError
-from .exactarith import Rational, RationalLike, format_rational, rational
+from .exactarith import Immutable, Rational, RationalLike, format_rational, rational
 
 MINIMIZER_BASE = "BaseDivisor"
 MINIMIZER_V0 = "V0"
@@ -29,8 +28,7 @@ MINIMIZER_VINF = "Vinf"
 _TAGS = (MINIMIZER_BASE, MINIMIZER_V0, MINIMIZER_VINF)
 
 
-@dataclass(frozen=True)
-class DeltaKnowledge:
+class DeltaKnowledge(Immutable):
     """What is known about the delta invariant of the base.
 
     Either an exact rational value >= 0 (coerced and checked at
@@ -39,13 +37,14 @@ class DeltaKnowledge:
     section branch attains the minimum, which for cones is always the case.
     """
 
-    value: Optional[Rational]
+    __slots__ = ("value",)
 
-    def __post_init__(self) -> None:
-        if self.value is not None:
-            object.__setattr__(self, "value", rational(self.value))
-            if self.value < 0:
-                raise DomainError(f"delta(V) must be >= 0, got {self.value}")
+    def __init__(self, value: Optional[RationalLike]) -> None:
+        if value is not None:
+            value = rational(value)
+            if value < 0:
+                raise DomainError(f"delta(V) must be >= 0, got {value}")
+        object.__setattr__(self, "value", value)
 
     @classmethod
     def exact(cls, value: RationalLike) -> "DeltaKnowledge":
@@ -64,39 +63,37 @@ class DeltaKnowledge:
         return ">=1" if self.value is None else format_rational(self.value)
 
 
-@dataclass(frozen=True)
-class FanoBase:
+class FanoBase(Immutable):
     """Base data: dimension n >= 1, slope r > 0 with -K_V = r*L, and what is
     known about delta(V). The polarization volume L^n is normalized to 1 and
     never enters any formula."""
 
-    n: int
-    r: Rational
-    delta_v: DeltaKnowledge
+    __slots__ = ("n", "r", "delta_v")
 
-    def __post_init__(self) -> None:
-        check_integer(self.n)
-        object.__setattr__(self, "r", rational(self.r))
-        if self.r <= 0:
-            raise DomainError(f"r must satisfy r > 0, got {self.r}")
-        if not isinstance(self.delta_v, DeltaKnowledge):
+    def __init__(self, n: int, r: RationalLike, delta_v: DeltaKnowledge) -> None:
+        check_integer(n)
+        r = rational(r)
+        if r <= 0:
+            raise DomainError(f"r must satisfy r > 0, got {r}")
+        if not isinstance(delta_v, DeltaKnowledge):
             raise TypeError("delta_v must be a DeltaKnowledge")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "delta_v", delta_v)
 
 
-@dataclass(frozen=True)
-class BundleBoundary:
+class BundleBoundary(Immutable):
     """Boundary coefficients (a, b) of a*V0 + b*Vinf.
 
     Range validation depends on the slope r of the base, so it happens in
     boundary_interval rather than here.
     """
 
-    a: Rational = field(default=Fraction(0))
-    b: Rational = field(default=Fraction(0))
+    __slots__ = ("a", "b")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", rational(self.a))
-        object.__setattr__(self, "b", rational(self.b))
+    def __init__(self, a: RationalLike = Fraction(0), b: RationalLike = Fraction(0)) -> None:
+        object.__setattr__(self, "a", rational(a))
+        object.__setattr__(self, "b", rational(b))
 
 
 def boundary_interval(base: FanoBase, bdry: BundleBoundary) -> tuple[Rational, Rational]:
@@ -176,8 +173,7 @@ def beta_zero(n: int, r: RationalLike) -> Rational:
     return 1 / (centroid_phi(rr - 1, rr + 1, n) - (rr - 1))
 
 
-@dataclass(frozen=True)
-class DeltaBreakdown:
+class DeltaBreakdown(Immutable):
     """The three branch values of a delta formula, their minimum (value),
     and the divisor tags attaining it (minimizers). value and minimizers are
     derived from the branches at construction and cannot be passed in, so
@@ -207,23 +203,27 @@ class DeltaBreakdown:
     constructions.
     """
 
-    base_branch: Optional[Rational]
-    v0_branch: Rational
-    vinf_branch: Rational
-    value: Rational = field(init=False)
-    minimizers: tuple[str, ...] = field(init=False)
-    r_effective: Optional[Rational] = None
-    proof_coverage: Optional[str] = None
-    side_conditions: Optional[tuple[str, ...]] = None
+    __slots__ = ("base_branch", "v0_branch", "vinf_branch", "value", "minimizers",
+                 "r_effective", "proof_coverage", "side_conditions")
 
-    def __post_init__(self) -> None:
-        branches = (self.base_branch, self.v0_branch, self.vinf_branch)
+    def __init__(
+        self, base_branch: Optional[Rational], v0_branch: Rational, vinf_branch: Rational,
+        r_effective: Optional[Rational] = None, proof_coverage: Optional[str] = None,
+        side_conditions: Optional[tuple[str, ...]] = None,
+    ) -> None:
+        branches = (base_branch, v0_branch, vinf_branch)
         least, minimizers = branch_minimum(
             [None if branch is None else (branch.numerator, branch.denominator)
              for branch in branches]
         )
+        object.__setattr__(self, "base_branch", base_branch)
+        object.__setattr__(self, "v0_branch", v0_branch)
+        object.__setattr__(self, "vinf_branch", vinf_branch)
         object.__setattr__(self, "value", branches[least])
         object.__setattr__(self, "minimizers", minimizers)
+        object.__setattr__(self, "r_effective", r_effective)
+        object.__setattr__(self, "proof_coverage", proof_coverage)
+        object.__setattr__(self, "side_conditions", side_conditions)
 
     def to_json_dict(self) -> dict:
         return breakdown_payload(

@@ -20,19 +20,16 @@ dropped, so every identity is an identity of rationals.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Union
 
 from .bundle import beta_zero, check_integer
 from .errors import DomainError, agree
-from .exactarith import Polynomial, Rational, RationalLike, rational
+from .exactarith import Immutable, Polynomial, Rational, RationalLike, rational
 
 
-@dataclass(frozen=True)
-class CalabiProfile:
+class CalabiProfile(Immutable):
     """Solved momentum profile of dimension n, slope r and twist beta.
 
     Building one solves the twisted momentum ODE in closed form, with the
@@ -45,15 +42,10 @@ class CalabiProfile:
     residual are checked exactly by agree before the profile exists.
     """
 
-    n: int
-    r: Rational
-    beta: Rational
-    c1: Rational = field(init=False)
-    c2: Rational = field(init=False)
-    numerator: Polynomial = field(init=False)
+    __slots__ = ("n", "r", "beta", "c1", "c2", "numerator")
 
-    def __post_init__(self) -> None:
-        n, rr, bb = self.n, rational(self.r), rational(self.beta)
+    def __init__(self, n: int, r: RationalLike, beta: RationalLike) -> None:
+        rr, bb = rational(r), rational(beta)
         check_integer(n)
         if rr <= 1:
             raise DomainError(f"r must satisfy r > 1, got {rr}")
@@ -67,7 +59,7 @@ class CalabiProfile:
             + Polynomial.monomial(n + 1, c1)
             + Polynomial.constant(c2)
         )
-        for name, value in dict(r=rr, beta=bb, c1=c1, c2=c2, numerator=numerator).items():
+        for name, value in zip(self.__slots__, (n, rr, bb, c1, c2, numerator)):
             object.__setattr__(self, name, value)
         agree("profile numerator N(r-1)", numerator(rr - 1), 0)
         agree("profile numerator N(r+1)", numerator(rr + 1), 0)
@@ -237,31 +229,32 @@ def verify_positive_interior(profile: CalabiProfile) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class AdmissibleProfile:
+class AdmissibleProfile(Immutable):
     """Profile numerator satisfying the smooth-metric boundary conditions:
     phi vanishes at both endpoints with phi'(r-1) = 1 and phi'(r+1) = -1,
     equivalently N(r-1) = N(r+1) = 0, N'(r-1) = (r-1)^n,
     N'(r+1) = -(r+1)^n. Construction validates all four exactly."""
 
-    n: int
-    r: Rational
-    numerator: Polynomial
+    __slots__ = ("n", "r", "numerator", "_integrand")
 
-    def __post_init__(self) -> None:
-        check_integer(self.n)
-        object.__setattr__(self, "r", rational(self.r))
-        if self.r <= 1:
-            raise DomainError(f"r must satisfy r > 1, got {self.r}")
-        failures = admissibility_failures(self.n, self.r, self.numerator)
+    def __init__(self, n: int, r: RationalLike, numerator: Polynomial) -> None:
+        check_integer(n)
+        r = rational(r)
+        if r <= 1:
+            raise DomainError(f"r must satisfy r > 1, got {r}")
+        failures = admissibility_failures(n, r, numerator)
         if failures:
             raise DomainError("; ".join(failures))
+        for name, value in zip(self.__slots__, (n, r, numerator)):
+            object.__setattr__(self, name, value)
 
-    @functools.cached_property
+    @property
     def integrand(self) -> Polynomial:
         """futaki_integrand of this profile, built on first use and kept:
         the invariant and each quadrature of the profile integrate it."""
-        return futaki_integrand(self.n, self.r, self.numerator)
+        if not hasattr(self, "_integrand"):
+            object.__setattr__(self, "_integrand", futaki_integrand(self.n, self.r, self.numerator))
+        return self._integrand
 
 
 def admissibility_failures(n: int, r: RationalLike, numerator: Polynomial) -> list[str]:

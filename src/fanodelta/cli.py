@@ -599,7 +599,7 @@ def _handle_verify(args: argparse.Namespace) -> int:
     if args.grid != "default":
         try:
             rows = _load_grid_file(args.grid)
-        except (OSError, ValueError) as exc:
+        except (OSError, RecursionError, ValueError) as exc:
             raise CliParseError(f"cannot load grid file {args.grid}: {exc}") from None
         # Outside the parse-error net, and before the report file opens: an
         # out-of-domain row exits 3 and leaves no report behind.
@@ -652,7 +652,7 @@ def run_check(path: str) -> int:
         with open(path, "r", encoding="utf-8") as handle:
             raw = handle.read()
         payload = json.loads(raw, object_pairs_hook=_unique_keys)
-    except (OSError, ValueError) as exc:
+    except (OSError, RecursionError, ValueError) as exc:
         raise CliParseError(f"cannot read check file {path}: {exc}") from None
     if not isinstance(payload, dict) or "command" not in payload or "inputs" not in payload:
         raise CliParseError(

@@ -20,7 +20,6 @@ r is derived from the arithmetic data (n, k, d, l) rather than given.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -33,7 +32,7 @@ from .bundle import (
     check_integer,
 )
 from .errors import DomainError, agree
-from .exactarith import Rational, RationalLike, rational
+from .exactarith import Immutable, Rational, RationalLike, rational
 
 PROOF_FULL = "full"
 PROOF_UPPER_BOUND = "upper-bound-only"
@@ -42,16 +41,16 @@ PROOF_UPPER_BOUND = "upper-bound-only"
 Pair = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class ConeBoundary:
+class ConeBoundary(Immutable):
     """Boundary coefficient c of c*Vinf, with 0 <= c < 1."""
 
-    c: Rational = Fraction(0)
+    __slots__ = ("c",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "c", rational(self.c))
-        if not (0 <= self.c < 1):
-            raise DomainError(f"c must satisfy 0 <= c < 1, got {self.c}")
+    def __init__(self, c: RationalLike = Fraction(0)) -> None:
+        c = rational(c)
+        if not (0 <= c < 1):
+            raise DomainError(f"c must satisfy 0 <= c < 1, got {c}")
+        object.__setattr__(self, "c", c)
 
 
 def cone_delta(base: FanoBase, bdry: ConeBoundary = ConeBoundary()) -> DeltaBreakdown:
@@ -131,8 +130,7 @@ def cone_bundle_consistency(
     return bundle_route, (cone.v0_branch, cone.vinf_branch)
 
 
-@dataclass(frozen=True)
-class HypersurfaceConeSpec:
+class HypersurfaceConeSpec(Immutable):
     """Iterated-cone input: a smooth degree-d hypersurface of dimension n in
     projective space (slope r0 = n + 2 - d), coned i >= 1 times.
 
@@ -140,20 +138,17 @@ class HypersurfaceConeSpec:
     hypersurface.
     """
 
-    n: int
-    d: int
-    i: int
-    delta_v0: DeltaKnowledge
+    __slots__ = ("n", "d", "i", "delta_v0")
 
-    def __post_init__(self) -> None:
-        check_integer(self.n)
-        if not isinstance(self.d, int) or not (2 <= self.d <= self.n + 1):
-            raise DomainError(
-                f"d must satisfy 2 <= d <= n+1, got d={self.d} with n={self.n}"
-            )
-        check_integer(self.i, "i")
-        if not isinstance(self.delta_v0, DeltaKnowledge):
+    def __init__(self, n: int, d: int, i: int, delta_v0: DeltaKnowledge) -> None:
+        check_integer(n)
+        if not isinstance(d, int) or not (2 <= d <= n + 1):
+            raise DomainError(f"d must satisfy 2 <= d <= n+1, got d={d} with n={n}")
+        check_integer(i, "i")
+        if not isinstance(delta_v0, DeltaKnowledge):
             raise TypeError("delta_v0 must be a DeltaKnowledge")
+        for name, value in zip(self.__slots__, (n, d, i, delta_v0)):
+            object.__setattr__(self, name, value)
 
     @property
     def r0(self) -> int:
@@ -218,8 +213,7 @@ def iterated_hypersurface_chain(spec: HypersurfaceConeSpec) -> list[ChainStep]:
     return chain
 
 
-@dataclass(frozen=True)
-class BranchedConeSpec:
+class BranchedConeSpec(Immutable):
     """Branched-cover cone input (n, k, d, l) for hypersurfaces of the shape
     x_{n+1}^k * x_{n+2}^{d-k} = g_d in weighted coordinates.
 
@@ -228,17 +222,15 @@ class BranchedConeSpec:
     checked at construction, each violation reported individually.
     """
 
-    n: int
-    k: int
-    d: int
-    l: int
+    __slots__ = ("n", "k", "d", "l")
 
-    def __post_init__(self) -> None:
-        for name in ("n", "k", "d", "l"):
-            check_integer(getattr(self, name), name)
-        if self.k < 2:
-            raise DomainError(f"k must satisfy k >= 2, got {self.k}")
-        failures = branched_side_condition_failures(self.n, self.k, self.d, self.l)
+    def __init__(self, n: int, k: int, d: int, l: int) -> None:
+        for name, value in zip(self.__slots__, (n, k, d, l)):
+            check_integer(value, name)
+            object.__setattr__(self, name, value)
+        if k < 2:
+            raise DomainError(f"k must satisfy k >= 2, got {k}")
+        failures = branched_side_condition_failures(n, k, d, l)
         if failures:
             raise DomainError("; ".join(failures))
 
@@ -302,7 +294,8 @@ def branched_cone_delta(
                 "delta_pair is required outside n+1 <= d <= n+2: no automatic semistability "
                 f"guarantee for d={spec.d}, n={spec.n}"
             )
-    return replace(
-        cone_delta(FanoBase(spec.n, rational(spec.r), delta_pair)),
-        side_conditions=spec.side_conditions(),
+    cone = cone_delta(FanoBase(spec.n, rational(spec.r), delta_pair))
+    return DeltaBreakdown(
+        cone.base_branch, cone.v0_branch, cone.vinf_branch,
+        cone.r_effective, cone.proof_coverage, spec.side_conditions(),
     )

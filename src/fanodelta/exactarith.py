@@ -14,7 +14,8 @@ them from it.
 
 A ``Polynomial`` stores one exact form: its integer coefficients over one
 common denominator, in lowest terms. Its arithmetic and its evaluation both
-run on those integers.
+run on those integers. ``Immutable`` is the base of every value type of the
+library, ``Polynomial`` included.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Union
 
 from .errors import DomainError
@@ -60,6 +62,51 @@ def format_ratio(numerator: int, denominator: int) -> str:
         ) from None
 
 
+def _rebuild(cls: type, *values: object) -> "Immutable":
+    """A cls value with these fields, set without running the checks of its
+    __init__ again: copy and pickle rebuild values through it."""
+    value = object.__new__(cls)
+    for name, field in zip(cls._fields, values):
+        object.__setattr__(value, name, field)
+    return value
+
+
+class Immutable:
+    """Base of the library's value types. A subclass names its fields, in
+    order, as __slots__ and sets each once in __init__ with
+    object.__setattr__; a slot whose name starts with "_" is a cache, not a
+    field. A value is then immutable, equal to a value of its own class with
+    equal fields (and hashed to match), shown by its fields in order, and
+    copied and pickled field by field."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        # The class leads the key, so values of two classes are never equal.
+        cls._key = attrgetter("__class__", *cls._fields)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Immutable):
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return _rebuild, self._key(self)
+
+
 def _of(lcm: int, ints: list[int]) -> "Polynomial":
     """The polynomial sum_k (ints[k]/lcm) t^k, for lcm > 0, in reduced form:
     trailing zeros dropped, then one division by gcd(lcm, ints)."""
@@ -71,7 +118,7 @@ def _of(lcm: int, ints: list[int]) -> "Polynomial":
     return poly
 
 
-class Polynomial:
+class Polynomial(Immutable):
     """Dense univariate polynomial over Rational, indexed by degree.
 
     Immutable. It stores one exact form, read as ``cleared``: the integer
@@ -92,9 +139,6 @@ class Polynomial:
         lcm = math.lcm(*[c.denominator for c in coeffs])
         ints = tuple([c.numerator * (lcm // c.denominator) for c in coeffs])
         object.__setattr__(self, "cleared", (lcm, ints))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Polynomial is immutable")
 
     @classmethod
     def zero(cls) -> "Polynomial":

@@ -24,7 +24,6 @@ so output is reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
@@ -57,14 +56,13 @@ from .cone import (
     iterated_hypersurface_chain,
 )
 from .errors import DomainError
-from .exactarith import Polynomial, Rational, RationalLike, format_rational
+from .exactarith import Immutable, Polynomial, Rational, RationalLike, format_rational
 
 DEFAULT_RESOLUTION = 1000
 DEEP_RESOLUTION = 100000
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(Immutable):
     """One oracle evaluation: the exact closed form, the finite-scale
     approximation, and a provable bound for their distance, from which the
     exact absolute error and the status follow.
@@ -74,20 +72,22 @@ class OracleReport:
     equality, and agrees is False when a check beyond the value fails.
     """
 
-    target: str
-    closed_form: Rational
-    approximation: Rational
-    m_or_steps: int = 1
-    bound: Rational = Fraction(0)
-    agrees: bool = True
-    absolute_error: Rational = field(init=False)
-    status: str = field(init=False)
+    __slots__ = ("target", "closed_form", "approximation", "m_or_steps", "bound", "agrees",
+                 "absolute_error", "status")
 
-    def __post_init__(self) -> None:
-        error = abs(self.closed_form - self.approximation)
-        passed = self.agrees and error <= self.bound
+    def __init__(
+        self, target: str, closed_form: Rational, approximation: Rational,
+        m_or_steps: int = 1, bound: Rational = Fraction(0), agrees: bool = True,
+    ) -> None:
+        error = abs(closed_form - approximation)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "closed_form", closed_form)
+        object.__setattr__(self, "approximation", approximation)
+        object.__setattr__(self, "m_or_steps", m_or_steps)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "agrees", agrees)
         object.__setattr__(self, "absolute_error", error)
-        object.__setattr__(self, "status", "pass" if passed else "fail")
+        object.__setattr__(self, "status", "pass" if agrees and error <= bound else "fail")
 
     def to_json_dict(self) -> dict:
         return {
@@ -379,13 +379,16 @@ def telescoping_iterated_cone(spec: HypersurfaceConeSpec) -> Rational:
     return Fraction(num, den)
 
 
-@dataclass(frozen=True)
-class VerificationRun:
+class VerificationRun(Immutable):
     """Aggregated oracle run: every report, free-form notes, overall verdict."""
 
-    mode: str
-    reports: tuple[OracleReport, ...]
-    notes: tuple[str, ...]
+    __slots__ = ("mode", "reports", "notes")
+
+    def __init__(
+        self, mode: str, reports: tuple[OracleReport, ...], notes: tuple[str, ...]
+    ) -> None:
+        for name, value in zip(self.__slots__, (mode, reports, notes)):
+            object.__setattr__(self, name, value)
 
     @property
     def passed(self) -> bool:

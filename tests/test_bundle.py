@@ -1,7 +1,6 @@
 """Projectivized-bundle delta invariants: frozen values, domain guards, and
 structural properties of the three-branch minimum."""
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -376,7 +375,7 @@ class TestBreakdownFromBranches:
     def test_replacing_a_branch_recomputes_both(self):
         b = DeltaBreakdown(1, 2, 3)
         assert (b.value, b.minimizers) == (1, ("BaseDivisor",))
-        moved = dataclasses.replace(b, v0_branch=Fraction(1, 2))
+        moved = DeltaBreakdown(b.base_branch, Fraction(1, 2), b.vinf_branch)
         assert moved.value == Fraction(1, 2)
         assert moved.minimizers == ("V0",)
 

@@ -1,7 +1,7 @@
 """Momentum-profile construction: exact ODE solution, edge angles, Ricci
 margins, positivity, and the obstruction integral."""
 
-from dataclasses import FrozenInstanceError, fields
+import inspect
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -112,7 +112,7 @@ class TestConstruction:
             assert CalabiProfile(n, r, beta) == solve_profile(n, r, beta), (n, r, beta)
 
     def test_only_n_r_and_beta_are_given(self):
-        assert [f.name for f in fields(CalabiProfile) if f.init] == ["n", "r", "beta"]
+        assert list(inspect.signature(CalabiProfile).parameters) == ["n", "r", "beta"]
 
     @pytest.mark.parametrize("name", ["c1", "c2", "numerator"])
     def test_a_derived_field_cannot_be_passed(self, name):
@@ -121,7 +121,7 @@ class TestConstruction:
 
     def test_a_built_profile_cannot_be_changed(self):
         p = CalabiProfile(1, 2, 1)
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError, match="immutable"):
             p.c1 = Fraction(0)
 
     @pytest.mark.parametrize(

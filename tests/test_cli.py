@@ -1028,6 +1028,21 @@ class TestOneReader:
                 EXIT_PARSE, "", f"error: cannot load grid file {path}: {line}\n"
             )
 
+    @pytest.mark.parametrize("opening", ["[", '{"a":'], ids=["arrays", "objects"])
+    def test_json_nested_past_the_recursion_limit_is_refused(self, opening, capsys, tmp_path):
+        # The json decoder raises RecursionError here, not ValueError.
+        path, report = tmp_path / "deep.json", tmp_path / "report.json"
+        path.write_text(opening * 100_000)
+        for argv, prefix in (
+            (["--check", str(path)], "cannot read check file"),
+            (["verify", "--grid", str(path), "--json", str(report)], "cannot load grid file"),
+        ):
+            code, out, err = run_cli(argv, capsys)
+            assert (code, out) == (EXIT_PARSE, "")
+            assert err.startswith(f"error: {prefix} {path}: maximum recursion depth exceeded")
+            assert len(err.splitlines()) == 1
+        assert not report.exists()
+
 
 STDOUT_ARGVS = [
     ["bundle", "--n", "1", "--r", "2", "--delta-v", "1"],
