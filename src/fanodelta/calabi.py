@@ -233,9 +233,11 @@ class AdmissibleProfile(Immutable):
     """Profile numerator satisfying the smooth-metric boundary conditions:
     phi vanishes at both endpoints with phi'(r-1) = 1 and phi'(r+1) = -1,
     equivalently N(r-1) = N(r+1) = 0, N'(r-1) = (r-1)^n,
-    N'(r+1) = -(r+1)^n. Construction validates all four exactly."""
+    N'(r+1) = -(r+1)^n. Construction validates all four exactly and sets
+    integrand = futaki_integrand(n, r, numerator), which the invariant and
+    each quadrature of the profile integrate."""
 
-    __slots__ = ("n", "r", "numerator", "_integrand")
+    __slots__ = ("n", "r", "numerator", "integrand")
 
     def __init__(self, n: int, r: RationalLike, numerator: Polynomial) -> None:
         check_integer(n)
@@ -245,16 +247,9 @@ class AdmissibleProfile(Immutable):
         failures = admissibility_failures(n, r, numerator)
         if failures:
             raise DomainError("; ".join(failures))
-        for name, value in zip(self.__slots__, (n, r, numerator)):
+        integrand = futaki_integrand(n, r, numerator)
+        for name, value in zip(self.__slots__, (n, r, numerator, integrand)):
             object.__setattr__(self, name, value)
-
-    @property
-    def integrand(self) -> Polynomial:
-        """futaki_integrand of this profile, built on first use and kept:
-        the invariant and each quadrature of the profile integrate it."""
-        if not hasattr(self, "_integrand"):
-            object.__setattr__(self, "_integrand", futaki_integrand(self.n, self.r, self.numerator))
-        return self._integrand
 
 
 def admissibility_failures(n: int, r: RationalLike, numerator: Polynomial) -> list[str]:

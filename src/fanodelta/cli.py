@@ -68,6 +68,8 @@ MAX_ITERATIONS = 20_000
 # Every command's n above this is refused before any computation: calabi's
 # cost grows fastest in n, and at n = 2000, r = 7/3 it takes about 0.3 s.
 MAX_DIMENSION = 2_000
+# A diagnostic line is cut after this many characters.
+MAX_DIAGNOSTIC = 1_000
 
 SCHEMA_VERSION = "1"
 GE1 = "ge1"  # the delta text for a base known only to have delta >= 1
@@ -755,14 +757,22 @@ def main(argv: Optional[list[str]] = None) -> int:
             raise CliParseError("a subcommand is required (or --check PATH)")
         return args.handler(args)
     except CliParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _diagnose(f"error: {exc}")
         return EXIT_PARSE
     except DomainError as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
+        _diagnose(f"domain error: {exc}")
         return EXIT_DOMAIN
     except InternalCheckError as exc:
-        print(f"internal check failed: {exc}", file=sys.stderr)
+        _diagnose(f"internal check failed: {exc}")
         return EXIT_INTERNAL
+
+
+def _diagnose(line: str) -> None:
+    """Write one diagnostic line to stderr, cut after MAX_DIAGNOSTIC
+    characters: a diagnostic may echo an input value whole."""
+    if len(line) > MAX_DIAGNOSTIC:
+        line = f"{line[:MAX_DIAGNOSTIC]}... ({len(line)} characters)"
+    print(line, file=sys.stderr)
 
 
 def console_entry() -> None:

@@ -32,7 +32,7 @@ from .bundle import (
     check_integer,
 )
 from .errors import DomainError, agree
-from .exactarith import Immutable, Rational, RationalLike, rational
+from .exactarith import Immutable, Rational, RationalLike, format_ratio, rational
 
 PROOF_FULL = "full"
 PROOF_UPPER_BOUND = "upper-bound-only"
@@ -243,8 +243,8 @@ class BranchedConeSpec(Immutable):
         return (
             f"l < k: {self.l} < {self.k}",
             f"gcd(k, l) = 1: gcd({self.k}, {self.l}) = 1",
-            f"k divides d*l - 1: {self.k} | {self.d * self.l - 1}",
-            f"r = (n+1)k - (k-1)d > 0: r = {self.r}",
+            f"k divides d*l - 1: {self.k} | {format_ratio(self.d * self.l - 1, 1)}",
+            f"r = (n+1)k - (k-1)d > 0: r = {format_ratio(self.r, 1)}",
         )
 
 
@@ -265,12 +265,13 @@ def branched_side_condition_failures(n: int, k: int, d: int, l: int) -> list[str
         )
     if (d * l - 1) % k != 0:
         failures.append(
-            f"side condition violated: k must divide d*l - 1, got {k} does not divide {d * l - 1}"
+            "side condition violated: k must divide d*l - 1, "
+            f"got {k} does not divide {format_ratio(d * l - 1, 1)}"
         )
     r = branched_slope(n, k, d)
     if r <= 0:
         failures.append(
-            f"side condition violated: r = (n+1)k - (k-1)d > 0 required, got r={r}"
+            f"side condition violated: r = (n+1)k - (k-1)d > 0 required, got r={format_ratio(r, 1)}"
         )
     return failures
 

@@ -15,7 +15,7 @@ them from it.
 A ``Polynomial`` stores one exact form: its integer coefficients over one
 common denominator, in lowest terms. Its arithmetic and its evaluation both
 run on those integers. ``Immutable`` is the base of every value type of the
-library, ``Polynomial`` included.
+library, ``Polynomial`` included, and alone decides how values compare.
 """
 
 from __future__ import annotations
@@ -64,9 +64,10 @@ def format_ratio(numerator: int, denominator: int) -> str:
 
 def _rebuild(cls: type, *values: object) -> "Immutable":
     """A cls value with these fields, set without running the checks of its
-    __init__ again: copy and pickle rebuild values through it."""
+    __init__ again: copy, pickle and Polynomial's arithmetic build values
+    through it, and nothing else builds a value without __init__."""
     value = object.__new__(cls)
-    for name, field in zip(cls._fields, values):
+    for name, field in zip(cls.__slots__, values):
         object.__setattr__(value, name, field)
     return value
 
@@ -74,17 +75,15 @@ def _rebuild(cls: type, *values: object) -> "Immutable":
 class Immutable:
     """Base of the library's value types. A subclass names its fields, in
     order, as __slots__ and sets each once in __init__ with
-    object.__setattr__; a slot whose name starts with "_" is a cache, not a
-    field. A value is then immutable, equal to a value of its own class with
-    equal fields (and hashed to match), shown by its fields in order, and
-    copied and pickled field by field."""
+    object.__setattr__. A value is then immutable, equal to a value of its
+    own class with equal fields (and hashed to match), shown by its fields
+    in order, and copied and pickled field by field."""
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
-        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
         # The class leads the key, so values of two classes are never equal.
-        cls._key = attrgetter("__class__", *cls._fields)
+        cls._key = attrgetter("__class__", *cls.__slots__)
 
     def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -100,7 +99,7 @@ class Immutable:
         return hash(self._key(self))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self) -> tuple:
@@ -113,9 +112,7 @@ def _of(lcm: int, ints: list[int]) -> "Polynomial":
     while ints and not ints[-1]:
         ints.pop()
     g = math.gcd(lcm, *ints)
-    poly = object.__new__(Polynomial)
-    object.__setattr__(poly, "cleared", (lcm // g, tuple([a // g for a in ints])))
-    return poly
+    return _rebuild(Polynomial, (lcm // g, tuple([a // g for a in ints])))
 
 
 class Polynomial(Immutable):
@@ -170,14 +167,6 @@ class Polynomial(Immutable):
     @property
     def is_zero(self) -> bool:
         return not self.cleared[1]
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Polynomial):
-            return self.cleared == other.cleared
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.cleared)
 
     def cleared_value(self, point: RationalLike) -> tuple[int, int]:
         """The value at point = p/q as an unreduced integer pair
@@ -273,12 +262,12 @@ class Polynomial(Immutable):
             if c == 0:
                 continue
             sign = "-" if c < 0 else ("+" if parts else "")
-            mag = abs(c)
+            mag = format_rational(abs(c))
             if k == 0:
-                body = str(mag)
+                body = mag
             else:
                 t = "t" if k == 1 else f"t^{k}"
-                body = t if mag == 1 else f"{mag}*{t}"
+                body = t if mag == "1" else f"{mag}*{t}"
             parts.append(f"{sign} {body}" if parts else f"{sign}{body}")
         return " ".join(parts)
 

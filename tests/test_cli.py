@@ -26,6 +26,7 @@ from fanodelta.cli import (
     EXIT_OK,
     EXIT_PARSE,
     FLOAT_RANGE_MARKER,
+    MAX_DIAGNOSTIC,
     MAX_DIMENSION,
     MAX_ITERATIONS,
     _knowledge,
@@ -446,6 +447,40 @@ class TestExitCodes:
             "domain error: delta_pair is required outside n+1 <= d <= n+2: "
             "no automatic semistability guarantee for d=5, n=2\n"
         )
+
+    # Inputs within the digit limit whose derived d*l - 1 is beyond it: in
+    # the first a side condition fails and names d*l - 1; in the second
+    # every side condition holds and the result records d*l - 1.
+    NINES = "9" * 4000
+    ORDER = 10**4299 + 7
+    BRANCHED_PAST_THE_DIGIT_LIMIT = {
+        "failing": ["branched-cone", "--n", "1", "--k", "3", "--d", NINES, "--l", NINES],
+        "holding": ["branched-cone", "--n", "2000", "--k", str(ORDER), "--d", "2001",
+                    "--l", str(pow(2001, -1, ORDER)), "--delta-pair", "1"],
+    }
+
+    @staticmethod
+    def _digit_limit_refusal(code, out, err):
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("domain error: exact value has more than")
+
+    @pytest.mark.parametrize("form", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize("case", sorted(BRANCHED_PAST_THE_DIGIT_LIMIT))
+    def test_a_derived_branched_value_over_the_digit_limit_is_a_domain_error(
+        self, case, form, capsys
+    ):
+        argv = self.BRANCHED_PAST_THE_DIGIT_LIMIT[case] + form
+        self._digit_limit_refusal(*run_cli(argv, capsys))
+
+    def test_a_branched_payload_over_the_digit_limit_is_a_domain_error(self, capsys, tmp_path):
+        inputs = {"n": 2000, "k": self.ORDER, "d": 2001, "l": pow(2001, -1, self.ORDER),
+                  "delta_pair": "1"}
+        path = tmp_path / "payload.json"
+        path.write_text(json.dumps(
+            {"schema": "1", "command": "branched-cone", "inputs": inputs, "result": {}}
+        ))
+        self._digit_limit_refusal(*run_cli(["--check", str(path)], capsys))
 
     @pytest.mark.parametrize(
         "argv, line",
@@ -1042,6 +1077,45 @@ class TestOneReader:
             assert err.startswith(f"error: {prefix} {path}: maximum recursion depth exceeded")
             assert len(err.splitlines()) == 1
         assert not report.exists()
+
+
+class TestLongDiagnostics:
+    """A diagnostic line longer than MAX_DIAGNOSTIC characters keeps its
+    first MAX_DIAGNOSTIC and ends with the length of the whole line; a
+    shorter one is written unchanged."""
+
+    LONG = "x" * 100_000
+
+    @staticmethod
+    def _cut(line):
+        return f"{line[:MAX_DIAGNOSTIC]}... ({len(line)} characters)\n"
+
+    def test_a_flag_value_is_echoed_up_to_the_cap(self, capsys):
+        prefix = "error: argument --r: invalid rational value: '"
+        at_the_cap = "x" * (MAX_DIAGNOSTIC - len(prefix) - 1)
+        for text in (at_the_cap, at_the_cap + "x", self.LONG):
+            line = f"{prefix}{text}'"
+            expected = f"{line}\n" if text == at_the_cap else self._cut(line)
+            argv = ["bundle", "--n", "1", "--r", text, "--delta-v", "1"]
+            assert run_cli(argv, capsys) == (EXIT_PARSE, "", expected), len(text)
+
+    def test_a_payload_value_is_echoed_up_to_the_cap(self, capsys, tmp_path):
+        path = tmp_path / "payload.json"
+        inputs = dict(TestOneReader.BUNDLE_INPUTS, r=self.LONG)
+        path.write_text(json.dumps(
+            {"schema": "1", "command": "bundle", "inputs": inputs, "result": {}}
+        ))
+        line = f"error: check file {path}: malformed inputs: not a rational: {self.LONG!r}"
+        assert run_cli(["--check", str(path)], capsys) == (EXIT_PARSE, "", self._cut(line))
+
+    def test_a_grid_value_is_echoed_up_to_the_cap(self, capsys, tmp_path):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"bundle": [[1, self.LONG, "0", "0", "1"]]}))
+        line = (f"error: cannot load grid file {path}: bundle row 1: "
+                f"malformed inputs: not a rational: {self.LONG!r}")
+        assert run_cli(["verify", "--grid", str(path)], capsys) == (
+            EXIT_PARSE, "", self._cut(line)
+        )
 
 
 STDOUT_ARGVS = [

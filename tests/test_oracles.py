@@ -217,11 +217,12 @@ class TestFutakiQuadrature:
                 assert abs(value - target) <= bound, (n, r, steps)
 
     def test_integrand_is_built_once_per_profile(self, monkeypatch):
+        base = hermite_admissible_profile(2, 3)
         built = []
         monkeypatch.setattr(
             calabi, "futaki_integrand", lambda *args: built.append(args) or futaki_integrand(*args)
         )
-        profile = perturbed_admissible_profile(hermite_admissible_profile(2, 3), Fraction(1, 10))
+        profile = perturbed_admissible_profile(base, Fraction(1, 10))
         exact = futaki_invariant(profile)
         value = futaki_quadrature(profile, 100)
         bound = futaki_quadrature_bound(profile, 100)

@@ -1,0 +1,54 @@
+"""The value model has one owner: exactarith.Immutable alone decides how a
+value of the package is compared and hashed, and every slot of a value type
+is one of its fields, none a cache."""
+
+import ast
+from pathlib import Path
+
+import fanodelta
+
+PACKAGE = Path(fanodelta.__file__).resolve().parent
+
+
+def package_classes():
+    """(module file name, class node) for every class under the package."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                yield path.name, node
+
+
+def class_attributes(node):
+    """(name, node) for each name a class body defines or assigns."""
+    for item in node.body:
+        if isinstance(item, ast.FunctionDef):
+            yield item.name, item
+        elif isinstance(item, ast.Assign):
+            yield from ((target.id, item) for target in item.targets
+                        if isinstance(target, ast.Name))
+
+
+def test_only_immutable_defines_equality_and_hashing():
+    defined = [
+        (module, cls.name, name)
+        for module, cls in package_classes()
+        for name, _ in class_attributes(cls)
+        if name in ("__eq__", "__hash__")
+    ]
+    assert defined == [
+        ("exactarith.py", "Immutable", "__eq__"),
+        ("exactarith.py", "Immutable", "__hash__"),
+    ]
+
+
+def test_every_slot_is_a_field():
+    slots = {
+        (module, cls.name): ast.literal_eval(item.value)
+        for module, cls in package_classes()
+        for name, item in class_attributes(cls)
+        if name == "__slots__"
+    }
+    assert ("exactarith.py", "Polynomial") in slots
+    caches = [(key, slot) for key, names in slots.items() for slot in names
+              if slot.startswith("_")]
+    assert caches == []

@@ -83,7 +83,8 @@ CASES = {
     "AdmissibleProfile": (
         lambda: hermite_admissible_profile(1, 2),
         lambda: AdmissibleProfile(1, 2, Polynomial([0, Fraction(-3, 2), 2, Fraction(-1, 2)])),
-        "AdmissibleProfile(n=1, r=Fraction(2, 1), numerator=Polynomial(-1/2*t^3 + 2*t^2 - 3/2*t))",
+        "AdmissibleProfile(n=1, r=Fraction(2, 1), numerator=Polynomial(-1/2*t^3 + 2*t^2 - 3/2*t), "
+        "integrand=Polynomial(2*t^2 - 4*t))",
     ),
     "OracleReport": (
         _report,
@@ -132,7 +133,7 @@ def test_value_type_contract(name):
         assert repr(copied) == shown
 
 
-def test_a_copied_admissible_profile_builds_its_own_integrand():
+def test_a_copied_admissible_profile_carries_its_integrand():
     profile = hermite_admissible_profile(2, 3)
     integrand = profile.integrand
     assert profile.integrand is integrand
