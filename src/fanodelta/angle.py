@@ -35,8 +35,7 @@ class AngleInterval(Immutable):
     __slots__ = ("endpoint", "closed", "hypotheses")
 
     def __init__(self, endpoint: Rational, closed: bool, hypotheses: tuple[str, ...]) -> None:
-        for name, value in zip(self.__slots__, (endpoint, closed, hypotheses)):
-            object.__setattr__(self, name, value)
+        super().__init__(endpoint, closed, hypotheses)
 
     def to_json_dict(self) -> dict:
         return {

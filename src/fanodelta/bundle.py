@@ -44,7 +44,7 @@ class DeltaKnowledge(Immutable):
             value = rational(value)
             if value < 0:
                 raise DomainError(f"delta(V) must be >= 0, got {value}")
-        object.__setattr__(self, "value", value)
+        super().__init__(value)
 
     @classmethod
     def exact(cls, value: RationalLike) -> "DeltaKnowledge":
@@ -77,9 +77,7 @@ class FanoBase(Immutable):
             raise DomainError(f"r must satisfy r > 0, got {r}")
         if not isinstance(delta_v, DeltaKnowledge):
             raise TypeError("delta_v must be a DeltaKnowledge")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "delta_v", delta_v)
+        super().__init__(n, r, delta_v)
 
 
 class BundleBoundary(Immutable):
@@ -92,8 +90,7 @@ class BundleBoundary(Immutable):
     __slots__ = ("a", "b")
 
     def __init__(self, a: RationalLike = Fraction(0), b: RationalLike = Fraction(0)) -> None:
-        object.__setattr__(self, "a", rational(a))
-        object.__setattr__(self, "b", rational(b))
+        super().__init__(rational(a), rational(b))
 
 
 def boundary_interval(base: FanoBase, bdry: BundleBoundary) -> tuple[Rational, Rational]:
@@ -216,14 +213,8 @@ class DeltaBreakdown(Immutable):
             [None if branch is None else (branch.numerator, branch.denominator)
              for branch in branches]
         )
-        object.__setattr__(self, "base_branch", base_branch)
-        object.__setattr__(self, "v0_branch", v0_branch)
-        object.__setattr__(self, "vinf_branch", vinf_branch)
-        object.__setattr__(self, "value", branches[least])
-        object.__setattr__(self, "minimizers", minimizers)
-        object.__setattr__(self, "r_effective", r_effective)
-        object.__setattr__(self, "proof_coverage", proof_coverage)
-        object.__setattr__(self, "side_conditions", side_conditions)
+        super().__init__(*branches, branches[least], minimizers,
+                         r_effective, proof_coverage, side_conditions)
 
     def to_json_dict(self) -> dict:
         return breakdown_payload(

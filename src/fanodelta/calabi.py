@@ -39,16 +39,15 @@ class CalabiProfile(Immutable):
         c2 = -(2*beta/(n+2)) * (r^2 - 1)^(n+1) / P
 
     with P = (r+1)^(n+1) - (r-1)^(n+1). Both endpoint values and the ODE
-    residual are checked exactly by agree before the profile exists.
+    residual are checked exactly by agree before the profile exists. It
+    keeps beta0 = beta_zero(n, r) for its edge angles and Ricci margin.
     """
 
-    __slots__ = ("n", "r", "beta", "c1", "c2", "numerator")
+    __slots__ = ("n", "r", "beta", "beta0", "c1", "c2", "numerator")
 
     def __init__(self, n: int, r: RationalLike, beta: RationalLike) -> None:
         rr, bb = rational(r), rational(beta)
-        check_integer(n)
-        if rr <= 1:
-            raise DomainError(f"r must satisfy r > 1, got {rr}")
+        beta0 = beta_zero(n, rr)
         if bb <= 0:
             raise DomainError(f"beta must satisfy beta > 0, got {bb}")
         p_const = (rr + 1) ** (n + 1) - (rr - 1) ** (n + 1)
@@ -59,8 +58,7 @@ class CalabiProfile(Immutable):
             + Polynomial.monomial(n + 1, c1)
             + Polynomial.constant(c2)
         )
-        for name, value in zip(self.__slots__, (n, rr, bb, c1, c2, numerator)):
-            object.__setattr__(self, name, value)
+        super().__init__(n, rr, bb, beta0, c1, c2, numerator)
         agree("profile numerator N(r-1)", numerator(rr - 1), 0)
         agree("profile numerator N(r+1)", numerator(rr + 1), 0)
         agree("momentum ODE residual", ode_residual(self), Polynomial.zero())
@@ -157,13 +155,12 @@ def edge_angles(profile: CalabiProfile) -> tuple[Rational, Rational]:
     forms beta/beta0 and beta*(2*beta0 - 1)/beta0 by agree: a mismatch is
     an internal error, not bad input.
     """
-    b0 = beta_zero(profile.n, profile.r)
     return (
-        agree("edge angle beta1", profile.phi_prime(profile.r - 1), profile.beta / b0),
+        agree("edge angle beta1", profile.phi_prime(profile.r - 1), profile.beta / profile.beta0),
         agree(
             "edge angle beta2",
             -profile.phi_prime(profile.r + 1),
-            profile.beta * (2 * b0 - 1) / b0,
+            profile.beta * (2 * profile.beta0 - 1) / profile.beta0,
         ),
     )
 
@@ -180,8 +177,7 @@ def ricci_bound_margin(profile: CalabiProfile, mu: RationalLike) -> Rational:
     m = rational(mu)
     if m <= 0:
         raise DomainError(f"mu must satisfy mu > 0, got {m}")
-    b0 = beta_zero(profile.n, profile.r)
-    return m - profile.beta / (profile.r * b0) - profile.beta * (1 - 1 / profile.r)
+    return m - profile.beta / (profile.r * profile.beta0) - profile.beta * (1 - 1 / profile.r)
 
 
 def ricci_pointwise_residual(profile: CalabiProfile, mu: RationalLike) -> Polynomial:
@@ -248,8 +244,7 @@ class AdmissibleProfile(Immutable):
         if failures:
             raise DomainError("; ".join(failures))
         integrand = futaki_integrand(n, r, numerator)
-        for name, value in zip(self.__slots__, (n, r, numerator, integrand)):
-            object.__setattr__(self, name, value)
+        super().__init__(n, r, numerator, integrand)
 
 
 def admissibility_failures(n: int, r: RationalLike, numerator: Polynomial) -> list[str]:
@@ -324,8 +319,8 @@ def futaki_integrand(n: int, r: RationalLike, numerator: Polynomial) -> Polynomi
 
 def admissible_integrand(profile: AdmissibleProfile) -> Polynomial:
     """futaki_integrand of an admissible profile. Anything else is refused:
-    a solved CalabiProfile has the same fields but is not admissible, and
-    its integral is not the invariant."""
+    a solved CalabiProfile has an n, an r and a numerator too, but it is not
+    admissible, and its integral is not the invariant."""
     if not isinstance(profile, AdmissibleProfile):
         raise TypeError(f"expected an AdmissibleProfile, got {type(profile).__name__}")
     return profile.integrand

@@ -62,6 +62,8 @@ EXIT_INTERNAL = 4
 
 # --samples above this is refused: 10^5 samples at n = 5 take under 1 s.
 MAX_SAMPLES = 100_000
+# --csv's Horner steps, samples * (n + 2), are capped at what MAX_SAMPLES allows at n = 5.
+MAX_CSV_STEPS = 700_000
 # cone-iterate --i above this is refused before any step: the output grows
 # linearly in i, and 2 * 10^4 steps take under 1 s with --json.
 MAX_ITERATIONS = 20_000
@@ -352,7 +354,7 @@ def _calabi_result(values: dict) -> dict:
     agree("futaki invariant: integral vs closed form", futaki, futaki_closed_form(n, r))
     return {
         "profile": profile,
-        "beta0": beta_zero(n, r),
+        "beta0": profile.beta0,
         "c1": profile.c1,
         "c2": profile.c2,
         "numerator_coefficients": profile.numerator.coefficients,
@@ -401,6 +403,9 @@ def _calabi_csv(args: argparse.Namespace, result: dict) -> list[str]:
         raise DomainError(f"samples must be <= {MAX_SAMPLES}, got {args.samples}")
     if args.csv is None:
         return []
+    steps = args.samples * (result["profile"].n + 2)
+    if steps > MAX_CSV_STEPS:
+        raise DomainError(f"--csv samples * (n + 2) must be <= {MAX_CSV_STEPS}, got {steps}")
     samples = result["profile"].phi_samples(args.samples)
     rows = ["tau,phi,tau_decimal,phi_decimal"]
     for k, (tau_num, tau_den, phi_num, phi_den) in enumerate(samples):

@@ -50,7 +50,7 @@ class ConeBoundary(Immutable):
         c = rational(c)
         if not (0 <= c < 1):
             raise DomainError(f"c must satisfy 0 <= c < 1, got {c}")
-        object.__setattr__(self, "c", c)
+        super().__init__(c)
 
 
 def cone_delta(base: FanoBase, bdry: ConeBoundary = ConeBoundary()) -> DeltaBreakdown:
@@ -147,8 +147,7 @@ class HypersurfaceConeSpec(Immutable):
         check_integer(i, "i")
         if not isinstance(delta_v0, DeltaKnowledge):
             raise TypeError("delta_v0 must be a DeltaKnowledge")
-        for name, value in zip(self.__slots__, (n, d, i, delta_v0)):
-            object.__setattr__(self, name, value)
+        super().__init__(n, d, i, delta_v0)
 
     @property
     def r0(self) -> int:
@@ -227,12 +226,12 @@ class BranchedConeSpec(Immutable):
     def __init__(self, n: int, k: int, d: int, l: int) -> None:
         for name, value in zip(self.__slots__, (n, k, d, l)):
             check_integer(value, name)
-            object.__setattr__(self, name, value)
         if k < 2:
             raise DomainError(f"k must satisfy k >= 2, got {k}")
         failures = branched_side_condition_failures(n, k, d, l)
         if failures:
             raise DomainError("; ".join(failures))
+        super().__init__(n, k, d, l)
 
     @property
     def r(self) -> int:

@@ -67,23 +67,30 @@ def _rebuild(cls: type, *values: object) -> "Immutable":
     __init__ again: copy, pickle and Polynomial's arithmetic build values
     through it, and nothing else builds a value without __init__."""
     value = object.__new__(cls)
-    for name, field in zip(cls.__slots__, values):
-        object.__setattr__(value, name, field)
+    Immutable.__init__(value, *values)
     return value
 
 
 class Immutable:
     """Base of the library's value types. A subclass names its fields, in
-    order, as __slots__ and sets each once in __init__ with
-    object.__setattr__. A value is then immutable, equal to a value of its
-    own class with equal fields (and hashed to match), shown by its fields
-    in order, and copied and pickled field by field."""
+    order, as __slots__, and its __init__ passes them all, in that order, to
+    Immutable.__init__, the only code that sets a field. A value is then
+    immutable, equal to a value of its own class with equal fields (hashed
+    to match), shown by its fields in order, and copied and pickled by field."""
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
         # The class leads the key, so values of two classes are never equal.
         cls._key = attrgetter("__class__", *cls.__slots__)
+        # Each slot's own setter, which bypasses __setattr__.
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def __init__(self, *fields: object) -> None:
+        if len(fields) != len(self._setters):
+            raise TypeError(f"{type(self).__name__} takes {len(self._setters)} fields")
+        for setter, field in zip(self._setters, fields):
+            setter(self, field)
 
     def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -135,7 +142,7 @@ class Polynomial(Immutable):
             coeffs.pop()
         lcm = math.lcm(*[c.denominator for c in coeffs])
         ints = tuple([c.numerator * (lcm // c.denominator) for c in coeffs])
-        object.__setattr__(self, "cleared", (lcm, ints))
+        super().__init__((lcm, ints))
 
     @classmethod
     def zero(cls) -> "Polynomial":

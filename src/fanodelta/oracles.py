@@ -80,14 +80,8 @@ class OracleReport(Immutable):
         m_or_steps: int = 1, bound: Rational = Fraction(0), agrees: bool = True,
     ) -> None:
         error = abs(closed_form - approximation)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "closed_form", closed_form)
-        object.__setattr__(self, "approximation", approximation)
-        object.__setattr__(self, "m_or_steps", m_or_steps)
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "agrees", agrees)
-        object.__setattr__(self, "absolute_error", error)
-        object.__setattr__(self, "status", "pass" if agrees and error <= bound else "fail")
+        status = "pass" if agrees and error <= bound else "fail"
+        super().__init__(target, closed_form, approximation, m_or_steps, bound, agrees, error, status)
 
     def to_json_dict(self) -> dict:
         return {
@@ -387,8 +381,7 @@ class VerificationRun(Immutable):
     def __init__(
         self, mode: str, reports: tuple[OracleReport, ...], notes: tuple[str, ...]
     ) -> None:
-        for name, value in zip(self.__slots__, (mode, reports, notes)):
-            object.__setattr__(self, name, value)
+        super().__init__(mode, reports, notes)
 
     @property
     def passed(self) -> bool:

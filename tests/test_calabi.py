@@ -56,6 +56,10 @@ class TestSolveProfile:
             Fraction(-2, 7),
         )
 
+    def test_profile_carries_beta_zero(self):
+        for n, r, beta in PROFILE_GRID:
+            assert CalabiProfile(n, r, beta).beta0 == beta_zero(n, r)
+
     def test_numerator_vanishes_at_both_edges(self):
         for n, r, beta in PROFILE_GRID:
             p = solve_profile(n, r, beta)
@@ -187,7 +191,7 @@ class TestRicciMargins:
     def test_zero_twist_gives_back_mu(self):
         # beta = 0 is outside a CalabiProfile's domain; on a stand-in with
         # the fields the margin reads, the formula reduces to mu itself.
-        p = SimpleNamespace(n=1, r=Fraction(2), beta=Fraction(0))
+        p = SimpleNamespace(n=1, r=Fraction(2), beta=Fraction(0), beta0=beta_zero(1, 2))
         assert ricci_bound_margin(p, Fraction(2, 3)) == Fraction(2, 3)
 
     def test_pointwise_certificate_is_identically_zero(self):

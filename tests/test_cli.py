@@ -26,6 +26,7 @@ from fanodelta.cli import (
     EXIT_OK,
     EXIT_PARSE,
     FLOAT_RANGE_MARKER,
+    MAX_CSV_STEPS,
     MAX_DIAGNOSTIC,
     MAX_DIMENSION,
     MAX_ITERATIONS,
@@ -361,6 +362,47 @@ class TestCalabiCommand:
             assert err == "domain error: samples must be <= 100000, got 100001\n"
             assert out == ""
         assert not target.exists()
+
+    @pytest.mark.parametrize("n, samples", [("500", "1401"), ("6", "100000")])
+    def test_csv_over_the_step_limit_is_a_domain_error(self, n, samples, capsys, tmp_path):
+        # The bound is checked before any sample is computed and before the
+        # file is opened, so an unwritable path is refused by it too.
+        assert MAX_CSV_STEPS == 700_000
+        argv = ["calabi", "--n", n, "--r", "3", "--samples", samples]
+        steps = int(samples) * (int(n) + 2)
+        for target in (tmp_path / "profile.csv", tmp_path / "nodir" / "profile.csv"):
+            code, out, err = run_cli(argv + ["--csv", str(target)], capsys)
+            assert (code, out) == (EXIT_DOMAIN, "")
+            assert err == f"domain error: --csv samples * (n + 2) must be <= 700000, got {steps}\n"
+            assert not target.exists()
+        # Without --csv no sample is taken, and nothing is refused.
+        assert run_cli(argv, capsys)[0] == EXIT_OK
+
+    def test_csv_at_the_step_limit_is_written(self, capsys, tmp_path):
+        target = tmp_path / "profile.csv"
+        code, _, err = run_cli(
+            ["calabi", "--n", "68", "--r", "3", "--csv", str(target), "--samples", "10000"],
+            capsys,
+        )
+        assert 10000 * (68 + 2) == MAX_CSV_STEPS
+        assert (code, err) == (EXIT_OK, "")
+        assert len(target.read_text(encoding="utf-8").splitlines()) == 1 + 10000
+
+    @pytest.mark.parametrize(
+        "extra, calls", [([], 3), (["--beta", "1/2", "--json"], 2)], ids=["default", "beta"]
+    )
+    def test_beta_zero_is_computed_once_per_profile(self, extra, calls, capsys, monkeypatch):
+        # The default twist, the profile and the Futaki closed form each
+        # compute beta0; the edge angles, the Ricci margin and the result
+        # read the profile's.
+        counted = []
+        for module in ("bundle", "calabi", "cli"):
+            monkeypatch.setattr(
+                f"fanodelta.{module}.beta_zero",
+                lambda *args: counted.append(args) or beta_zero(*args),
+            )
+        assert run_cli(["calabi", "--n", "2", "--r", "3", *extra], capsys)[0] == EXIT_OK
+        assert len(counted) == calls
 
 
 class TestExitCodes:

@@ -1,6 +1,6 @@
 """The value model has one owner: exactarith.Immutable alone decides how a
-value of the package is compared and hashed, and every slot of a value type
-is one of its fields, none a cache."""
+value of the package is compared and hashed, Immutable.__init__ sets every
+field, and every slot of a value type is one of its fields, none a cache."""
 
 import ast
 from pathlib import Path
@@ -52,3 +52,34 @@ def test_every_slot_is_a_field():
     caches = [(key, slot) for key, names in slots.items() for slot in names
               if slot.startswith("_")]
     assert caches == []
+
+
+def test_only_exactarith_reaches_object_setattr():
+    reached = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+        and isinstance(node.value, ast.Name) and node.value.id == "object"
+    ]
+    assert [name for name in reached if name != "exactarith.py"] == []
+
+
+def is_super_init(node):
+    return (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "__init__" and isinstance(node.func.value, ast.Call)
+        and isinstance(node.func.value.func, ast.Name) and node.func.value.func.id == "super"
+    )
+
+
+def test_every_value_init_calls_super_init_once():
+    calls = {
+        (module, cls.name): sum(is_super_init(node) for node in ast.walk(item))
+        for module, cls in package_classes()
+        if any(isinstance(base, ast.Name) and base.id == "Immutable" for base in cls.bases)
+        for name, item in class_attributes(cls)
+        if name == "__init__"
+    }
+    assert ("exactarith.py", "Polynomial") in calls
+    assert {key: count for key, count in calls.items() if count != 1} == {}

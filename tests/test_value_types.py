@@ -12,7 +12,7 @@ from fanodelta.angle import AngleInterval
 from fanodelta.bundle import BundleBoundary, DeltaBreakdown, DeltaKnowledge, FanoBase
 from fanodelta.calabi import AdmissibleProfile, CalabiProfile, hermite_admissible_profile
 from fanodelta.cone import BranchedConeSpec, ConeBoundary, HypersurfaceConeSpec
-from fanodelta.exactarith import Polynomial
+from fanodelta.exactarith import Immutable, Polynomial
 from fanodelta.oracles import OracleReport, VerificationRun
 
 REPORT = (
@@ -77,8 +77,9 @@ CASES = {
     "CalabiProfile": (
         lambda: CalabiProfile(1, 2, 1),
         lambda: CalabiProfile(n=1, r=Fraction(2), beta=Fraction(1)),
-        "CalabiProfile(n=1, r=Fraction(2, 1), beta=Fraction(1, 1), c1=Fraction(13, 12), "
-        "c2=Fraction(-3, 4), numerator=Polynomial(-1/3*t^3 + 13/12*t^2 - 3/4))",
+        "CalabiProfile(n=1, r=Fraction(2, 1), beta=Fraction(1, 1), beta0=Fraction(6, 7), "
+        "c1=Fraction(13, 12), c2=Fraction(-3, 4), "
+        "numerator=Polynomial(-1/3*t^3 + 13/12*t^2 - 3/4))",
     ),
     "AdmissibleProfile": (
         lambda: hermite_admissible_profile(1, 2),
@@ -131,6 +132,15 @@ def test_value_type_contract(name):
         assert type(copied) is type(value)
         assert copied == value and hash(copied) == hash(value)
         assert repr(copied) == shown
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_immutable_init_refuses_a_wrong_field_count(name):
+    cls = type(CASES[name][0]())
+    fields = len(cls.__slots__)
+    for count in (fields - 1, fields + 1):
+        with pytest.raises(TypeError, match=f"^{name} takes {fields} fields$"):
+            Immutable.__init__(object.__new__(cls), *[None] * count)
 
 
 def test_a_copied_admissible_profile_carries_its_integrand():
