@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from .bundle import check_integer
 from .errors import DomainError
-from .exactarith import Immutable, Rational, RationalLike, format_rational, rational
+from .exactarith import Immutable, Rational, RationalLike, rational
 
 
 class AngleInterval(Immutable):
@@ -36,14 +36,6 @@ class AngleInterval(Immutable):
 
     def __init__(self, endpoint: Rational, closed: bool, hypotheses: tuple[str, ...]) -> None:
         super().__init__(endpoint, closed, hypotheses)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "endpoint": format_rational(self.endpoint),
-            "semistable_closed": self.closed,
-            "polystable_open_interval": True,
-            "hypotheses": list(self.hypotheses),
-        }
 
 
 def optimal_angle_interval(n: int, lam: RationalLike) -> AngleInterval:

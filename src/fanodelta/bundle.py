@@ -188,9 +188,7 @@ class DeltaBreakdown(Immutable):
     base_coefficient is v0 itself. For a bundle, on the boundary domain
     A = r-1+a > 0, so 1-a = r-A and 1-b = B-r. Hence v0 = (r-A)/(Phi-A) <=
     r/Phi exactly when Phi >= r, and vinf = (B-r)/(B-Phi) <= r/Phi exactly
-    when Phi <= r: one of the two always holds. The JSON form keeps a
-    "lower_bound_only" key, always false, so that schema-1 payloads stay
-    byte-stable.
+    when Phi <= r: one of the two always holds.
 
     The optional metadata fields are populated by the cone operations:
     r_effective echoes the slope the formula actually used (derived, for
@@ -216,18 +214,6 @@ class DeltaBreakdown(Immutable):
         super().__init__(*branches, branches[least], minimizers,
                          r_effective, proof_coverage, side_conditions)
 
-    def to_json_dict(self) -> dict:
-        return breakdown_payload(
-            None if self.base_branch is None else format_rational(self.base_branch),
-            format_rational(self.v0_branch),
-            format_rational(self.vinf_branch),
-            format_rational(self.value),
-            self.minimizers,
-            None if self.r_effective is None else format_rational(self.r_effective),
-            self.proof_coverage,
-            self.side_conditions,
-        )
-
 
 def branch_minimum(branches: Sequence[Optional[tuple[int, int]]]) -> tuple[int, tuple[str, ...]]:
     """The index of the least of the (base, v0, vinf) branches and the tags
@@ -249,29 +235,6 @@ def branch_minimum(branches: Sequence[Optional[tuple[int, int]]]) -> tuple[int, 
         elif sign == 0:
             tags += (_TAGS[index],)
     return least, tags
-
-
-def breakdown_payload(
-    base: Optional[str], v0: str, vinf: str, value: str, minimizers: Sequence[str],
-    r_effective: Optional[str] = None, proof_coverage: Optional[str] = None,
-    side_conditions: Optional[Sequence[str]] = None,
-) -> dict:
-    """The schema-1 JSON form of a delta breakdown from its formatted texts:
-    the branches (base None when only delta(V) >= 1 is known), the value,
-    the minimizer tags, and each metadata field that is not None."""
-    payload: dict = {
-        "branches": {"base": base, "v0": v0, "vinf": vinf},
-        "value": value,
-        "lower_bound_only": False,
-        "minimizers": list(minimizers),
-    }
-    if r_effective is not None:
-        payload["r_effective"] = r_effective
-    if proof_coverage is not None:
-        payload["proof_coverage"] = proof_coverage
-    if side_conditions is not None:
-        payload["side_conditions"] = list(side_conditions)
-    return payload
 
 
 def bundle_delta(base: FanoBase, bdry: BundleBoundary = BundleBoundary()) -> DeltaBreakdown:

@@ -9,14 +9,16 @@ violated constraint.
 Each computing subcommand is one entry of COMMANDS: its input flags, a
 result function returning what it computed in exact values (a
 DeltaBreakdown, an AngleInterval, the chain's ChainStep rows, or the solved
-CalabiProfile with its invariants), and a payload function and a text
-renderer that each format that result, never each other's text. Text
-output, --json and --check all run the same computation once. An input is
-declared by its converter alone, and the converters are the only code that
-reads text as a number (the library takes Fraction and int values only); its
-canonical payload form follows from the converted value: a rational renders
-as "p/q" text, and an integer, "ge1" or None stays as it is. One reader,
-_read_inputs, reads a --check payload's inputs and a --grid row in that form.
+CalabiProfile with its invariants), and a payload writer and a text
+renderer that each format that result, never each other's text. Every
+schema-1 writer is here, verify's too: the library's values carry no JSON.
+Text output, --json and --check all run the same computation once. An input
+is declared by its converter alone, and the converters are the only code
+that reads text as a number (the library takes Fraction and int values
+only); its canonical payload form follows from the converted value: a
+rational renders as "p/q" text, and an integer, "ge1" or None stays as it
+is. One reader, _read_inputs, reads a --check payload's inputs and a --grid
+row in that form.
 """
 
 from __future__ import annotations
@@ -29,13 +31,12 @@ import os
 import re
 import sys
 from fractions import Fraction
-from operator import methodcaller
-from typing import IO, Callable, NamedTuple, Optional
+from typing import IO, Callable, NamedTuple, Optional, Sequence
 
 from .angle import AngleInterval, optimal_angle_interval, semistable_range_lambda_ge_1
 from .bundle import (
     BundleBoundary, DeltaBreakdown, DeltaKnowledge, FanoBase, beta_zero, boundary_interval,
-    breakdown_payload, bundle_delta,
+    bundle_delta,
 )
 from .calabi import (
     edge_angles, futaki_closed_form, futaki_invariant, hermite_admissible_profile, ode_residual,
@@ -53,7 +54,9 @@ from .cone import (
 )
 from .errors import DomainError, InternalCheckError, agree
 from .exactarith import format_ratio, format_rational
-from .oracles import BranchCase, run_verification, telescoping_iterated_cone
+from .oracles import (
+    BranchCase, OracleReport, VerificationRun, run_verification, telescoping_iterated_cone,
+)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -186,18 +189,17 @@ class _Flag(NamedTuple):
 
 class _Command(NamedTuple):
     """A computing subcommand. result maps the parsed inputs to what the
-    command computed, in exact values. payload formats that result as the
-    JSON result, by default through its to_json_dict, and may take apart
-    what emit does not read. text formats the canonical inputs and the
-    values of the result it prints as lines. options are argparse flags
-    that are not inputs; emit acts on them once the output is formatted and
-    returns extra text lines."""
+    command computed, in exact values. text formats the canonical inputs and
+    the values of the result it prints as lines; payload, a writer of this
+    module, formats the result as JSON and may take apart what emit does not
+    read. options are argparse flags that are not inputs; emit acts on them
+    once the output is formatted and returns extra text lines."""
 
     help: str
     flags: tuple[_Flag, ...]
     result: Callable[[dict], object]
     text: Callable[[dict, object], list[str]]
-    payload: Callable[[object], dict] = methodcaller("to_json_dict")
+    payload: Callable[[object], dict]
     options: tuple[tuple[tuple, dict], ...] = ()
     emit: Optional[Callable[[argparse.Namespace, object], list[str]]] = None
 
@@ -268,6 +270,33 @@ def _breakdown_text(title: str) -> Callable[[dict, DeltaBreakdown], list[str]]:
     return text
 
 
+def _breakdown_row(
+    base: Optional[str], v0: str, vinf: str, value: str, minimizers: Sequence[str],
+    r_effective: Optional[str] = None, proof_coverage: Optional[str] = None,
+    side_conditions: Optional[list[str]] = None,
+) -> dict:
+    """The JSON of a delta breakdown from its fields' payload forms, in DeltaBreakdown's
+    field order; a None metadata field is left out, and "lower_bound_only" is always false."""
+    payload: dict = {
+        "branches": {"base": base, "v0": v0, "vinf": vinf},
+        "value": value,
+        "lower_bound_only": False,
+        "minimizers": list(minimizers),
+    }
+    if r_effective is not None:
+        payload["r_effective"] = r_effective
+    if proof_coverage is not None:
+        payload["proof_coverage"] = proof_coverage
+    if side_conditions is not None:
+        payload["side_conditions"] = side_conditions
+    return payload
+
+
+def _breakdown_json(result: DeltaBreakdown) -> dict:
+    """The JSON result of a DeltaBreakdown: the row of its fields' payload forms."""
+    return _breakdown_row(*[_canonical(getattr(result, name)) for name in result.__slots__])
+
+
 def _branch_case(values: dict) -> BranchCase:
     """The (FanoBase, boundary) pair of a bundle's inputs, or a cone's (with c)."""
     base = FanoBase(values["n"], values["r"], _knowledge(values["delta_v"]))
@@ -297,10 +326,10 @@ def _cone_iterate_result(values: dict) -> list[ChainStep]:
 def _cone_iterate_json(chain: list[ChainStep]) -> dict:
     """The JSON result: the value, also as the telescoped value that agrees
     with it, and the steps, each row replaced in place by the payload
-    DeltaBreakdown.to_json_dict writes for it, so the rows are freed early."""
+    _breakdown_json writes for its DeltaBreakdown, so the rows are freed early."""
     value = format_ratio(*chain[-1].value)
     for index, step in enumerate(chain):
-        chain[index] = breakdown_payload(
+        chain[index] = _breakdown_row(
             None if step.base is None else format_ratio(*step.base),
             format_ratio(*step.v0),
             format_ratio(*step.vinf),
@@ -341,6 +370,15 @@ def _angle_text(inputs: dict, result: AngleInterval) -> list[str]:
     ]
     lines.extend(f"    - {hypothesis}" for hypothesis in result.hypotheses)
     return lines
+
+
+def _angle_json(result: AngleInterval) -> dict:
+    return {
+        "endpoint": _canonical(result.endpoint),
+        "semistable_closed": result.closed,
+        "polystable_open_interval": True,
+        "hypotheses": _canonical(result.hypotheses),
+    }
 
 
 def _calabi_result(values: dict) -> dict:
@@ -436,6 +474,7 @@ COMMANDS: dict[str, _Command] = {
             "delta invariant of the projectivized bundle over a base with n={n}, "
             "r={r}, delta(V) {delta_v}, boundary a={a}, b={b}"
         ),
+        _breakdown_json,
     ),
     "cone": _Command(
         "projective-cone delta invariant",
@@ -446,6 +485,7 @@ COMMANDS: dict[str, _Command] = {
             "delta invariant of the projective cone over a base with n={n}, "
             "r={r}, delta(V) {delta_v}, boundary c={c}"
         ),
+        _breakdown_json,
     ),
     "cone-iterate": _Command(
         "iterated cones over a smooth hypersurface",
@@ -467,12 +507,14 @@ COMMANDS: dict[str, _Command] = {
             "delta invariant of the branched-cover cone with n={n}, k={k}, d={d}, "
             "l={l} (derived slope r={r_effective})"
         ),
+        _breakdown_json,
     ),
     "angle": _Command(
         "K-semistability angle range for (V, a*S)",
         (_Flag("n", integer), _Flag("lambda", rational)),
         _angle_result,
         _angle_text,
+        _angle_json,
     ),
     "calabi": _Command(
         "momentum profile and its invariants",
@@ -601,6 +643,28 @@ def _load_grid_file(path: str) -> list[dict]:
     return rows
 
 
+def _report_json(report: OracleReport) -> dict:
+    # 475 reports a run: format_rational directly costs less than _canonical.
+    return {
+        "target": report.target,
+        "closed_form": format_rational(report.closed_form),
+        "approximation": format_rational(report.approximation),
+        "m_or_steps": report.m_or_steps,
+        "absolute_error": format_rational(report.absolute_error),
+        "bound": format_rational(report.bound),
+        "status": report.status,
+    }
+
+
+def _verify_json(run: VerificationRun) -> dict:
+    return {
+        "mode": run.mode,
+        "passed": run.passed,
+        "notes": _canonical(run.notes),
+        "reports": [_report_json(report) for report in run.reports],
+    }
+
+
 def _handle_verify(args: argparse.Namespace) -> int:
     grid: Optional[list[BranchCase]] = None
     if args.grid != "default":
@@ -625,7 +689,7 @@ def _handle_verify(args: argparse.Namespace) -> int:
         run = run_verification(deep=args.deep, grid=grid)
         if handle is not None:
             inputs = {"deep": args.deep, "grid": args.grid}
-            handle.write(render_json(_payload("verify", inputs, run.to_json_dict())))
+            handle.write(render_json(_payload("verify", inputs, _verify_json(run))))
     _write_stdout("\n".join(run.summary_lines()) + "\n")
     return EXIT_OK if run.passed else EXIT_INTERNAL
 
@@ -687,10 +751,9 @@ def run_check(path: str) -> int:
     inputs, result = _compute(spec, values)
     regenerated = _command_json(command, inputs, result)
     if regenerated != raw:
-        print(
+        _diagnose(
             f"check mismatch: recomputing {command} from the embedded inputs "
-            f"does not reproduce {path} byte-for-byte",
-            file=sys.stderr,
+            f"does not reproduce {path} byte-for-byte"
         )
         return EXIT_INTERNAL
     _write_stdout(f"check ok: {path} reproduces byte-for-byte\n")

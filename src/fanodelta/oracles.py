@@ -56,7 +56,7 @@ from .cone import (
     iterated_hypersurface_chain,
 )
 from .errors import DomainError
-from .exactarith import Immutable, Polynomial, Rational, RationalLike, format_rational
+from .exactarith import Immutable, Polynomial, Rational, RationalLike
 
 DEFAULT_RESOLUTION = 1000
 DEEP_RESOLUTION = 100000
@@ -82,17 +82,6 @@ class OracleReport(Immutable):
         error = abs(closed_form - approximation)
         status = "pass" if agrees and error <= bound else "fail"
         super().__init__(target, closed_form, approximation, m_or_steps, bound, agrees, error, status)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "closed_form": format_rational(self.closed_form),
-            "approximation": format_rational(self.approximation),
-            "m_or_steps": self.m_or_steps,
-            "absolute_error": format_rational(self.absolute_error),
-            "bound": format_rational(self.bound),
-            "status": self.status,
-        }
 
 
 def _progression_sum(f: Polynomial, start: Rational, step: Rational, count: int) -> Rational:
@@ -386,14 +375,6 @@ class VerificationRun(Immutable):
     @property
     def passed(self) -> bool:
         return all(report.status == "pass" for report in self.reports)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "passed": self.passed,
-            "notes": list(self.notes),
-            "reports": [report.to_json_dict() for report in self.reports],
-        }
 
     def summary_lines(self) -> list[str]:
         failed = [report for report in self.reports if report.status == "fail"]

@@ -15,6 +15,7 @@ from fanodelta import (
     optimal_angle_interval,
     semistable_range_lambda_ge_1,
 )
+from fanodelta.cli import _angle_json
 
 
 class TestSmallLambdaInterval:
@@ -58,7 +59,7 @@ class TestSmallLambdaInterval:
             optimal_angle_interval(0, Fraction(1, 2))
 
     def test_json_shape(self):
-        d = optimal_angle_interval(2, Fraction(2, 3)).to_json_dict()
+        d = _angle_json(optimal_angle_interval(2, Fraction(2, 3)))
         assert d["endpoint"] == "3/4"
         assert d["semistable_closed"] is True
         assert d["polystable_open_interval"] is True

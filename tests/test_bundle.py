@@ -18,6 +18,7 @@ from fanodelta import (
     smooth_threshold_relation,
 )
 from fanodelta.bundle import DeltaBreakdown, boundary_interval
+from fanodelta.cli import _breakdown_json
 
 # Strategy pieces reused across property tests. Slopes and boundary
 # coefficients are kept small so the exact arithmetic stays readable in
@@ -204,7 +205,7 @@ class TestFrozenBundleValues:
         assert b.base_branch == Fraction(12, 13)
         assert b.v0_branch == Fraction(6, 7)
         assert b.vinf_branch == Fraction(6, 5)
-        assert b.to_json_dict()["lower_bound_only"] is False
+        assert _breakdown_json(b)["lower_bound_only"] is False
 
     def test_boundary_shifts_every_branch(self):
         base = FanoBase(2, 3, DeltaKnowledge.exact(1))
@@ -221,7 +222,7 @@ class TestFrozenBundleValues:
         # dominate, so the result is exact and BaseDivisor is excluded.
         b = bundle_delta(FanoBase(1, 2, DeltaKnowledge.at_least_one()))
         assert b.value == Fraction(6, 7)
-        assert b.to_json_dict()["lower_bound_only"] is False
+        assert _breakdown_json(b)["lower_bound_only"] is False
         assert b.base_branch is None
         assert "BaseDivisor" not in b.minimizers
 
@@ -233,7 +234,7 @@ class TestFrozenBundleValues:
         assert set(b.minimizers) == {"BaseDivisor", "V0"}
 
     def test_json_shape(self):
-        d = bundle_delta(FanoBase(1, 2, DeltaKnowledge.exact(1))).to_json_dict()
+        d = _breakdown_json(bundle_delta(FanoBase(1, 2, DeltaKnowledge.exact(1))))
         assert d == {
             "branches": {"base": "12/13", "v0": "6/7", "vinf": "6/5"},
             "value": "6/7",
@@ -278,7 +279,7 @@ class TestBranchStructure:
             breakdown.vinf_branch,
         ]
         assert breakdown.value == min(branches)
-        assert breakdown.to_json_dict()["lower_bound_only"] is False
+        assert _breakdown_json(breakdown)["lower_bound_only"] is False
 
     @settings(max_examples=200)
     @given(dims, slopes, unit_coefficients, unit_coefficients)
@@ -296,7 +297,7 @@ class TestBranchStructure:
             FanoBase(n, r, DeltaKnowledge.at_least_one()), BundleBoundary(a, b)
         )
         assert bound_only.value == min(exact.v0_branch, exact.vinf_branch)
-        assert bound_only.to_json_dict()["lower_bound_only"] is False
+        assert _breakdown_json(bound_only)["lower_bound_only"] is False
         assert "BaseDivisor" not in bound_only.minimizers
 
     @settings(max_examples=120)

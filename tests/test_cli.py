@@ -30,6 +30,7 @@ from fanodelta.cli import (
     MAX_DIAGNOSTIC,
     MAX_DIMENSION,
     MAX_ITERATIONS,
+    _breakdown_json,
     _knowledge,
     build_parser,
     delta,
@@ -1159,6 +1160,69 @@ class TestLongDiagnostics:
             EXIT_PARSE, "", self._cut(line)
         )
 
+    def test_a_check_mismatch_line_is_cut_at_the_cap(self, capsys, tmp_path):
+        # Six nested 200-character directories put the path alone past the cap.
+        directory = tmp_path.joinpath(*["d" * 200] * 6)
+        directory.mkdir(parents=True)
+        path = directory / "payload.json"
+        code, out, _ = run_cli(["bundle", "--n", "1", "--r", "2", "--delta-v", "1", "--json"],
+                               capsys)
+        assert code == EXIT_OK
+        path.write_text(out.replace('"value": "6/7"', '"value": "1"'))
+        line = (f"check mismatch: recomputing bundle from the embedded inputs "
+                f"does not reproduce {path} byte-for-byte")
+        assert len(line) > MAX_DIAGNOSTIC
+        assert run_cli(["--check", str(path)], capsys) == (EXIT_INTERNAL, "", self._cut(line))
+
+
+class TestDigitLimitText:
+    """Number text inside the input grammar but longer than the int-to-str
+    digit limit is refused as it is read (exit 2), on each path an input
+    comes in by; text at the limit is read and reaches the computation."""
+
+    LIMIT = 4300
+    PATHS = ["--r", "--n", "--check", "--grid"]
+    REFUSALS = {
+        "--r": "argument --r: invalid rational value: '1",
+        "--n": "argument --n: invalid integer value: '1",
+        "--check": ": malformed inputs: not a rational: '1",
+        "--grid": ": bundle row 1: malformed inputs: not a rational: '1",
+    }
+
+    @staticmethod
+    def _argv(path, text, tmp_path):
+        """An argv that reads text as the bundle's r (or n) on this path."""
+        if path in ("--r", "--n"):
+            values = {"--n": "1", "--r": "2", path: text}
+            return ["bundle", "--n", values["--n"], "--r", values["--r"], "--delta-v", "1"]
+        data = tmp_path / "input.json"
+        if path == "--check":
+            inputs = dict(TestOneReader.BUNDLE_INPUTS, r=text)
+            data.write_text(json.dumps(
+                {"schema": "1", "command": "bundle", "inputs": inputs, "result": {}}
+            ))
+            return ["--check", str(data)]
+        # At n = 2 the row's value, the one the report writes, is past the limit.
+        data.write_text(json.dumps({"bundle": [[2, text, "0", "0", "1"]]}))
+        return ["verify", "--grid", str(data), "--json", str(tmp_path / "report.json")]
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_one_digit_over_the_limit_is_a_parse_error(self, path, capsys, tmp_path):
+        with digit_limit(self.LIMIT):
+            code, out, err = run_cli(self._argv(path, "1" * (self.LIMIT + 1), tmp_path), capsys)
+        assert (code, out, len(err.splitlines())) == (EXIT_PARSE, "", 1)
+        assert err.startswith("error: ") and self.REFUSALS[path] in err
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_text_at_the_limit_reaches_the_computation(self, path, capsys, tmp_path):
+        with digit_limit(self.LIMIT):
+            code, out, err = run_cli(self._argv(path, "1" * self.LIMIT, tmp_path), capsys)
+        assert (code, out, len(err.splitlines())) == (EXIT_DOMAIN, "", 1)
+        refused = (f"n must be <= {MAX_DIMENSION}" if path == "--n"
+                   else f"exact value has more than {self.LIMIT} digits")
+        assert err.startswith(f"domain error: {refused}")
+        assert not (tmp_path / "report.json").exists()
+
 
 STDOUT_ARGVS = [
     ["bundle", "--n", "1", "--r", "2", "--delta-v", "1"],
@@ -1349,12 +1413,12 @@ def _stdout_of(argv):
 def _reference_cone_iterate(n, d, i, delta0):
     """cone-iterate's text and --json output built from the public Fraction
     route: cone_delta per step on a FanoBase that carries the previous
-    value, each step's to_json_dict, and json.dumps(indent=2)."""
+    value, each step's DeltaBreakdown payload, and json.dumps(indent=2)."""
     known = DeltaKnowledge(None if delta0 == "ge1" else Fraction(delta0))
     steps = []
     for s in range(i):
         breakdown = cone_delta(FanoBase(n + s, n + 2 - d + s, known))
-        steps.append(breakdown.to_json_dict())
+        steps.append(_breakdown_json(breakdown))
         known = DeltaKnowledge.exact(breakdown.value)
     value = known.value
     lines = [f"iterated cone over a degree-{d} hypersurface of dimension {n}, {i} iteration(s)"]

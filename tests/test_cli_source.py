@@ -87,3 +87,16 @@ def test_no_polynomial_or_profile_is_rebuilt_from_text():
     for name in ("Polynomial", "CalabiProfile"):
         assert name not in imported
         assert _sites(name) == []
+
+
+def test_every_command_names_its_payload_writer():
+    # No default: each entry names the writer beside its text renderer, and
+    # every writer is a function of this module.
+    assert "payload" not in fanodelta.cli._Command._field_defaults
+    for command in fanodelta.cli.COMMANDS.values():
+        assert command.payload.__module__ == fanodelta.cli.__name__
+
+
+def test_only_diagnose_writes_to_stderr():
+    # Every diagnostic line is cut at MAX_DIAGNOSTIC by the one writer.
+    assert _sites("stderr") == ["_diagnose"]

@@ -21,6 +21,7 @@ from fanodelta import (
     iterated_hypersurface_chain,
 )
 from fanodelta.bundle import DeltaBreakdown
+from fanodelta.cli import _breakdown_json
 from fanodelta.cone import (
     PROOF_FULL,
     PROOF_UPPER_BOUND,
@@ -46,7 +47,7 @@ class TestFrozenConeValues:
         b = cone_delta(FanoBase(2, 1, DeltaKnowledge.at_least_one()))
         assert b.value == Fraction(2, 3)
         assert b.minimizers == ("V0",)
-        assert b.to_json_dict()["lower_bound_only"] is False
+        assert _breakdown_json(b)["lower_bound_only"] is False
 
     def test_vertex_weight_shifts_branches(self):
         # n=1, r=1/2, c=3/4: B = r+1-c = 3/4, K = 3*(1/2)/(2*(3/4)) = 1.
@@ -77,7 +78,7 @@ class TestFrozenConeValues:
         assert high.proof_coverage == PROOF_UPPER_BOUND
 
     def test_json_shape_includes_cone_extras(self):
-        d = cone_delta(FanoBase(1, 1, DeltaKnowledge.exact(1))).to_json_dict()
+        d = _breakdown_json(cone_delta(FanoBase(1, 1, DeltaKnowledge.exact(1))))
         assert d["value"] == "3/4"
         assert d["r_effective"] == "1"
         assert d["proof_coverage"] == "full"
@@ -367,7 +368,7 @@ class TestBranchedCones:
         b = branched_cone_delta(BranchedConeSpec(2, 2, 3, 1))
         assert b.side_conditions is not None
         assert any("gcd" in s for s in b.side_conditions)
-        d = b.to_json_dict()
+        d = _breakdown_json(b)
         assert "side_conditions" in d
 
 

@@ -34,6 +34,7 @@ from fanodelta import (
 )
 from fanodelta import calabi, oracles
 from fanodelta.calabi import AdmissibleProfile, admissibility_failures, futaki_integrand
+from fanodelta.cli import _report_json, _verify_json
 from fanodelta.exactarith import Polynomial
 from fanodelta.bundle import boundary_interval
 from fanodelta.oracles import (
@@ -324,7 +325,7 @@ class TestVerificationRun:
 
     def test_json_shape(self):
         run = run_verification()
-        d = run.to_json_dict()
+        d = _verify_json(run)
         assert d["passed"] is True
         assert d["mode"] == "default"
         assert isinstance(d["reports"], list) and d["reports"]
@@ -343,7 +344,7 @@ class TestVerificationRun:
         # Every other family keeps its default grid, reports and order.
         def others(reports):
             return [
-                report.to_json_dict() for report in reports
+                _report_json(report) for report in reports
                 if not report.target.startswith(("bundle_delta", "cone_delta"))
             ]
 
@@ -364,7 +365,7 @@ class TestVerificationRun:
         assert (close.absolute_error, close.status) == (Fraction(1, 10), "pass")
         far = OracleReport("t", Fraction(1), Fraction(8, 10), 10, bound=Fraction(1, 10))
         assert (far.absolute_error, far.status) == (Fraction(1, 5), "fail")
-        assert far.to_json_dict()["absolute_error"] == "1/5"
+        assert _report_json(far)["absolute_error"] == "1/5"
 
     def test_a_report_fixes_its_error_and_status_at_construction(self):
         # Both follow from the other fields: neither can be passed in or

@@ -1,6 +1,8 @@
 """The value model has one owner: exactarith.Immutable alone decides how a
 value of the package is compared and hashed, Immutable.__init__ sets every
-field, and every slot of a value type is one of its fields, none a cache."""
+field, and every slot of a value type is one of its fields, none a cache.
+The payloads have one owner too: cli.py alone writes JSON, and a value type
+holds values only."""
 
 import ast
 from pathlib import Path
@@ -83,3 +85,23 @@ def test_every_value_init_calls_super_init_once():
     }
     assert ("exactarith.py", "Polynomial") in calls
     assert {key: count for key, count in calls.items() if count != 1} == {}
+
+
+def test_no_value_type_writes_json():
+    defined = [
+        (module, cls.name)
+        for module, cls in package_classes()
+        for name, _ in class_attributes(cls)
+        if name == "to_json_dict"
+    ]
+    assert defined == []
+
+
+def test_only_cli_defines_a_payload_writer():
+    writers = [
+        (path.name, node.name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and ("json" in node.name or "payload" in node.name)
+    ]
+    assert writers and {module for module, _ in writers} == {"cli.py"}, writers
