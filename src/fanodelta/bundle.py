@@ -156,6 +156,16 @@ def centroid_phi(A: RationalLike, B: RationalLike, n: int) -> Rational:
     )
 
 
+def smooth_interval(n: int, r: RationalLike) -> tuple[Rational, Rational]:
+    """(r-1, r+1), the fiber support interval of the boundary-free bundle and of
+    every Calabi profile, after checking that n is an integer >= 1 and r > 1."""
+    rr = rational(r)
+    check_integer(n)
+    if rr <= 1:
+        raise DomainError(f"r must satisfy r > 1, got {rr}")
+    return rr - 1, rr + 1
+
+
 def beta_zero(n: int, r: RationalLike) -> Rational:
     """Stability threshold of the zero section for the boundary-free bundle.
 
@@ -163,11 +173,8 @@ def beta_zero(n: int, r: RationalLike) -> Rational:
     1 / (centroid_phi(r-1, r+1, n) - (r-1)). Strictly between 1/2 and 1 for
     every n >= 1 and r > 1.
     """
-    rr = rational(r)
-    check_integer(n)
-    if rr <= 1:
-        raise DomainError(f"r must satisfy r > 1, got {rr}")
-    return 1 / (centroid_phi(rr - 1, rr + 1, n) - (rr - 1))
+    lo, hi = smooth_interval(n, r)
+    return 1 / (centroid_phi(lo, hi, n) - lo)
 
 
 class DeltaBreakdown(Immutable):

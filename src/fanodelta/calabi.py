@@ -2,7 +2,8 @@
 bundle, reduced to exact one-variable polynomial identities.
 
 A rotationally symmetric Kaehler metric on the bundle is encoded by a
-momentum profile phi(tau) on the fiber support interval [r-1, r+1]. Writing
+momentum profile phi(tau) on the fiber support interval [lo, hi] = [r-1, r+1]
+of bundle.smooth_interval, which each profile keeps as its lo and hi. Writing
 N(tau) = tau^n * phi(tau), the twisted constant-scalar-curvature equation
 with parameter beta linearizes to an ODE whose solution is the explicit
 polynomial
@@ -24,7 +25,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, Union
 
-from .bundle import beta_zero, check_integer
+from .bundle import beta_zero, smooth_interval
 from .errors import DomainError, agree
 from .exactarith import Immutable, Polynomial, Rational, RationalLike, rational
 
@@ -33,34 +34,35 @@ class CalabiProfile(Immutable):
     """Solved momentum profile of dimension n, slope r and twist beta.
 
     Building one solves the twisted momentum ODE in closed form, with the
-    constants forced by N(r-1) = N(r+1) = 0 on numerator N = tau^n * phi:
+    constants forced by N(lo) = N(hi) = 0 on numerator N = tau^n * phi:
 
-        c1 = (beta/(n+2)) * ((r+1)^(n+2) - (r-1)^(n+2)) / P
-        c2 = -(2*beta/(n+2)) * (r^2 - 1)^(n+1) / P
+        c1 = (beta/(n+2)) * (hi^(n+2) - lo^(n+2)) / P
+        c2 = -(beta/(n+2)) * (hi - lo) * (lo*hi)^(n+1) / P
 
-    with P = (r+1)^(n+1) - (r-1)^(n+1). Both endpoint values and the ODE
+    with P = hi^(n+1) - lo^(n+1). Both endpoint values and the ODE
     residual are checked exactly by agree before the profile exists. It
     keeps beta0 = beta_zero(n, r) for its edge angles and Ricci margin.
     """
 
-    __slots__ = ("n", "r", "beta", "beta0", "c1", "c2", "numerator")
+    __slots__ = ("n", "r", "lo", "hi", "beta", "beta0", "c1", "c2", "numerator")
 
     def __init__(self, n: int, r: RationalLike, beta: RationalLike) -> None:
         rr, bb = rational(r), rational(beta)
+        lo, hi = smooth_interval(n, rr)
         beta0 = beta_zero(n, rr)
         if bb <= 0:
             raise DomainError(f"beta must satisfy beta > 0, got {bb}")
-        p_const = (rr + 1) ** (n + 1) - (rr - 1) ** (n + 1)
-        c1 = bb / (n + 2) * ((rr + 1) ** (n + 2) - (rr - 1) ** (n + 2)) / p_const
-        c2 = -2 * bb / (n + 2) * (rr * rr - 1) ** (n + 1) / p_const
+        p_const = hi ** (n + 1) - lo ** (n + 1)
+        c1 = bb / (n + 2) * (hi ** (n + 2) - lo ** (n + 2)) / p_const
+        c2 = -bb / (n + 2) * (hi - lo) * (lo * hi) ** (n + 1) / p_const
         numerator = (
             Polynomial.monomial(n + 2, -bb / (n + 2))
             + Polynomial.monomial(n + 1, c1)
             + Polynomial.constant(c2)
         )
-        super().__init__(n, rr, bb, beta0, c1, c2, numerator)
-        agree("profile numerator N(r-1)", numerator(rr - 1), 0)
-        agree("profile numerator N(r+1)", numerator(rr + 1), 0)
+        super().__init__(n, rr, lo, hi, bb, beta0, c1, c2, numerator)
+        agree("profile numerator N(r-1)", numerator(lo), 0)
+        agree("profile numerator N(r+1)", numerator(hi), 0)
         agree("momentum ODE residual", ode_residual(self), Polynomial.zero())
 
     def phi(self, tau: RationalLike) -> Rational:
@@ -75,11 +77,11 @@ class CalabiProfile(Immutable):
         return Fraction(h * q**self.n, d * p**self.n)
 
     def phi_samples(self, count: int) -> Iterator[tuple[int, int, int, int]]:
-        """phi at count >= 2 evenly spaced points of [r-1, r+1], in order, as
+        """phi at count >= 2 evenly spaced points of [lo, hi], in order, as
         reduced integer quadruples (tau numerator, tau denominator, phi
         numerator, phi denominator), each denominator positive.
 
-        The points tau_k = (r-1) + 2k/(count-1) are one integer progression
+        The points tau_k = lo + (hi-lo)k/(count-1) are one integer progression
         u_k / D over a common D. With N's cleared form (L, a) homogenised once
         to b_j = a_j D^(deg-j), Horner on u_k gives h_k = L D^deg N(tau_k),
         so phi_k = h_k D^n / (L D^deg u_k^n), and each value is reduced by
@@ -88,9 +90,9 @@ class CalabiProfile(Immutable):
         """
         if count < 2:
             raise DomainError(f"samples must be >= 2, got {count}")
-        lo = self.r - 1
-        den = lo.denominator * (count - 1)
-        u, du = lo.numerator * (count - 1), 2 * lo.denominator
+        lo, width = self.lo, self.hi - self.lo
+        den = lo.denominator * width.denominator * (count - 1)
+        u, du = lo.numerator * width.denominator * (count - 1), width.numerator * lo.denominator
         lcm, ints = self.numerator.cleared
         deg = len(ints) - 1
         coefficients = [a * den ** (deg - j) for j, a in reversed(list(enumerate(ints)))]
@@ -150,16 +152,16 @@ def ode_residual(profile: CalabiProfile) -> Polynomial:
 def edge_angles(profile: CalabiProfile) -> tuple[Rational, Rational]:
     """Cone angles (beta1, beta2) of the metric along the two sections.
 
-    beta1 = phi'(r-1) and beta2 = -phi'(r+1), computed by exact
+    beta1 = phi'(lo) and beta2 = -phi'(hi), computed by exact
     differentiation of the profile and cross-checked against the closed
     forms beta/beta0 and beta*(2*beta0 - 1)/beta0 by agree: a mismatch is
     an internal error, not bad input.
     """
     return (
-        agree("edge angle beta1", profile.phi_prime(profile.r - 1), profile.beta / profile.beta0),
+        agree("edge angle beta1", profile.phi_prime(profile.lo), profile.beta / profile.beta0),
         agree(
             "edge angle beta2",
-            -profile.phi_prime(profile.r + 1),
+            -profile.phi_prime(profile.hi),
             profile.beta * (2 * profile.beta0 - 1) / profile.beta0,
         ),
     )
@@ -169,7 +171,7 @@ def ricci_bound_margin(profile: CalabiProfile, mu: RationalLike) -> Rational:
     """Constant margin of the twisted Ricci lower bound.
 
     Returns mu - beta/(r*beta0) - beta*(1 - 1/r). The pointwise bound
-    mu - n*phi/(r*tau) - phi'/r - (beta/r)*tau >= 0 on [r-1, r+1] holds with
+    mu - n*phi/(r*tau) - phi'/r - (beta/r)*tau >= 0 on [lo, hi] holds with
     equality of the left side to this constant (see
     ricci_pointwise_residual), so the bound holds exactly when the margin is
     nonnegative, i.e. when beta <= mu*beta0 / (1/r + beta0*(1 - 1/r)).
@@ -205,15 +207,15 @@ def ricci_pointwise_residual(profile: CalabiProfile, mu: RationalLike) -> Polyno
 
 
 def verify_positive_interior(profile: CalabiProfile) -> bool:
-    """Exact proof that phi > 0 on the open interval (r-1, r+1).
+    """Exact proof that phi > 0 on the open interval (lo, hi).
 
     Method (unimodality certificate, no floating point): N'(tau) factors
     exactly as tau^n * ((n+1)*c1 - beta*tau), a polynomial identity checked
-    here. Every CalabiProfile is built with N(r-1) = N(r+1) = 0, beta > 0
-    and r > 1, so by Rolle N' vanishes in (r-1, r+1), where tau^n > 0, and
+    here. Every CalabiProfile is built with N(lo) = N(hi) = 0, beta > 0
+    and 0 < lo < hi, so by Rolle N' vanishes in (lo, hi), where tau^n > 0, and
     the linear factor's only root (n+1)*c1/beta lies strictly inside. The
-    factor strictly decreases, so N'(r-1) > 0 > N'(r+1): N strictly rises
-    then strictly falls on [r-1, r+1], and since it vanishes at both ends
+    factor strictly decreases, so N'(lo) > 0 > N'(hi): N strictly rises
+    then strictly falls on [lo, hi], and since it vanishes at both ends
     it is positive between them, as is phi = N/tau^n.
     """
     agree(
@@ -233,25 +235,22 @@ class AdmissibleProfile(Immutable):
     integrand = futaki_integrand(n, r, numerator), which the invariant and
     each quadrature of the profile integrate."""
 
-    __slots__ = ("n", "r", "numerator", "integrand")
+    __slots__ = ("n", "r", "lo", "hi", "numerator", "integrand")
 
     def __init__(self, n: int, r: RationalLike, numerator: Polynomial) -> None:
-        check_integer(n)
         r = rational(r)
-        if r <= 1:
-            raise DomainError(f"r must satisfy r > 1, got {r}")
+        lo, hi = smooth_interval(n, r)
         failures = admissibility_failures(n, r, numerator)
         if failures:
             raise DomainError("; ".join(failures))
         integrand = futaki_integrand(n, r, numerator)
-        super().__init__(n, r, numerator, integrand)
+        super().__init__(n, r, lo, hi, numerator, integrand)
 
 
 def admissibility_failures(n: int, r: RationalLike, numerator: Polynomial) -> list[str]:
     """Every violated admissibility condition, as constraint-naming
     messages; empty when the numerator is admissible for (n, r)."""
-    rr = rational(r)
-    lo, hi = rr - 1, rr + 1
+    lo, hi = smooth_interval(n, r)
     n_prime = numerator.derivative()
     checks = (
         ("N(r-1) = 0 (phi vanishes at the inner edge)", numerator(lo), Fraction(0)),
@@ -274,14 +273,10 @@ def hermite_admissible_profile(n: int, r: RationalLike) -> AdmissibleProfile:
         N(tau) = (r-1)^n (tau-(r-1)) (tau-(r+1))^2 / 4
                - (r+1)^n (tau-(r-1))^2 (tau-(r+1)) / 4.
     """
-    rr = rational(r)
-    lo, hi = rr - 1, rr + 1
-    left = Polynomial([-lo, 1])
-    right = Polynomial([-hi, 1])
-    numerator = (lo**n * left * right * right - hi**n * left * left * right) * Fraction(
-        1, 4
-    )
-    return AdmissibleProfile(n=n, r=rr, numerator=numerator)
+    lo, hi = smooth_interval(n, r)
+    left, right = Polynomial([-lo, 1]), Polynomial([-hi, 1])
+    numerator = (lo**n * right - hi**n * left) * left * right * Fraction(1, 4)
+    return AdmissibleProfile(n=n, r=r, numerator=numerator)
 
 
 def perturbed_admissible_profile(
@@ -290,8 +285,7 @@ def perturbed_admissible_profile(
     """A distinct admissible profile: add scale * weight(tau) * bump(tau)
     where bump = (tau-(r-1))^2 (tau-(r+1))^2 vanishes to second order at
     both endpoints, preserving all four admissibility conditions."""
-    lo, hi = base.r - 1, base.r + 1
-    bump = Polynomial([-lo, 1]) ** 2 * Polynomial([-hi, 1]) ** 2
+    bump = Polynomial([-base.lo, 1]) ** 2 * Polynomial([-base.hi, 1]) ** 2
     if weight is None:
         weight = Polynomial.constant(1)
     return AdmissibleProfile(
@@ -334,12 +328,12 @@ def futaki_invariant(profile: AdmissibleProfile) -> Rational:
     for every admissible profile; that independence is a tested property,
     not an assumption used here.
     """
-    return admissible_integrand(profile).integrate(profile.r - 1, profile.r + 1)
+    return admissible_integrand(profile).integrate(profile.lo, profile.hi)
 
 
 def futaki_closed_form(n: int, r: RationalLike) -> Rational:
     """Boundary-data evaluation of the same invariant:
     (1/beta0 - 1) * ((r+1)^(n+1) - (r-1)^(n+1)). Always positive, since
     beta0 < 1."""
-    rr = rational(r)
-    return (1 / beta_zero(n, rr) - 1) * ((rr + 1) ** (n + 1) - (rr - 1) ** (n + 1))
+    lo, hi = smooth_interval(n, r)
+    return (1 / beta_zero(n, r) - 1) * (hi ** (n + 1) - lo ** (n + 1))

@@ -327,14 +327,14 @@ def branch_min_bruteforce(cases: Iterable[BranchCase]) -> list[OracleReport]:
 
 
 def futaki_quadrature(profile: AdmissibleProfile, steps: int) -> Rational:
-    """Composite midpoint approximation of the Futaki integral over
-    [r-1, r+1] for the profile's n and r, exact in O(deg^2) operations."""
-    return _midpoint_rule(admissible_integrand(profile), profile.r - 1, profile.r + 1, steps)
+    """Composite midpoint approximation of the Futaki integral over the
+    profile's [lo, hi], exact in O(deg^2) operations."""
+    return _midpoint_rule(admissible_integrand(profile), profile.lo, profile.hi, steps)
 
 
 def futaki_quadrature_bound(profile: AdmissibleProfile, steps: int) -> Rational:
-    """Provable midpoint bound for futaki_quadrature on [r-1, r+1]."""
-    return _midpoint_bound(admissible_integrand(profile), profile.r - 1, profile.r + 1, steps)
+    """Provable midpoint bound for futaki_quadrature on the profile's [lo, hi]."""
+    return _midpoint_bound(admissible_integrand(profile), profile.lo, profile.hi, steps)
 
 
 def telescoping_iterated_cone(spec: HypersurfaceConeSpec) -> Rational:

@@ -102,6 +102,10 @@ class TestCentroid:
         with pytest.raises(DomainError):
             centroid_phi(-1, 2, 1)
 
+    def test_rejects_a_point_interval(self):
+        with pytest.raises(DomainError, match="interval requires A < B, got A=1, B=1"):
+            centroid_phi(1, 1, 2)
+
     @settings(max_examples=200)
     @given(
         st.integers(min_value=0, max_value=10),
@@ -185,6 +189,13 @@ class TestBoundaryInterval:
         # just inside the window is fine
         A, B = boundary_interval(base, BundleBoundary(Fraction(3, 4), 0))
         assert (A, B) == (Fraction(1, 4), Fraction(3, 2))
+
+    def test_slope_one_takes_the_low_slope_window(self):
+        # At r = 1 the window is 1-r < a < 1, so a = 0 (valid for r > 1) is
+        # refused: A = r-1+a would be 0.
+        base = FanoBase(1, 1, DeltaKnowledge.at_least_one())
+        with pytest.raises(DomainError, match="1-r < a < 1 when r <= 1, got a=0 with r=1"):
+            boundary_interval(base, BundleBoundary())
 
     def test_b_range_guard(self):
         base = FanoBase(1, 2, DeltaKnowledge.exact(1))

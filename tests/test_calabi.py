@@ -1,8 +1,10 @@
 """Momentum-profile construction: exact ODE solution, edge angles, Ricci
 margins, positivity, and the obstruction integral."""
 
+import ast
 import inspect
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -24,12 +26,14 @@ from fanodelta import (
     solve_profile,
     verify_positive_interior,
 )
+from fanodelta import calabi
 from fanodelta.calabi import (
     AdmissibleProfile,
     CalabiProfile,
     admissibility_failures,
     futaki_integrand,
 )
+from fanodelta.cli import EXIT_INTERNAL, main
 from fanodelta.exactarith import Polynomial
 
 PROFILE_GRID = [
@@ -311,3 +315,70 @@ class TestInternalConsistencyGuards:
         )
         with pytest.raises(InternalCheckError, match="edge angle beta1"):
             edge_angles(p)
+
+
+def off_at(method, point):
+    """method, off by 1 at exactly the one point and right everywhere else."""
+    return lambda self, tau: method(self, tau) + (1 if tau == point else 0)
+
+
+class TestEachCheckFailsAlone:
+    """Each exact check of a profile fails on its own when one route is off,
+    and main reports it as one internal-check line with exit 4. On [1, 3]
+    (n = 1, r = 2) a fault at one endpoint shows which end a check reads."""
+
+    def run_calabi(self, capsys):
+        code = main(["calabi", "--n", "1", "--r", "2"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (EXIT_INTERNAL, "")
+        return err.splitlines()
+
+    @pytest.mark.parametrize(
+        "tau, label", [(1, "profile numerator N(r-1)"), (3, "profile numerator N(r+1)")]
+    )
+    def test_endpoint_values(self, tau, label, capsys, monkeypatch):
+        monkeypatch.setattr(Polynomial, "__call__", off_at(Polynomial.__call__, tau))
+        assert self.run_calabi(capsys) == [f"internal check failed: {label}: 1 != 0"]
+
+    def test_ode_residual(self, capsys, monkeypatch):
+        monkeypatch.setattr(calabi, "ode_residual", lambda profile: Polynomial.constant(1))
+        assert self.run_calabi(capsys) == ["internal check failed: momentum ODE residual: 1 != 0"]
+
+    def test_outer_edge_angle(self, capsys, monkeypatch):
+        monkeypatch.setattr(CalabiProfile, "phi_prime", off_at(CalabiProfile.phi_prime, 3))
+        [line] = self.run_calabi(capsys)
+        assert line.startswith("internal check failed: edge angle beta2: ")
+
+    def test_factored_derivative(self, monkeypatch):
+        p = solve_profile(1, 2, beta_zero(1, 2))
+        derivative = Polynomial.derivative
+        monkeypatch.setattr(
+            Polynomial, "derivative", lambda self: derivative(self) + Polynomial.constant(1)
+        )
+        with pytest.raises(InternalCheckError, match="^N' against its factored form: "):
+            verify_positive_interior(p)
+
+
+def forms_r_plus_or_minus_one(node):
+    """Whether node adds 1 to or subtracts 1 from r, rr or an attribute .r."""
+    def is_r(side):
+        return (isinstance(side, ast.Name) and side.id in ("r", "rr")) or (
+            isinstance(side, ast.Attribute) and side.attr == "r"
+        )
+
+    def is_one(side):
+        return isinstance(side, ast.Constant) and side.value == 1
+
+    return (
+        isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub))
+        and (is_r(node.left) and is_one(node.right) or is_one(node.left) and is_r(node.right))
+    )
+
+
+def test_profiles_read_their_interval():
+    # bundle.smooth_interval alone forms r-1 and r+1; each profile keeps them
+    # as lo and hi, and no code in calabi.py forms them again.
+    tree = ast.parse(Path(calabi.__file__).read_text(encoding="utf-8"))
+    assert [ast.unparse(node) for node in ast.walk(tree) if forms_r_plus_or_minus_one(node)] == []
+    for profile in (solve_profile(1, 2, 1), hermite_admissible_profile(1, 2)):
+        assert (profile.lo, profile.hi) == (1, 3)

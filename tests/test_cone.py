@@ -319,8 +319,24 @@ class TestBranchedCones:
     def test_side_condition_failures_are_reported_individually(self):
         msgs = branched_side_condition_failures(2, 4, 3, 2)
         assert any("gcd" in m for m in msgs)
-        msgs = branched_side_condition_failures(2, 2, 3, 2)
-        assert any("l < k" not in m and "l" in m for m in msgs) or msgs
+        assert branched_side_condition_failures(2, 2, 3, 2) == [
+            "side condition violated: l < k required, got l=2, k=2",
+            "side condition violated: gcd(k, l) = 1 required, got gcd(2, 2) = 2",
+            "side condition violated: k must divide d*l - 1, got 2 does not divide 5",
+        ]
+
+    def test_l_equal_to_k_is_a_violation(self):
+        # k = l = 1 meets every other side condition, so l < k alone fails.
+        assert branched_side_condition_failures(1, 1, 2, 1) == [
+            "side condition violated: l < k required, got l=1, k=1"
+        ]
+
+    def test_zero_slope_is_a_violation(self):
+        assert branched_slope(1, 2, 4) == 0
+        assert (
+            "side condition violated: r = (n+1)k - (k-1)d > 0 required, got r=0"
+            in branched_side_condition_failures(1, 2, 4, 1)
+        )
 
     def test_constructor_rejects_bad_side_conditions(self):
         with pytest.raises(DomainError):

@@ -27,7 +27,8 @@ def _report():
 
 
 # Each case: a value, the same value built another way, and its repr, which
-# is the repr the frozen dataclasses of earlier releases printed.
+# is the repr the frozen dataclasses of earlier releases printed, save the lo
+# and hi that both Calabi profiles now carry.
 CASES = {
     "DeltaKnowledge": (
         lambda: DeltaKnowledge(1),
@@ -77,14 +78,16 @@ CASES = {
     "CalabiProfile": (
         lambda: CalabiProfile(1, 2, 1),
         lambda: CalabiProfile(n=1, r=Fraction(2), beta=Fraction(1)),
-        "CalabiProfile(n=1, r=Fraction(2, 1), beta=Fraction(1, 1), beta0=Fraction(6, 7), "
+        "CalabiProfile(n=1, r=Fraction(2, 1), lo=Fraction(1, 1), hi=Fraction(3, 1), "
+        "beta=Fraction(1, 1), beta0=Fraction(6, 7), "
         "c1=Fraction(13, 12), c2=Fraction(-3, 4), "
         "numerator=Polynomial(-1/3*t^3 + 13/12*t^2 - 3/4))",
     ),
     "AdmissibleProfile": (
         lambda: hermite_admissible_profile(1, 2),
         lambda: AdmissibleProfile(1, 2, Polynomial([0, Fraction(-3, 2), 2, Fraction(-1, 2)])),
-        "AdmissibleProfile(n=1, r=Fraction(2, 1), numerator=Polynomial(-1/2*t^3 + 2*t^2 - 3/2*t), "
+        "AdmissibleProfile(n=1, r=Fraction(2, 1), lo=Fraction(1, 1), hi=Fraction(3, 1), "
+        "numerator=Polynomial(-1/2*t^3 + 2*t^2 - 3/2*t), "
         "integrand=Polynomial(2*t^2 - 4*t))",
     ),
     "OracleReport": (
