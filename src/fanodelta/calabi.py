@@ -66,15 +66,11 @@ class CalabiProfile(Immutable):
         agree("momentum ODE residual", ode_residual(self), Polynomial.zero())
 
     def phi(self, tau: RationalLike) -> Rational:
-        """Exact profile value phi(tau) = N(tau) / tau^n. With tau = p/q and
-        N(p/q) = h / d before reduction, phi = h q^n / (d p^n): one reduction
-        in integers."""
+        """Exact profile value phi(tau) = N(tau) / tau^n."""
         t = rational(tau)
-        p, q = t.numerator, t.denominator
-        if p <= 0:
+        if t <= 0:
             raise DomainError(f"phi is defined for tau > 0, got {t}")
-        h, d = self.numerator.cleared_value(t)
-        return Fraction(h * q**self.n, d * p**self.n)
+        return self.numerator(t) / t**self.n
 
     def phi_samples(self, count: int) -> Iterator[tuple[int, int, int, int]]:
         """phi at count >= 2 evenly spaced points of [lo, hi], in order, as

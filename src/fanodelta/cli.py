@@ -71,7 +71,9 @@ MAX_CSV_STEPS = 700_000
 # linearly in i, and 2 * 10^4 steps take under 1 s with --json.
 MAX_ITERATIONS = 20_000
 # Every command's n above this is refused before any computation: calabi's
-# cost grows fastest in n, and at n = 2000, r = 7/3 it takes about 0.3 s.
+# cost grows fastest in n, and with the digits of r. At n = 2000 it takes
+# 0.12-0.19 s for r = 7/3, and runs about 2 s for r = 1001/1000 before it
+# exits 3 on the interpreter's digit limit, which no bound here refuses.
 MAX_DIMENSION = 2_000
 # A diagnostic line is cut after this many characters.
 MAX_DIAGNOSTIC = 1_000
@@ -218,8 +220,7 @@ def _show(value: Fraction) -> str:
 
 
 def render_json(payload: dict) -> str:
-    # Every payload is a fresh tree from _payload: no cycle to look for.
-    return json.dumps(payload, indent=2, check_circular=False) + "\n"
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def _payload(command: str, inputs: dict, result: dict) -> dict:
@@ -326,7 +327,7 @@ def _cone_iterate_result(values: dict) -> list[ChainStep]:
 def _cone_iterate_json(chain: list[ChainStep]) -> dict:
     """The JSON result: the value, also as the telescoped value that agrees
     with it, and the steps, each row replaced in place by the payload
-    _breakdown_json writes for its DeltaBreakdown, so the rows are freed early."""
+    _breakdown_row writes for its DeltaBreakdown, so the rows are freed early."""
     value = format_ratio(*chain[-1].value)
     for index, step in enumerate(chain):
         chain[index] = _breakdown_row(
@@ -528,7 +529,10 @@ COMMANDS: dict[str, _Command] = {
         _calabi_json,
         options=(
             (("--csv",), {"metavar": "PATH", "help": "write (tau, phi) samples"}),
-            (("--samples",), {"type": integer, "default": 33}),
+            (("--samples",), {
+                "type": integer, "default": 33,
+                "help": f"number of --csv samples, 2 to {MAX_SAMPLES:,} (default: %(default)s)",
+            }),
         ),
         emit=_calabi_csv,
     ),
@@ -644,14 +648,13 @@ def _load_grid_file(path: str) -> list[dict]:
 
 
 def _report_json(report: OracleReport) -> dict:
-    # 475 reports a run: format_rational directly costs less than _canonical.
     return {
         "target": report.target,
-        "closed_form": format_rational(report.closed_form),
-        "approximation": format_rational(report.approximation),
+        "closed_form": _canonical(report.closed_form),
+        "approximation": _canonical(report.approximation),
         "m_or_steps": report.m_or_steps,
-        "absolute_error": format_rational(report.absolute_error),
-        "bound": format_rational(report.bound),
+        "absolute_error": _canonical(report.absolute_error),
+        "bound": _canonical(report.bound),
         "status": report.status,
     }
 

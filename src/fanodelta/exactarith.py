@@ -9,8 +9,8 @@ always in lowest terms with positive denominator, exact under sums, products
 and integer powers, and rendered by ``str()`` as ``"p/q"`` (or ``"p"`` when
 the denominator is 1), which is exactly the serialization this library uses.
 Every entry point takes a ``Fraction`` or an ``int`` and refuses text as it
-refuses a float: this module writes exact values as text and never reads
-them from it.
+refuses a float or a ``bool``: this module writes exact values as text and
+never reads them from it.
 
 A ``Polynomial`` stores one exact form: its integer coefficients over one
 common denominator, in lowest terms. Its arithmetic and its evaluation both
@@ -34,11 +34,11 @@ RationalLike = Union[Rational, int]
 
 
 def rational(value: RationalLike) -> Rational:
-    """Coerce an int or a Fraction to an exact Rational; anything else, text
-    and floats included, is a TypeError."""
+    """Coerce an int or a Fraction to an exact Rational; anything else, text,
+    floats and bools included, is a TypeError."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"cannot coerce {type(value).__name__} to Rational")
 
@@ -175,26 +175,19 @@ class Polynomial(Immutable):
     def is_zero(self) -> bool:
         return not self.cleared[1]
 
-    def cleared_value(self, point: RationalLike) -> tuple[int, int]:
-        """The value at point = p/q as an unreduced integer pair
-        (h, L*q^deg), where h = sum_k L*c_k p^k q^(deg-k) comes from Horner's
-        scheme on the homogenised integer coefficients; (0, 1) for the zero
-        polynomial. Callers reduce once, after any further scaling."""
+    def __call__(self, point: RationalLike) -> Rational:
+        """Evaluate exactly at a rational point p/q: Horner's scheme on the
+        integers sum_k L*c_k p^k q^(deg-k), then one division by L*q^deg."""
         x = rational(point)
         p, q = x.numerator, x.denominator
         lcm, ints = self.cleared
         if not ints:
-            return 0, 1
+            return Fraction(0)
         h, q_power = ints[-1], 1
         for c in ints[-2::-1]:
             q_power *= q
             h = h * p + c * q_power
-        return h, lcm * q_power
-
-    def __call__(self, point: RationalLike) -> Rational:
-        """Evaluate exactly at a rational point: Horner's scheme in integers,
-        then one reduction."""
-        return Fraction(*self.cleared_value(point))
+        return Fraction(h, lcm * q_power)
 
     def __neg__(self) -> "Polynomial":
         return self * -1
@@ -213,11 +206,9 @@ class Polynomial(Immutable):
         return self + -other
 
     def __mul__(self, other: "Polynomial | RationalLike") -> "Polynomial":
-        lcm, a = self.cleared
         if not isinstance(other, Polynomial):
-            scalar = rational(other)
-            return _of(lcm * scalar.denominator, [x * scalar.numerator for x in a])
-        other_lcm, b = other.cleared
+            other = Polynomial.constant(other)
+        (lcm, a), (other_lcm, b) = self.cleared, other.cleared
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             for j, y in enumerate(b):
@@ -241,9 +232,9 @@ class Polynomial(Immutable):
 
     def antiderivative(self) -> "Polynomial":
         """Exact antiderivative with zero constant term; degree rises by one.
-        The new denominator is L times the lcm of the reduced (k+1)/gcd(a_k, k+1)."""
+        The coefficients go over L * lcm(1, ..., deg+1), which _of reduces."""
         lcm, ints = self.cleared
-        m = math.lcm(*[(k + 1) // math.gcd(a, k + 1) for k, a in enumerate(ints)])
+        m = math.lcm(*range(1, len(ints) + 1))
         return _of(lcm * m, [0] + [a * m // (k + 1) for k, a in enumerate(ints)])
 
     def integrate(self, lo: RationalLike, hi: RationalLike) -> Rational:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from fanodelta import (
     BundleBoundary,
+    ConeBoundary,
     DeltaKnowledge,
     DomainError,
     FanoBase,
@@ -16,6 +17,7 @@ from fanodelta import (
     bundle_delta,
     centroid_phi,
     smooth_threshold_relation,
+    solve_profile,
 )
 from fanodelta.bundle import DeltaBreakdown, boundary_interval
 from fanodelta.cli import _breakdown_json
@@ -424,6 +426,21 @@ class TestDomainGuards:
         # True is an int to Python, but not a dimension.
         with pytest.raises(DomainError, match="n must be an integer >= 1, got True"):
             FanoBase(True, 2, DeltaKnowledge.exact(1))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: FanoBase(1, True, DeltaKnowledge.exact(1)),
+            lambda: ConeBoundary(False),
+            lambda: DeltaKnowledge(True),
+            lambda: solve_profile(1, 2, True),
+        ],
+    )
+    def test_rationals_refuse_a_bool(self, build):
+        # Every exact input goes through exactarith.rational, which refuses a
+        # bool as it refuses text or a float.
+        with pytest.raises(TypeError, match="cannot coerce bool to Rational"):
+            build()
 
     def test_slope_must_be_positive(self):
         with pytest.raises(DomainError):

@@ -1346,6 +1346,7 @@ class TestBeyondTheFloatRange:
         ("cone", '--delta-v DELTA_V exact rational or "ge1"'),
         ("cone-iterate", '--delta0 DELTA0 exact rational or "ge1"'),
         ("calabi", "--beta BETA twist (default: beta0)"),
+        ("calabi", "--samples SAMPLES number of --csv samples, 2 to 100,000 (default: 33)"),
     ],
 )
 def test_help_says_what_an_input_takes(command, text, capsys):

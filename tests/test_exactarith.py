@@ -129,9 +129,6 @@ class TestPolynomialBasics:
         p = Polynomial([Fraction(1, 6), 0, Fraction(-3, 4), 2])
         assert p.cleared == (12, (2, 0, -9, 24))
         assert Polynomial.zero().cleared == (1, ())
-        # (t + 1)/2 at t = 3/5 is h = 3 + 5 over L*q^deg = 2*5, not reduced.
-        assert Polynomial([Fraction(1, 2), Fraction(1, 2)]).cleared_value(Fraction(3, 5)) == (
-            8, 10)
 
     def test_pretty_printing(self):
         p = Polynomial([Fraction(-9, 14), 0, Fraction(13, 14), Fraction(-2, 7)])
