@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Iterator
 
-from .bundle import beta_zero, smooth_interval
+from .bundle import beta_zero, centroid_phi, smooth_interval
 from .errors import DomainError, agree
 from .exactarith import Immutable, Polynomial, Rational, RationalLike, rational
 
@@ -58,12 +58,12 @@ class CalabiProfile(Immutable):
         numerator = (
             Polynomial.monomial(n + 2, -bb / (n + 2))
             + Polynomial.monomial(n + 1, c1)
-            + Polynomial.constant(c2)
+            + Polynomial.monomial(0, c2)
         )
         super().__init__(n, rr, lo, hi, bb, beta0, c1, c2, numerator)
         agree("profile numerator N(r-1)", numerator(lo), 0)
         agree("profile numerator N(r+1)", numerator(hi), 0)
-        agree("momentum ODE residual", ode_residual(self), Polynomial.zero())
+        agree("momentum ODE residual", ode_residual(self), Polynomial())
 
     def phi(self, tau: RationalLike) -> Rational:
         """Exact profile value phi(tau) = N(tau) / tau^n."""
@@ -276,14 +276,12 @@ def hermite_admissible_profile(n: int, r: RationalLike) -> AdmissibleProfile:
 
 
 def perturbed_admissible_profile(
-    base: AdmissibleProfile, scale: RationalLike, weight: Union[Polynomial, None] = None
+    base: AdmissibleProfile, scale: RationalLike, weight: Polynomial = Polynomial.monomial(0)
 ) -> AdmissibleProfile:
     """A distinct admissible profile: add scale * weight(tau) * bump(tau)
     where bump = (tau-(r-1))^2 (tau-(r+1))^2 vanishes to second order at
     both endpoints, preserving all four admissibility conditions."""
     bump = Polynomial([-base.lo, 1]) ** 2 * Polynomial([-base.hi, 1]) ** 2
-    if weight is None:
-        weight = Polynomial.constant(1)
     return AdmissibleProfile(
         n=base.n, r=base.r, numerator=base.numerator + rational(scale) * weight * bump
     )
@@ -328,8 +326,8 @@ def futaki_invariant(profile: AdmissibleProfile) -> Rational:
 
 
 def futaki_closed_form(n: int, r: RationalLike) -> Rational:
-    """Boundary-data evaluation of the same invariant:
-    (1/beta0 - 1) * ((r+1)^(n+1) - (r-1)^(n+1)). Always positive, since
-    beta0 < 1."""
+    """Boundary-data evaluation of the same invariant: (Phi - r) * ((r+1)^(n+1)
+    - (r-1)^(n+1)) with Phi = centroid_phi(r-1, r+1, n) = r - 1 + 1/beta0.
+    Always positive: the increasing weight t^n puts Phi above the midpoint r."""
     lo, hi = smooth_interval(n, r)
-    return (1 / beta_zero(n, r) - 1) * (hi ** (n + 1) - lo ** (n + 1))
+    return (centroid_phi(lo, hi, n) - rational(r)) * (hi ** (n + 1) - lo ** (n + 1))

@@ -272,14 +272,14 @@ def _breakdown_text(title: str) -> Callable[[dict, DeltaBreakdown], list[str]]:
 
 
 def _breakdown_row(
-    base: Optional[str], v0: str, vinf: str, value: str, minimizers: Sequence[str],
-    r_effective: Optional[str] = None, proof_coverage: Optional[str] = None,
-    side_conditions: Optional[list[str]] = None,
+    base_branch: Optional[str], v0_branch: str, vinf_branch: str, value: str,
+    minimizers: Sequence[str], r_effective: Optional[str] = None,
+    proof_coverage: Optional[str] = None, side_conditions: Optional[list[str]] = None,
 ) -> dict:
-    """The JSON of a delta breakdown from its fields' payload forms, in DeltaBreakdown's
-    field order; a None metadata field is left out, and "lower_bound_only" is always false."""
+    """The JSON of a delta breakdown from the payload forms of its fields, each named as in
+    DeltaBreakdown; a None metadata field is left out, and "lower_bound_only" is always false."""
     payload: dict = {
-        "branches": {"base": base, "v0": v0, "vinf": vinf},
+        "branches": {"base": base_branch, "v0": v0_branch, "vinf": vinf_branch},
         "value": value,
         "lower_bound_only": False,
         "minimizers": list(minimizers),
@@ -295,7 +295,7 @@ def _breakdown_row(
 
 def _breakdown_json(result: DeltaBreakdown) -> dict:
     """The JSON result of a DeltaBreakdown: the row of its fields' payload forms."""
-    return _breakdown_row(*[_canonical(getattr(result, name)) for name in result.__slots__])
+    return _breakdown_row(**{name: _canonical(getattr(result, name)) for name in result.__slots__})
 
 
 def _branch_case(values: dict) -> BranchCase:
@@ -402,7 +402,9 @@ def _calabi_result(values: dict) -> dict:
         "ricci_margin": margin,
         "ricci_bound_holds": margin >= 0,
         "ode_residual_zero": ode_residual(profile).is_zero,
-        "ricci_pointwise_constant": ricci_pointwise_residual(profile, mu).is_zero,
+        "ricci_pointwise_constant": agree(
+            "pointwise Ricci gap is the margin", ricci_pointwise_residual(profile, mu).is_zero, True
+        ),
         "phi_positive_on_interior": verify_positive_interior(profile),
         "futaki_invariant": futaki,
         "futaki_closed_form": futaki,
@@ -647,16 +649,14 @@ def _load_grid_file(path: str) -> list[dict]:
     return rows
 
 
+# The OracleReport fields of a report's JSON, in payload order.
+_REPORT_KEYS = (
+    "target", "closed_form", "approximation", "m_or_steps", "absolute_error", "bound", "status"
+)
+
+
 def _report_json(report: OracleReport) -> dict:
-    return {
-        "target": report.target,
-        "closed_form": _canonical(report.closed_form),
-        "approximation": _canonical(report.approximation),
-        "m_or_steps": report.m_or_steps,
-        "absolute_error": _canonical(report.absolute_error),
-        "bound": _canonical(report.bound),
-        "status": report.status,
-    }
+    return {key: _canonical(getattr(report, key)) for key in _REPORT_KEYS}
 
 
 def _verify_json(run: VerificationRun) -> dict:

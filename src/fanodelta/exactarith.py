@@ -145,14 +145,6 @@ class Polynomial(Immutable):
         super().__init__((lcm, ints))
 
     @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls(())
-
-    @classmethod
-    def constant(cls, value: RationalLike) -> "Polynomial":
-        return cls.monomial(0, value)
-
-    @classmethod
     def monomial(cls, degree: int, coefficient: RationalLike = 1) -> "Polynomial":
         """The polynomial coefficient * t**degree."""
         if degree < 0:
@@ -207,7 +199,7 @@ class Polynomial(Immutable):
 
     def __mul__(self, other: "Polynomial | RationalLike") -> "Polynomial":
         if not isinstance(other, Polynomial):
-            other = Polynomial.constant(other)
+            other = Polynomial.monomial(0, other)
         (lcm, a), (other_lcm, b) = self.cleared, other.cleared
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
@@ -220,7 +212,7 @@ class Polynomial(Immutable):
     def __pow__(self, exponent: int) -> "Polynomial":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial exponent must be a nonnegative integer")
-        result = Polynomial.constant(1)
+        result = Polynomial.monomial(0)
         for _ in range(exponent):
             result = result * self
         return result

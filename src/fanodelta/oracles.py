@@ -107,11 +107,8 @@ def _progression_sum(f: Polynomial, start: Rational, step: Rational, count: int)
         sums.append((count ** (p + 1) - lower) // (p + 1))
     total = 0
     for k, c in enumerate(ints):
-        if c:
-            powers = sum(
-                math.comb(k, i) * e0 ** (k - i) * c1**i * sums[i] for i in range(k + 1)
-            )
-            total += c * den ** (deg - k) * powers
+        powers = sum(math.comb(k, i) * e0 ** (k - i) * c1**i * sums[i] for i in range(k + 1))
+        total += c * den ** (deg - k) * powers
     return Fraction(total, lcm * den**deg)
 
 

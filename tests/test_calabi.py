@@ -95,7 +95,7 @@ class TestSolveProfile:
     def test_phi_is_the_numerator_over_tau_to_the_n(self, case, t):
         n, r, beta = case
         p = solve_profile(n, r, beta)
-        assert p.phi(t) == p.numerator(t) / t**n
+        assert p.phi(t) == sum(c * t**k for k, c in enumerate(p.numerator.coefficients)) / t**n
 
     @pytest.mark.parametrize("tau", [0, Fraction(-1, 2), -3])
     def test_phi_refuses_nonpositive_tau(self, tau):
@@ -239,7 +239,7 @@ class TestAdmissibleProfiles:
 
     def test_requires_slope_above_one(self):
         with pytest.raises(DomainError, match="r must satisfy r > 1, got 1"):
-            AdmissibleProfile(1, 1, Polynomial.zero())
+            AdmissibleProfile(1, 1, Polynomial())
 
     def test_perturbation_preserves_admissibility(self):
         base = hermite_admissible_profile(2, 2)
@@ -341,8 +341,16 @@ class TestEachCheckFailsAlone:
         assert self.run_calabi(capsys) == [f"internal check failed: {label}: 1 != 0"]
 
     def test_ode_residual(self, capsys, monkeypatch):
-        monkeypatch.setattr(calabi, "ode_residual", lambda profile: Polynomial.constant(1))
+        monkeypatch.setattr(calabi, "ode_residual", lambda profile: Polynomial.monomial(0))
         assert self.run_calabi(capsys) == ["internal check failed: momentum ODE residual: 1 != 0"]
+
+    def test_ricci_pointwise_residual(self, capsys, monkeypatch):
+        # The residual certifies the margin: a margin off by 1 leaves -r*tau^n.
+        margin = calabi.ricci_bound_margin
+        monkeypatch.setattr(calabi, "ricci_bound_margin", lambda *args: margin(*args) + 1)
+        assert self.run_calabi(capsys) == [
+            "internal check failed: pointwise Ricci gap is the margin: False != True"
+        ]
 
     def test_outer_edge_angle(self, capsys, monkeypatch):
         monkeypatch.setattr(CalabiProfile, "phi_prime", off_at(CalabiProfile.phi_prime, 3))
@@ -353,7 +361,7 @@ class TestEachCheckFailsAlone:
         p = solve_profile(1, 2, beta_zero(1, 2))
         derivative = Polynomial.derivative
         monkeypatch.setattr(
-            Polynomial, "derivative", lambda self: derivative(self) + Polynomial.constant(1)
+            Polynomial, "derivative", lambda self: derivative(self) + Polynomial.monomial(0)
         )
         with pytest.raises(InternalCheckError, match="^N' against its factored form: "):
             verify_positive_interior(p)

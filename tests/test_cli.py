@@ -390,12 +390,12 @@ class TestCalabiCommand:
         assert len(target.read_text(encoding="utf-8").splitlines()) == 1 + 10000
 
     @pytest.mark.parametrize(
-        "extra, calls", [([], 3), (["--beta", "1/2", "--json"], 2)], ids=["default", "beta"]
+        "extra, calls", [([], 2), (["--beta", "1/2", "--json"], 1)], ids=["default", "beta"]
     )
     def test_beta_zero_is_computed_once_per_profile(self, extra, calls, capsys, monkeypatch):
-        # The default twist, the profile and the Futaki closed form each
-        # compute beta0; the edge angles, the Ricci margin and the result
-        # read the profile's.
+        # The default twist and the profile each compute beta0; the edge
+        # angles, the Ricci margin and the result read the profile's, and
+        # the Futaki closed form reads the centroid.
         counted = []
         for module in ("bundle", "calabi", "cli"):
             monkeypatch.setattr(

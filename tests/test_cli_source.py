@@ -4,10 +4,13 @@ and the payload function format, so no renderer parses payload text back
 into a value or rebuilds a polynomial or profile from it."""
 
 import ast
+import inspect
 from fractions import Fraction
 from pathlib import Path
 
 import fanodelta.cli
+from fanodelta.bundle import DeltaBreakdown
+from fanodelta.oracles import OracleReport
 
 SOURCE = ast.parse(Path(fanodelta.cli.__file__).read_text(encoding="utf-8"))
 
@@ -100,3 +103,12 @@ def test_every_command_names_its_payload_writer():
 def test_only_diagnose_writes_to_stderr():
     # Every diagnostic line is cut at MAX_DIAGNOSTIC by the one writer.
     assert _sites("stderr") == ["_diagnose"]
+
+
+def test_payload_writers_name_the_fields_they_read():
+    # A breakdown row takes each DeltaBreakdown field by its own name, and a
+    # report's JSON is every OracleReport field but agrees, which status covers.
+    assert tuple(inspect.signature(fanodelta.cli._breakdown_row).parameters) == (
+        DeltaBreakdown.__slots__
+    )
+    assert set(fanodelta.cli._REPORT_KEYS) == set(OracleReport.__slots__) - {"agrees"}

@@ -87,7 +87,7 @@ class TestPolynomialBasics:
         assert p.coefficients == (Fraction(1), Fraction(2))
 
     def test_zero_polynomial(self):
-        z = Polynomial.zero()
+        z = Polynomial()
         assert z.is_zero
         assert z.degree == -1
         assert z(Fraction(5)) == 0
@@ -95,7 +95,7 @@ class TestPolynomialBasics:
     def test_monomial_and_constant(self):
         assert Polynomial.monomial(3)(Fraction(2)) == 8
         assert Polynomial.monomial(2, Fraction(1, 2))(4) == 8
-        assert Polynomial.constant(Fraction(7, 3)).degree == 0
+        assert Polynomial.monomial(0, Fraction(7, 3)).degree == 0
 
     def test_refuses_mutation_and_negative_degrees(self):
         p = Polynomial([1, 2])
@@ -128,12 +128,12 @@ class TestPolynomialBasics:
     def test_cleared_form(self):
         p = Polynomial([Fraction(1, 6), 0, Fraction(-3, 4), 2])
         assert p.cleared == (12, (2, 0, -9, 24))
-        assert Polynomial.zero().cleared == (1, ())
+        assert Polynomial().cleared == (1, ())
 
     def test_pretty_printing(self):
         p = Polynomial([Fraction(-9, 14), 0, Fraction(13, 14), Fraction(-2, 7)])
         assert str(p) == "-2/7*t^3 + 13/14*t^2 - 9/14"
-        assert str(Polynomial.zero()) == "0"
+        assert str(Polynomial()) == "0"
 
     @given(small_polys, small_polys)
     def test_addition_commutes(self, p, q):
@@ -145,7 +145,7 @@ class TestPolynomialBasics:
 
     @given(small_polys, st.integers(min_value=0, max_value=4))
     def test_power_matches_repeated_product(self, p, k):
-        expected = Polynomial.constant(1)
+        expected = Polynomial.monomial(0)
         for _ in range(k):
             expected = expected * p
         assert (p**k).coefficients == expected.coefficients
@@ -193,7 +193,7 @@ class TestCalculus:
         )
 
     def test_derivative_drops_constants(self):
-        assert Polynomial.constant(5).derivative().is_zero
+        assert Polynomial.monomial(0, 5).derivative().is_zero
 
     def test_square_integral(self):
         p = Polynomial.monomial(2)
@@ -211,14 +211,14 @@ class TestCalculus:
         # B^(n+1) - (A+t)^(n+1) with n=1, A=1, B=3 over [0, B-A]:
         # 9*2 - 26/3 = 28/3, and dividing by B^(n+1) - A^(n+1) = 8 gives the
         # normalized section area 7/6.
-        p = Polynomial.constant(9) - Polynomial([1, 1]) ** 2
+        p = Polynomial.monomial(0, 9) - Polynomial([1, 1]) ** 2
         raw = p.integrate(0, 2)
         assert raw == Fraction(28, 3)
         assert raw / 8 == Fraction(7, 6)
 
     def test_shifted_cubic_constant_integral(self):
         # A constant 27 head with the same quadratic tail lands on 136/3.
-        p = Polynomial.constant(27) - Polynomial([1, 1]) ** 2
+        p = Polynomial.monomial(0, 27) - Polynomial([1, 1]) ** 2
         assert p.integrate(0, 2) == Fraction(136, 3)
 
     @given(
