@@ -12,13 +12,14 @@ DeltaBreakdown, an AngleInterval, the chain's ChainStep rows, or the solved
 CalabiProfile with its invariants), and a payload writer and a text
 renderer that each format that result, never each other's text. Every
 schema-1 writer is here, verify's too: the library's values carry no JSON.
-Text output, --json and --check all run the same computation once. An input
-is declared by its converter alone, and the converters are the only code
-that reads text as a number (the library takes Fraction and int values
-only); its canonical payload form follows from the converted value: a
-rational renders as "p/q" text, and an integer, "ge1" or None stays as it
-is. One reader, _read_inputs, reads a --check payload's inputs and a --grid
-row in that form.
+Text output, --json, --check and each --grid row run the same computation,
+_compute, which checks every input limit in _LIMITS. An input is declared
+by its converter alone, and the converters are the only code that reads
+text as a number (the library takes Fraction and int values only); its
+canonical payload form follows from the converted value: a rational renders
+as "p/q" text, and an integer, "ge1" or None stays as it is. One reader,
+_read_inputs, reads a --check payload's inputs and a --grid row in that
+form.
 
 render_json writes every schema-1 payload as json.dumps(indent=2) does,
 byte for byte. The two long arrays, cone-iterate's steps and verify's
@@ -42,8 +43,7 @@ from typing import IO, Callable, NamedTuple, Optional, Sequence
 
 from .angle import AngleInterval, optimal_angle_interval, semistable_range_lambda_ge_1
 from .bundle import (
-    BundleBoundary, DeltaBreakdown, DeltaKnowledge, FanoBase, beta_zero, boundary_interval,
-    bundle_delta,
+    BundleBoundary, DeltaBreakdown, DeltaKnowledge, FanoBase, beta_zero, bundle_delta,
 )
 from .calabi import (
     edge_angles, futaki_closed_form, futaki_invariant, hermite_admissible_profile,
@@ -82,6 +82,8 @@ MAX_ITERATIONS = 20_000
 # 0.12-0.19 s for r = 7/3, and runs about 2 s for r = 1001/1000 before it
 # exits 3 on the interpreter's digit limit, which no bound here refuses.
 MAX_DIMENSION = 2_000
+# The input limits _compute checks, for every command that has the input.
+_LIMITS = (("n", MAX_DIMENSION), ("i", MAX_ITERATIONS))
 # A diagnostic line is cut after this many characters.
 MAX_DIAGNOSTIC = 1_000
 
@@ -355,8 +357,6 @@ def _branched_result(values: dict) -> DeltaBreakdown:
 def _cone_iterate_result(values: dict) -> list[ChainStep]:
     """The chain's steps as they were computed, once the last value agrees
     with the telescoped recursion."""
-    if values["i"] > MAX_ITERATIONS:
-        raise DomainError(f"i must be <= {MAX_ITERATIONS}, got {values['i']}")
     spec = HypersurfaceConeSpec(values["n"], values["d"], values["i"], _knowledge(values["delta0"]))
     chain = iterated_hypersurface_chain(spec)
     telescoped = telescoping_iterated_cone(spec)
@@ -591,16 +591,13 @@ COMMANDS: dict[str, _Command] = {
 }
 
 
-def _check_dimension(n: int) -> None:
-    if n > MAX_DIMENSION:
-        raise DomainError(f"n must be <= {MAX_DIMENSION}, got {n}")
-
-
 def _compute(command: _Command, values: dict) -> tuple[dict, dict]:
-    """The one computation behind text output, --json and --check: check n,
-    fill the computed defaults, compute the result, and render the canonical
-    inputs."""
-    _check_dimension(values["n"])
+    """The one computation behind text output, --json, --check and each
+    --grid row: check the inputs against _LIMITS, fill the computed
+    defaults, compute the result, and render the canonical inputs."""
+    for key, limit in _LIMITS:
+        if values.get(key, 0) > limit:
+            raise DomainError(f"{key} must be <= {limit}, got {values[key]}")
     for flag in command.flags:
         if values[flag.key] is None and callable(flag.default):
             values[flag.key] = flag.default(values)
@@ -671,10 +668,11 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return data
 
 
-def _load_grid_file(path: str) -> list[dict]:
-    """The values of each row of a --grid file, read by _read_inputs as the
-    payload inputs of its kind's command. Only the format is checked here;
-    _handle_verify refuses a row outside the domain."""
+def _load_grid_file(path: str) -> list[tuple[str, dict]]:
+    """The kind of each row of a --grid file and its values, read by
+    _read_inputs as the payload inputs of that kind's command. Only the
+    format is checked here; _handle_verify computes each row by its command,
+    which refuses a row outside the domain."""
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle, object_pairs_hook=_unique_keys)
     if not isinstance(data, dict):
@@ -682,7 +680,7 @@ def _load_grid_file(path: str) -> list[dict]:
     unknown = sorted(set(data) - set(_GRID_KEYS))
     if unknown:
         raise ValueError(f"unknown grid kinds {unknown} (the kinds are bundle and cone)")
-    rows: list[dict] = []
+    rows: list[tuple[str, dict]] = []
     for kind, keys in _GRID_KEYS.items():
         kind_rows = data.get(kind, [])
         if not isinstance(kind_rows, list):
@@ -691,7 +689,7 @@ def _load_grid_file(path: str) -> list[dict]:
             try:
                 if not isinstance(row, list) or len(row) != len(keys):
                     raise ValueError(f"not an array of {len(keys)} entries: {row!r}")
-                rows.append(_read_inputs(kind, dict(zip(keys, row))))
+                rows.append((kind, _read_inputs(kind, dict(zip(keys, row)))))
             except ValueError as exc:
                 raise ValueError(f"{kind} row {index}: {exc}") from None
     if not rows:
@@ -733,15 +731,13 @@ def _handle_verify(args: argparse.Namespace) -> int:
             rows = _load_grid_file(args.grid)
         except (OSError, RecursionError, ValueError) as exc:
             raise CliParseError(f"cannot load grid file {args.grid}: {exc}") from None
-        # Outside the parse-error net, and before the report file opens: an
-        # out-of-domain row exits 3 and leaves no report behind.
+        # Each row is computed by its own command, outside the parse-error
+        # net and before the report file opens: a row that command refuses
+        # exits 3 with its line and leaves no report behind.
         grid = []
-        for values in rows:
-            _check_dimension(values["n"])
-            base, bdry = _branch_case(values)
-            if isinstance(bdry, BundleBoundary):
-                boundary_interval(base, bdry)  # the valid range of a depends on r
-            grid.append((base, bdry))
+        for kind, values in rows:
+            _compute(COMMANDS[kind], values)
+            grid.append(_branch_case(values))
     # The report file is opened first, so an unwritable path is refused
     # before the suite runs.
     with (

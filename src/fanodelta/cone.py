@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .bundle import (
     DeltaBreakdown,
@@ -239,12 +239,7 @@ class BranchedConeSpec(Immutable):
 
     def side_conditions(self) -> tuple[str, ...]:
         """Human-readable record of the checked conditions (all hold)."""
-        return (
-            f"l < k: {self.l} < {self.k}",
-            f"gcd(k, l) = 1: gcd({self.k}, {self.l}) = 1",
-            f"k divides d*l - 1: {self.k} | {format_ratio(self.d * self.l - 1, 1)}",
-            f"r = (n+1)k - (k-1)d > 0: r = {format_ratio(self.r, 1)}",
-        )
+        return tuple(record() for _, record, _ in _side_conditions(self.n, self.k, self.d, self.l))
 
 
 def branched_slope(n: int, k: int, d: int) -> int:
@@ -252,27 +247,31 @@ def branched_slope(n: int, k: int, d: int) -> int:
     return (n + 1) * k - (k - 1) * d
 
 
+def _side_conditions(
+    n: int, k: int, d: int, l: int
+) -> tuple[tuple[bool, Callable[[], str], Callable[[], str]], ...]:
+    """Each side condition of the branched construction: whether it holds,
+    its record, and its violation text. A text is written only when it is
+    read, since d*l - 1 or r may be too long to print."""
+    gcd, product, r = math.gcd(k, l), d * l - 1, branched_slope(n, k, d)
+    return (
+        (l < k, lambda: f"l < k: {l} < {k}", lambda: f"l < k required, got l={l}, k={k}"),
+        (gcd == 1, lambda: f"gcd(k, l) = 1: gcd({k}, {l}) = 1",
+         lambda: f"gcd(k, l) = 1 required, got gcd({k}, {l}) = {gcd}"),
+        (product % k == 0, lambda: f"k divides d*l - 1: {k} | {format_ratio(product, 1)}",
+         lambda: f"k must divide d*l - 1, got {k} does not divide {format_ratio(product, 1)}"),
+        (r > 0, lambda: f"r = (n+1)k - (k-1)d > 0: r = {format_ratio(r, 1)}",
+         lambda: f"r = (n+1)k - (k-1)d > 0 required, got r={format_ratio(r, 1)}"),
+    )
+
+
 def branched_side_condition_failures(n: int, k: int, d: int, l: int) -> list[str]:
     """Every violated side condition of the branched construction, as
     constraint-naming messages; empty when (n, k, d, l) is valid."""
-    failures: list[str] = []
-    if not l < k:
-        failures.append(f"side condition violated: l < k required, got l={l}, k={k}")
-    if math.gcd(k, l) != 1:
-        failures.append(
-            f"side condition violated: gcd(k, l) = 1 required, got gcd({k}, {l}) = {math.gcd(k, l)}"
-        )
-    if (d * l - 1) % k != 0:
-        failures.append(
-            "side condition violated: k must divide d*l - 1, "
-            f"got {k} does not divide {format_ratio(d * l - 1, 1)}"
-        )
-    r = branched_slope(n, k, d)
-    if r <= 0:
-        failures.append(
-            f"side condition violated: r = (n+1)k - (k-1)d > 0 required, got r={format_ratio(r, 1)}"
-        )
-    return failures
+    return [
+        f"side condition violated: {violation()}"
+        for holds, _, violation in _side_conditions(n, k, d, l) if not holds
+    ]
 
 
 def branched_cone_delta(

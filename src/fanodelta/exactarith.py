@@ -159,11 +159,6 @@ class Polynomial(Immutable):
         return tuple([Fraction(a, lcm) for a in ints])
 
     @property
-    def degree(self) -> int:
-        """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.cleared[1]) - 1
-
-    @property
     def is_zero(self) -> bool:
         return not self.cleared[1]
 

@@ -662,6 +662,21 @@ class TestDimensionLimit:
         path.write_text(json.dumps(payload, indent=2) + "\n")
         self._refused_quickly(["--check", str(path)], capsys)
 
+    def test_an_iteration_count_over_the_limit_in_a_check_payload_is_refused(
+        self, capsys, tmp_path
+    ):
+        argv = ["cone-iterate", "--n", "2", "--d", "3", "--i"]
+        code, out, err = run_cli([*argv, "2", "--json"], capsys)
+        payload = json.loads(out)
+        payload["inputs"]["i"] = MAX_ITERATIONS + 1
+        path = tmp_path / "payload.json"
+        path.write_text(json.dumps(payload, indent=2) + "\n")
+        line = f"domain error: i must be <= {MAX_ITERATIONS}, got {MAX_ITERATIONS + 1}\n"
+        assert run_cli([*argv, str(MAX_ITERATIONS + 1)], capsys) == (EXIT_DOMAIN, "", line)
+        start = time.perf_counter()
+        assert run_cli(["--check", str(path)], capsys) == (EXIT_DOMAIN, "", line)
+        assert time.perf_counter() - start < 1
+
     def test_an_enormous_grid_row_is_refused_before_computing(self, capsys, tmp_path):
         grid, report = tmp_path / "grid.json", tmp_path / "report.json"
         grid.write_text(json.dumps({"cone": [[ENORMOUS, "2", "0", "1"]]}))
@@ -1090,6 +1105,40 @@ class TestOneReader:
             (["verify", "--grid", str(grid)], f"cannot load grid file {grid}: bundle row 1"),
         ):
             assert run_cli(argv, capsys) == (EXIT_PARSE, "", f"error: {prefix}: {reason}\n")
+
+    INPUTS = {"bundle": BUNDLE_INPUTS, "cone": {"n": 1, "r": "2", "c": "0", "delta_v": "1"}}
+    GRID_KEYS = {"bundle": ("n", "r", "a", "b", "delta_v"), "cone": ("n", "r", "c", "delta_v")}
+    OUT_OF_DOMAIN = [
+        ("bundle", "a", "1"),
+        ("cone", "c", "1"),
+        ("bundle", "delta_v", "-1"),
+        ("cone", "n", MAX_DIMENSION + 1),
+    ]
+
+    @pytest.mark.parametrize(
+        "kind, key, value", OUT_OF_DOMAIN, ids=[f"{kind}-{key}" for kind, key, _ in OUT_OF_DOMAIN]
+    )
+    def test_an_out_of_domain_value_is_refused_alike_on_every_path(
+        self, kind, key, value, capsys, tmp_path
+    ):
+        inputs = dict(self.INPUTS[kind], **{key: value})
+        flags = [kind]
+        for name, text in inputs.items():
+            flags += ["--" + name.replace("_", "-"), str(text)]
+        code, out, line = run_cli(flags, capsys)
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert line.startswith("domain error: ") and line.count("\n") == 1
+        payload, grid = tmp_path / "payload.json", tmp_path / "grid.json"
+        report = tmp_path / "report.json"
+        payload.write_text(json.dumps(
+            {"schema": "1", "command": kind, "inputs": inputs, "result": {}}
+        ))
+        grid.write_text(json.dumps({kind: [[inputs[name] for name in self.GRID_KEYS[kind]]]}))
+        for argv in (
+            ["--check", str(payload)], ["verify", "--grid", str(grid), "--json", str(report)]
+        ):
+            assert run_cli(argv, capsys) == (EXIT_DOMAIN, "", line)
+        assert not report.exists()
 
     def test_a_grid_diagnostic_names_the_kind_and_the_row(self, capsys, tmp_path):
         path = tmp_path / "grid.json"

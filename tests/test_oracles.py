@@ -461,7 +461,7 @@ def _loop_futaki_quadrature(n, r, profile, steps):
         return Fraction(0)
     q = r.denominator
     big_d = q * steps
-    deg = integrand.degree
+    deg = len(integrand.coefficients) - 1
     coeff_lcm = math.lcm(*(c.denominator for c in integrand.coefficients))
     weights = [
         int(c * coeff_lcm) * big_d ** (deg - j)
