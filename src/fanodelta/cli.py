@@ -6,20 +6,20 @@ disagreement (a failed verification run, a --check mismatch, or two exact
 routes diverging). Diagnostics are single lines on stderr naming the
 violated constraint.
 
-Each computing subcommand is one entry of COMMANDS: its input flags, a
-result function returning what it computed in exact values (a
+Each computing subcommand is one entry of COMMANDS: its input flags and
+extra flags, a result function returning what it computed in exact values (a
 DeltaBreakdown, an AngleInterval, the chain's ChainStep rows, or the solved
 CalabiProfile with its invariants), and a payload writer and a text
 renderer that each format that result, never each other's text. Every
 schema-1 writer is here, verify's too: the library's values carry no JSON.
 Text output, --json, --check and each --grid row run the same computation,
-_compute, which checks every input limit in _LIMITS. An input is declared
+_compute, which first checks each flag's limit in _LIMITS. A flag is declared
 by its converter alone, and the converters are the only code that reads
-text as a number (the library takes Fraction and int values only); its
+text as a number (the library takes Fraction and int values only); an input's
 canonical payload form follows from the converted value: a rational renders
 as "p/q" text, and an integer, "ge1" or None stays as it is. One reader,
 _read_inputs, reads a --check payload's inputs and a --grid row in that
-form.
+form, and never an extra flag.
 
 render_json writes every schema-1 payload as json.dumps(indent=2) does,
 byte for byte. The two long arrays, cone-iterate's steps and verify's
@@ -73,7 +73,7 @@ EXIT_INTERNAL = 4
 # --samples above this is refused: 10^5 samples at n = 5 take under 1 s.
 MAX_SAMPLES = 100_000
 # --csv's Horner steps, samples * (n + 2), are capped at what MAX_SAMPLES allows at n = 5.
-MAX_CSV_STEPS = 700_000
+MAX_CSV_STEPS = MAX_SAMPLES * (5 + 2)
 # cone-iterate --i above this is refused before any step: the output grows
 # linearly in i, and 2 * 10^4 steps take about 0.2 s with --json.
 MAX_ITERATIONS = 20_000
@@ -82,8 +82,8 @@ MAX_ITERATIONS = 20_000
 # 0.12-0.19 s for r = 7/3, and runs about 2 s for r = 1001/1000 before it
 # exits 3 on the interpreter's digit limit, which no bound here refuses.
 MAX_DIMENSION = 2_000
-# The input limits _compute checks, for every command that has the input.
-_LIMITS = (("n", MAX_DIMENSION), ("i", MAX_ITERATIONS))
+# The limit on each flag _compute checks, for every command that has the flag.
+_LIMITS = (("n", MAX_DIMENSION), ("i", MAX_ITERATIONS), ("samples", MAX_SAMPLES))
 # A diagnostic line is cut after this many characters.
 MAX_DIAGNOSTIC = 1_000
 
@@ -110,13 +110,11 @@ class _Parser(argparse.ArgumentParser):
         raise CliParseError(message)
 
     def _print_message(self, message: str, file: Optional[IO[str]] = None) -> None:
-        # argparse drops a failed write. Help and usage text on stdout go
-        # through _write_stdout instead, so they fail as command output does.
-        if file is None or file is sys.stdout:
-            if message:
-                _write_stdout(message)
-        else:
-            super()._print_message(message, file)
+        # argparse drops a failed write, so help and usage text go through
+        # _write_stdout and fail as command output does. argparse writes to
+        # stderr only for error, which raises here, and a deprecated flag (none is).
+        if message:
+            _write_stdout(message)
 
 
 # Input converters: each takes a flag's text or an input value that
@@ -180,11 +178,11 @@ def _canonical(value: object) -> object:
 
 
 class _Flag(NamedTuple):
-    """One input of a command, keyed as in the payload's inputs. convert
-    parses it, and the payload holds _canonical of the parsed value: a
-    rational as "p/q" text, an integer, "ge1" or None as it is.
+    """One flag of a command, --key with "_" as "-"; an input's payload key
+    is key. convert parses it, and the payload holds _canonical of the parsed
+    value: a rational as "p/q" text, an integer, "ge1" or None as it is.
     default is _REQUIRED, a constant (text is converted, as argparse does),
-    or a function of the inputs before it."""
+    or a function of the inputs before it. A limit is its key's _LIMITS row."""
 
     key: str
     convert: Callable[[object], object]
@@ -203,15 +201,16 @@ class _Command(NamedTuple):
     command computed, in exact values. text formats the canonical inputs and
     the values of the result it prints as lines; payload, a writer of this
     module, formats the result as JSON and may take apart what emit does not
-    read. options are argparse flags that are not inputs; emit acts on them
-    once the output is formatted and returns extra text lines."""
+    read. extra are flags that are not inputs, which _read_inputs never
+    reads; emit acts on them once the output is formatted and returns extra
+    text lines."""
 
     help: str
     flags: tuple[_Flag, ...]
     result: Callable[[dict], object]
     text: Callable[[dict, object], list[str]]
     payload: Callable[[object], dict]
-    options: tuple[tuple[tuple, dict], ...] = ()
+    extra: tuple[_Flag, ...] = ()
     emit: Optional[Callable[[argparse.Namespace, object], list[str]]] = None
 
 
@@ -487,11 +486,9 @@ def _calabi_text(inputs: dict, result: dict) -> list[str]:
 
 
 def _calabi_csv(args: argparse.Namespace, result: dict) -> list[str]:
-    """Write --csv samples of the solved profile."""
+    """Write --csv samples of the solved profile (_compute refuses too many)."""
     if args.samples < 2:
         raise DomainError(f"samples must be >= 2, got {args.samples}")
-    if args.samples > MAX_SAMPLES:
-        raise DomainError(f"samples must be <= {MAX_SAMPLES}, got {args.samples}")
     if args.csv is None:
         return []
     steps = args.samples * (result["profile"].n + 2)
@@ -579,12 +576,10 @@ COMMANDS: dict[str, _Command] = {
         _calabi_result,
         _calabi_text,
         _calabi_json,
-        options=(
-            (("--csv",), {"metavar": "PATH", "help": "write (tau, phi) samples"}),
-            (("--samples",), {
-                "type": integer, "default": 33,
-                "help": f"number of --csv samples, 2 to {MAX_SAMPLES:,} (default: %(default)s)",
-            }),
+        extra=(
+            _Flag("csv", str, None, "write (tau, phi) samples"),
+            _Flag("samples", integer, "33",
+                  f"number of --csv samples, 2 to {MAX_SAMPLES:,} (default: %(default)s)"),
         ),
         emit=_calabi_csv,
     ),
@@ -593,8 +588,9 @@ COMMANDS: dict[str, _Command] = {
 
 def _compute(command: _Command, values: dict) -> tuple[dict, dict]:
     """The one computation behind text output, --json, --check and each
-    --grid row: check the inputs against _LIMITS, fill the computed
-    defaults, compute the result, and render the canonical inputs."""
+    --grid row: check the values against _LIMITS (an absent one, as an extra
+    flag's in a --check payload or a --grid row, reads as 0), fill the
+    computed defaults, compute the result, and render the canonical inputs."""
     for key, limit in _LIMITS:
         if values.get(key, 0) > limit:
             raise DomainError(f"{key} must be <= {limit}, got {values[key]}")
@@ -608,7 +604,7 @@ def _compute(command: _Command, values: dict) -> tuple[dict, dict]:
 
 def _handle_command(args: argparse.Namespace) -> int:
     command = COMMANDS[args.command]
-    values = {flag.key: getattr(args, flag.key) for flag in command.flags}
+    values = {flag.key: getattr(args, flag.key) for flag in command.flags + command.extra}
     inputs, result = _compute(command, values)
     if args.json:
         output = _command_json(args.command, inputs, result)
@@ -838,7 +834,7 @@ def build_parser() -> _Parser:
 
     for name, command in COMMANDS.items():
         p_command = sub.add_parser(name, help=command.help)
-        for flag in command.flags:
+        for flag in command.flags + command.extra:
             p_command.add_argument(
                 "--" + flag.key.replace("_", "-"),
                 dest=flag.key,
@@ -848,8 +844,6 @@ def build_parser() -> _Parser:
                 else flag.default,
                 help=flag.help,
             )
-        for option_args, option_kwargs in command.options:
-            p_command.add_argument(*option_args, **option_kwargs)
         p_command.add_argument("--json", action="store_true", help="emit JSON instead of text")
         p_command.set_defaults(handler=_handle_command)
 

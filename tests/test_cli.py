@@ -363,6 +363,13 @@ class TestCalabiCommand:
             assert err == "domain error: samples must be <= 100000, got 100001\n"
             assert out == ""
         assert not target.exists()
+        # The cap is checked with n, before anything is computed: the profile
+        # at n = 2000, r = 1001/1000 would run for seconds and then exit on
+        # the digit limit, and r = 1 would be refused for r.
+        for n, r in (("2000", "1001/1000"), ("1", "1")):
+            code, out, err = run_cli(["calabi", "--n", n, "--r", r, "--samples", "100001"], capsys)
+            assert (code, out) == (EXIT_DOMAIN, "")
+            assert err == "domain error: samples must be <= 100000, got 100001\n"
 
     @pytest.mark.parametrize("n, samples", [("500", "1401"), ("6", "100000")])
     def test_csv_over_the_step_limit_is_a_domain_error(self, n, samples, capsys, tmp_path):
@@ -1395,6 +1402,7 @@ class TestBeyondTheFloatRange:
         ("cone", '--delta-v DELTA_V exact rational or "ge1"'),
         ("cone-iterate", '--delta0 DELTA0 exact rational or "ge1"'),
         ("calabi", "--beta BETA twist (default: beta0)"),
+        ("calabi", "--csv CSV write (tau, phi) samples"),
         ("calabi", "--samples SAMPLES number of --csv samples, 2 to 100,000 (default: 33)"),
     ],
 )

@@ -3,6 +3,7 @@ its converter, and each command's result is a value that the text renderer
 and the payload function format, so no renderer parses payload text back
 into a value or rebuilds a polynomial or profile from it."""
 
+import argparse
 import ast
 import inspect
 from fractions import Fraction
@@ -99,6 +100,23 @@ def test_every_command_names_its_payload_writer():
     assert "payload" not in fanodelta.cli._Command._field_defaults
     for command in fanodelta.cli.COMMANDS.values():
         assert command.payload.__module__ == fanodelta.cli.__name__
+
+
+def test_every_flag_of_a_computing_command_comes_from_its_entry():
+    # build_parser adds --json and one flag per _Flag of the entry's flags
+    # and extra, and no other: each option's converter, default and limit
+    # are read from the table.
+    [subparsers] = [
+        action for action in fanodelta.cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    for name, command in fanodelta.cli.COMMANDS.items():
+        options = {
+            option for action in subparsers.choices[name]._actions
+            for option in action.option_strings
+        }
+        declared = {"--" + flag.key.replace("_", "-") for flag in command.flags + command.extra}
+        assert options == {"-h", "--help", "--json"} | declared, name
 
 
 def test_only_diagnose_writes_to_stderr():
