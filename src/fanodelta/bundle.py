@@ -100,19 +100,25 @@ def boundary_interval(base: FanoBase, bdry: BundleBoundary) -> tuple[Rational, R
     For r > 1 the valid domain is 0 <= a < 1; for 0 < r <= 1 positivity of
     the pair additionally forces a > 1 - r. In both regimes 0 <= b < 1.
     On this domain A > 0 and B > A automatically.
+
+    Decided on the integers of r = p/q, a = s/t and b = u/v (denominators
+    positive): r > 1 is p > q, 0 <= a < 1 is 0 <= s < t, 1 - r < a is
+    (q - p)t < sq, and A and B are built as one Fraction each.
     """
     r, a, b = base.r, bdry.a, bdry.b
-    if r > 1:
-        if not (0 <= a < 1):
+    p, q = r.numerator, r.denominator
+    s, t = a.numerator, a.denominator
+    u, v = b.numerator, b.denominator
+    if p > q:
+        if not (0 <= s < t):
             raise DomainError(f"a must satisfy 0 <= a < 1 when r > 1, got a={a}")
-    else:
-        if not (1 - r < a < 1):
-            raise DomainError(
-                f"a must satisfy 1-r < a < 1 when r <= 1, got a={a} with r={r}"
-            )
-    if not (0 <= b < 1):
+    elif not ((q - p) * t < s * q and s < t):
+        raise DomainError(
+            f"a must satisfy 1-r < a < 1 when r <= 1, got a={a} with r={r}"
+        )
+    if not (0 <= u < v):
         raise DomainError(f"b must satisfy 0 <= b < 1, got b={b}")
-    return r - (1 - a), r + (1 - b)
+    return Fraction((p - q) * t + s * q, q * t), Fraction((p + q) * v - u * q, q * v)
 
 
 def check_integer(value: object, name: str = "n", least: int = 1) -> int:
@@ -142,12 +148,16 @@ def centroid_phi(A: RationalLike, B: RationalLike, n: int) -> Rational:
     Equals ((n+1)/(n+2)) * (B^(n+2) - A^(n+2)) / (B^(n+1) - A^(n+1)), i.e.
     the ratio of the exact integrals of t^(n+1) and t^n over [A, B], and
     always lies strictly between A and B.
-
-    Evaluated in integers: over q = den(A)*den(B), A = x/q and B = y/q, so
-    the centroid is (n+1)(y^(n+2) - x^(n+2)) / ((n+2) q (y^(n+1) - x^(n+1))),
-    one Fraction and one reduction.
     """
     a, b = check_interval(n, A, B)
+    return _centroid(a, b, n)
+
+
+def _centroid(a: Rational, b: Rational, n: int) -> Rational:
+    """centroid_phi on an interval its caller has validated, in integers:
+    over q = den(a)*den(b), a = x/q and b = y/q, so the centroid is
+    (n+1)(y^(n+2) - x^(n+2)) / ((n+2) q (y^(n+1) - x^(n+1))), one Fraction
+    and one reduction."""
     x, y = a.numerator * b.denominator, b.numerator * a.denominator
     q = a.denominator * b.denominator
     return Fraction(
@@ -251,9 +261,14 @@ def bundle_delta(base: FanoBase, bdry: BundleBoundary = BundleBoundary()) -> Del
     (None when only delta(V) >= 1 is known), (1 - a) / (Phi - A) for the
     zero section, (1 - b) / (B - Phi) for the infinity section, where
     Phi = centroid_phi(A, B, n).
+
+    boundary_interval has validated [A, B], so the centroid is read without
+    checking it again. The branches stay Fraction operations: at n = 1500
+    the centroid's terms have about 10^4 bits, and rebuilding each branch
+    from integer pairs would rerun gcds of that size.
     """
     A, B = boundary_interval(base, bdry)
-    phi = centroid_phi(A, B, base.n)
+    phi = _centroid(A, B, base.n)
     delta = base.delta_v.value
     return DeltaBreakdown(
         None if delta is None else base.r / phi * delta,

@@ -28,7 +28,6 @@ from .bundle import (
     DeltaKnowledge,
     FanoBase,
     branch_minimum,
-    centroid_phi,
     check_integer,
 )
 from .errors import DomainError, agree
@@ -116,18 +115,29 @@ def cone_bundle_consistency(
     interval, which gives A = 0 and B = r + 1 - c; the vertex branch
     becomes r / (Phi - 0) and the infinity branch (1 - c) / (B - Phi), with
     the cone log discrepancies r for V0 and 1 - c for Vinf. cone_route reads
-    the same pair off cone_delta(base, c). The base coefficient r / Phi(0, B, n)
-    is the V0 branch by construction, so it is not compared again. Since
-    Phi(0, B, n) = (n+1)*B/(n+2), the two must agree exactly. The
-    coefficients do not depend on delta(V), so any knowledge of it will do.
+    the same pair off _cone_branches, cone_delta's kernel. The base
+    coefficient r / Phi(0, B, n) is the V0 branch by construction, so it is
+    not compared again. Since Phi(0, B, n) = (n+1)*B/(n+2), the two must
+    agree exactly. The coefficients do not depend on delta(V), so any
+    knowledge of it will do.
+
+    Both routes run on integers. With r = p/q, c = s/t and B = b/(qt), the
+    bundle route takes the centroid of [0, B] as it takes any centroid,
+    Phi = (n+1) b^(n+2) / ((n+2) qt b^(n+1)), without cancelling the powers
+    of b, so it does not share the cone route's simplified form.
     """
-    bdry = ConeBoundary(c)
-    n, r, cc = base.n, base.r, bdry.c
-    B = r + 1 - cc
-    phi = centroid_phi(0, B, n)
-    bundle_route = (r / phi, (1 - cc) / (B - phi))
-    cone = cone_delta(base, bdry)
-    return bundle_route, (cone.v0_branch, cone.vinf_branch)
+    cc = ConeBoundary(c).c
+    n, r = base.n, base.r
+    (_, v0, vinf), _ = _cone_branches(n, r, cc, None)
+    p, q = r.numerator, r.denominator
+    s, t = cc.numerator, cc.denominator
+    b, qt = p * t + q * t - s * q, q * t
+    num, den = (n + 1) * b ** (n + 2), (n + 2) * qt * b ** (n + 1)  # Phi = num/den
+    bundle_route = (
+        Fraction(p * den, q * num),  # r / Phi
+        Fraction((t - s) * qt * den, t * (b * den - qt * num)),  # (1 - c) / (B - Phi)
+    )
+    return bundle_route, (Fraction(*v0), Fraction(*vinf))
 
 
 class HypersurfaceConeSpec(Immutable):

@@ -70,6 +70,10 @@ class OracleReport(Immutable):
     For purely exact comparisons (branch logic, consistency, telescoping)
     the defaults hold: one step, bound 0, so passing means literal rational
     equality, and agrees is False when a check beyond the value fails.
+
+    Both follow from one integer cross-difference: with closed form p/q and
+    approximation s/t, the error is |pt - sq| / (qt), and it is within the
+    bound u/v exactly when |pt - sq| * v <= u * qt.
     """
 
     __slots__ = ("target", "closed_form", "approximation", "m_or_steps", "bound", "agrees",
@@ -79,9 +83,12 @@ class OracleReport(Immutable):
         self, target: str, closed_form: Rational, approximation: Rational,
         m_or_steps: int = 1, bound: Rational = Fraction(0), agrees: bool = True,
     ) -> None:
-        error = abs(closed_form - approximation)
-        status = "pass" if agrees and error <= bound else "fail"
-        super().__init__(target, closed_form, approximation, m_or_steps, bound, agrees, error, status)
+        den = closed_form.denominator * approximation.denominator
+        gap = abs(closed_form.numerator * approximation.denominator
+                  - approximation.numerator * closed_form.denominator)
+        within = gap * bound.denominator <= bound.numerator * den
+        super().__init__(target, closed_form, approximation, m_or_steps, bound, agrees,
+                         Fraction(gap, den), "pass" if agrees and within else "fail")
 
 
 def _progression_sum(f: Polynomial, start: Rational, step: Rational, count: int) -> Rational:
@@ -230,28 +237,36 @@ def _naive_cone_branches(
     return coeff, coeff, (n + 2) * (1 - bdry.c) / B
 
 
-def _naive_expected(
-    coefficient: Rational,
-    v0: Rational,
-    vinf: Rational,
-    delta: DeltaKnowledge,
-) -> tuple[Rational, frozenset[str], bool]:
-    """From-scratch min/argmin, and whether the minimum is exact: with only
-    delta >= 1 known it is exact only when a section branch is at most the
-    base coefficient."""
-    if delta.is_exact:
-        branches = {
-            MINIMIZER_BASE: coefficient * delta.value,
-            MINIMIZER_V0: v0,
-            MINIMIZER_VINF: vinf,
-        }
-        value = min(branches.values())
-        return value, frozenset(t for t, x in branches.items() if x == value), True
+def _naive_section_minimum(
+    coefficient: Rational, v0: Rational, vinf: Rational
+) -> tuple[Rational, Rational, frozenset[str]]:
+    """The base coefficient, the least section branch and the tags of the
+    section branches equal to it: the part of the min/argmin that depends
+    on the geometry only."""
     section_min = min(v0, vinf)
-    tags = frozenset(
+    return coefficient, section_min, frozenset(
         t for t, x in ((MINIMIZER_V0, v0), (MINIMIZER_VINF, vinf)) if x == section_min
     )
-    return section_min, tags, section_min <= coefficient
+
+
+def _naive_expected(
+    coefficient: Rational,
+    section_min: Rational,
+    section_tags: frozenset[str],
+    delta: DeltaKnowledge,
+) -> tuple[Rational, frozenset[str], bool]:
+    """From-scratch min/argmin over the base branch coefficient * delta and
+    the section minimum, and whether the minimum is exact: with only
+    delta >= 1 known it is exact only when a section branch is at most the
+    base coefficient."""
+    if not delta.is_exact:
+        return section_min, section_tags, section_min <= coefficient
+    base = coefficient * delta.value
+    if base > section_min:
+        return section_min, section_tags, True
+    if base < section_min:
+        return base, frozenset((MINIMIZER_BASE,)), True
+    return base, section_tags | {MINIMIZER_BASE}, True
 
 
 # One branch-comparison case: a bundle or a cone over the base, told apart
@@ -260,7 +275,8 @@ BranchCase = tuple[FanoBase, BundleBoundary | ConeBoundary]
 
 
 def default_branch_grid() -> list[BranchCase]:
-    """Deterministic default grid of valid branch-comparison cases."""
+    """Deterministic default grid of valid branch-comparison cases. One
+    FanoBase per (n, r, delta) serves every boundary over it."""
     deltas = [
         DeltaKnowledge.exact(Fraction(1, 2)),
         DeltaKnowledge.exact(1),
@@ -270,17 +286,19 @@ def default_branch_grid() -> list[BranchCase]:
     grid: list[BranchCase] = []
     for n in range(1, 5):
         for r in (Fraction(1), Fraction(2), Fraction(3)):
+            bases = [FanoBase(n, r, delta) for delta in deltas]
             for a in (Fraction(0), Fraction(1, 2)):
                 if r <= 1 and not (1 - r < a < 1):
                     continue
                 for b in (Fraction(0), Fraction(1, 2)):
                     bdry = BundleBoundary(a, b)
-                    grid.extend((FanoBase(n, r, delta), bdry) for delta in deltas)
+                    grid.extend((base, bdry) for base in bases)
     for n in range(1, 5):
         for r in (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3)):
+            bases = [FanoBase(n, r, delta) for delta in deltas]
             for c in (Fraction(0), Fraction(1, 2)):
                 bdry = ConeBoundary(c)
-                grid.extend((FanoBase(n, r, delta), bdry) for delta in deltas)
+                grid.extend((base, bdry) for base in bases)
     return grid
 
 
@@ -290,11 +308,14 @@ def branch_min_bruteforce(cases: Iterable[BranchCase]) -> list[OracleReport]:
     from-scratch min/argmin, which must also be exact.
 
     The naive branch triple is plain Fraction arithmetic, a different
-    computation from the integer closed forms. It depends on the geometry
-    only, so it is computed once per (n, r, boundary) and shared by every
-    delta on that geometry, in any case order.
+    computation from the integer closed forms, and the naive minimum never
+    calls branch_minimum. The triple, its section minimum and that
+    minimum's tie set depend on the geometry only, so they are computed
+    once per (n, r, boundary), looked up once per case, and shared by every
+    delta on that geometry, in any case order; each delta then costs one
+    product and its comparison with the section minimum.
     """
-    naive: dict[tuple, tuple[Rational, Rational, Rational]] = {}
+    naive: dict[tuple, tuple[Rational, Rational, frozenset[str]]] = {}
     reports: list[OracleReport] = []
     for base, bdry in cases:
         n, r, delta = base.n, base.r, base.delta_v
@@ -309,9 +330,10 @@ def branch_min_bruteforce(cases: Iterable[BranchCase]) -> list[OracleReport]:
             naive_branches = _naive_bundle_branches
             target = f"bundle_delta(n={n}, r={r}, a={bdry.a}, b={bdry.b}, delta={delta})"
         geometry = (n, r, bdry)
-        if geometry not in naive:
-            naive[geometry] = naive_branches(n, r, bdry)
-        value, tags, exact = _naive_expected(*naive[geometry], delta)
+        expected = naive.get(geometry)
+        if expected is None:
+            expected = naive[geometry] = _naive_section_minimum(*naive_branches(n, r, bdry))
+        value, tags, exact = _naive_expected(*expected, delta)
         reports.append(
             OracleReport(
                 target=target,

@@ -210,6 +210,40 @@ class TestBoundaryInterval:
             boundary_interval(base, BundleBoundary(Fraction(-1, 4), 0))
 
 
+signed_fractions = st.fractions(
+    min_value=Fraction(-3, 2), max_value=Fraction(3, 2), max_denominator=12
+)
+
+
+class TestReferenceRoute:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=8),
+        st.fractions(min_value=-1, max_value=4, max_denominator=12),
+        signed_fractions,
+        signed_fractions,
+        st.one_of(st.none(), st.fractions(min_value=0, max_value=3, max_denominator=12)),
+    )
+    @example(2, Fraction(1), Fraction(1, 2), Fraction(0), Fraction(1))  # r = 1, inside
+    @example(2, Fraction(1), Fraction(0), Fraction(0), Fraction(1))  # r = 1, a = 1 - r
+    @example(2, Fraction(1, 3), Fraction(2, 3), Fraction(0), None)  # a = 1 - r
+    @example(2, Fraction(1, 3), Fraction(3, 4), Fraction(1, 2), None)  # just above 1 - r
+    @example(1, Fraction(2), Fraction(1), Fraction(0), Fraction(1))  # a = 1
+    @example(1, Fraction(1, 2), Fraction(1), Fraction(0), Fraction(1))  # a = 1, r <= 1
+    @example(3, Fraction(5, 2), Fraction(-1, 12), Fraction(0), Fraction(1))  # a = -1/12
+    @example(2, Fraction(2), Fraction(0), Fraction(1), Fraction(1))  # b = 1
+    @example(1500, Fraction(7, 3), Fraction(1, 3), Fraction(1, 4), Fraction(3, 2))
+    def test_bundle_delta_equals_the_fraction_reference(self, n, r, a, b, dv):
+        # The whole breakdown, or the refusal text, word for word.
+        def outcome(route):
+            try:
+                return route(FanoBase(n, r, DeltaKnowledge(dv)), BundleBoundary(a, b))
+            except DomainError as exc:
+                return str(exc)
+
+        assert outcome(bundle_delta) == outcome(_reference_bundle_delta)
+
+
 class TestFrozenBundleValues:
     def test_blowup_of_plane_in_a_point(self):
         b = bundle_delta(FanoBase(1, 2, DeltaKnowledge.exact(1)))
@@ -457,3 +491,23 @@ def _reference_centroid_phi(A, B, n):
     """The centroid as it was first computed: the closed form in Fraction
     arithmetic, one operation at a time."""
     return Fraction(n + 1, n + 2) * (B ** (n + 2) - A ** (n + 2)) / (B ** (n + 1) - A ** (n + 1))
+
+
+def _reference_bundle_delta(base, bdry):
+    """bundle_delta as it was first computed: the domain checks on the
+    Fractions themselves, the interval endpoints and every branch in
+    Fraction arithmetic, one operation at a time."""
+    n, r, a, b = base.n, base.r, bdry.a, bdry.b
+    if r > 1:
+        if not (0 <= a < 1):
+            raise DomainError(f"a must satisfy 0 <= a < 1 when r > 1, got a={a}")
+    elif not (1 - r < a < 1):
+        raise DomainError(f"a must satisfy 1-r < a < 1 when r <= 1, got a={a} with r={r}")
+    if not (0 <= b < 1):
+        raise DomainError(f"b must satisfy 0 <= b < 1, got b={b}")
+    A, B = r - (1 - a), r + (1 - b)
+    phi = _reference_centroid_phi(A, B, n)
+    delta = base.delta_v.value
+    return DeltaBreakdown(
+        None if delta is None else r / phi * delta, (1 - a) / (phi - A), (1 - b) / (B - phi)
+    )

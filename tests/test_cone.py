@@ -125,7 +125,8 @@ class TestConeStructure:
         st.fractions(min_value=0, max_value=Fraction(29, 30), max_denominator=30),
         st.one_of(st.none(), st.fractions(min_value=0, max_value=3, max_denominator=12)),
     )
-    @example(1, Fraction(1), Fraction(0), Fraction(1))  # quadric cone, a three-way tie
+    @example(1, Fraction(1), Fraction(0), Fraction(1))  # quadric cone, base and V0 tie
+    @example(1, Fraction(2), Fraction(0), Fraction(1))  # P^2, a three-way tie
     @example(2, Fraction(1), Fraction(0), None)
     @example(3, Fraction(9, 2), Fraction(1, 2), Fraction(0))  # upper-bound-only
     def test_integer_route_equals_the_fraction_formula(self, n, r, c, dv):
